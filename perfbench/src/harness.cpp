@@ -1,10 +1,13 @@
 #include "harness.h"
 
+#include <sys/prctl.h>
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
+#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -47,6 +50,44 @@ std::vector<std::string> books::reasons() const {
 
 double ms_between(steady::time_point a, steady::time_point b) noexcept {
   return std::chrono::duration<double, std::milli>(b - a).count();
+}
+
+double process_cpu_ms() noexcept {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 + static_cast<double>(ts.tv_nsec) * 1e-6;
+}
+
+void fine_timer_slack() noexcept { prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL); }
+
+double host_probe_ms() noexcept {
+  static std::array<u64, 512> rows{};
+  timespec t0{}, t1{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t0);
+  for (u64 r = 0; r < 4000; ++r) {
+    for (unsigned j = 0; j < rows.size(); ++j) {
+      const u64 x = rows[j] ^ rows[(j + 1) % rows.size()];
+      rows[j] = ((x << 7) | (x >> 57)) + j * r;
+    }
+  }
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t1);
+  static volatile u64 sink;
+  sink = rows[3];
+  return static_cast<double>(t1.tv_sec - t0.tv_sec) * 1e3 +
+         static_cast<double>(t1.tv_nsec - t0.tv_nsec) * 1e-6;
+}
+
+cpu_pin::cpu_pin() noexcept {
+  const int cpu = sched_getcpu();
+  if (cpu < 0 || sched_getaffinity(0, sizeof prev_, &prev_) != 0) return;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  pinned_ = sched_setaffinity(0, sizeof one, &one) == 0;
+}
+
+cpu_pin::~cpu_pin() {
+  if (pinned_) sched_setaffinity(0, sizeof prev_, &prev_);
 }
 
 namespace {
@@ -107,37 +148,19 @@ double median_setup_s(int times, const std::function<void()>& setup) {
   return median(std::move(s));
 }
 
-std::vector<double> faster_windows(const std::vector<double>& v, std::size_t window,
-                                   double keep) {
-  if (keep >= 1.0 || v.size() < 2 * window) return v;
-  std::vector<std::pair<double, std::size_t>> by_median;  // (median, first unit)
-  for (std::size_t begin = 0; begin + window <= v.size(); begin += window) {
-    by_median.emplace_back(
-        median({v.begin() + static_cast<std::ptrdiff_t>(begin),
-                v.begin() + static_cast<std::ptrdiff_t>(begin + window)}),
-        begin);
-  }
-  std::sort(by_median.begin(), by_median.end());
-  const auto kept = std::max<std::size_t>(1, static_cast<std::size_t>(
-                                                 keep * static_cast<double>(by_median.size())));
-  std::vector<double> out;
-  for (std::size_t i = 0; i < kept; ++i) {
-    const auto first = v.begin() + static_cast<std::ptrdiff_t>(by_median[i].second);
-    out.insert(out.end(), first, first + static_cast<std::ptrdiff_t>(window));
-  }
-  return out;
-}
-
-void report_latency(report& r, const std::vector<double>& units, std::size_t total) {
-  const std::string of = std::to_string(units.size()) +
-                         (units.size() == total ? "" : " (faster half of " +
-                                                           std::to_string(total) + ")") +
-                         " samples";
+void report_latency(report& r, const std::vector<double>& units, const std::string& clock) {
+  const std::string of = std::to_string(units.size()) + " units, " + clock;
   r.set("latency_ms_p50", median(units), "ms");
   r.note("latency_ms_p50", "p50 of " + of);
   const tail_stat t = tail_of(units);
   r.set("latency_ms_tail", t.value, "ms");
-  r.note("latency_ms_tail", "p" + std::to_string(static_cast<int>(t.percentile)) + " of " + of);
+  char pcts[160];
+  std::snprintf(pcts, sizeof pcts, "; p75 %.4g, p90 %.4g, p95 %.4g, p99 %.4g ms",
+                quantile(units, 0.75), quantile(units, 0.90), quantile(units, 0.95),
+                quantile(units, 0.99));
+  char pct[16];
+  std::snprintf(pct, sizeof pct, "p%g", t.percentile);
+  r.note("latency_ms_tail", pct + (" of " + of) + pcts);
 }
 
 void report_outcome(report& r, const books& b) {

@@ -8,6 +8,8 @@
 // under test is byte-for-byte the code the tests build.
 #pragma once
 
+#include <sched.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -60,8 +62,7 @@ class report {
 };
 
 // Units attempted and failed (failed covers wrong outputs, failed jobs and
-// rejected submissions alike).  Thread-safe: the service workload's
-// completion thread and generator both book into it.
+// rejected submissions alike).  Thread-safe.
 class books {
  public:
   void attempt() noexcept { attempted_.fetch_add(1, std::memory_order_relaxed); }
@@ -79,12 +80,37 @@ class books {
 };
 
 [[nodiscard]] double ms_between(steady::time_point a, steady::time_point b) noexcept;
+// CPU time of the whole process (every thread), in ms.  Time a co-tenant
+// holds the core does not count, nor does time spent blocked.
+[[nodiscard]] double process_cpu_ms() noexcept;
+// Host speed probe: CPU time (ms) of a fixed integer kernel on the calling
+// thread.  It calls no library code, so it changes only with the host.
+[[nodiscard]] double host_probe_ms() noexcept;
+// Restricts the calling thread, and every thread it starts while this
+// lives, to the CPU it runs on now; restores the previous affinity of the
+// calling thread on destruction.
+class cpu_pin {
+ public:
+  cpu_pin() noexcept;
+  ~cpu_pin();
+  cpu_pin(const cpu_pin&) = delete;
+  cpu_pin& operator=(const cpu_pin&) = delete;
+
+ private:
+  cpu_set_t prev_{};
+  bool pinned_ = false;
+};
+// A 1 ns timer slack for the calling thread only.  The benchmark's
+// open-loop client uses it so its sleeps end on time; the library's threads
+// keep the default slack, so the cost of their timed waits shows.
+void fine_timer_slack() noexcept;
 [[nodiscard]] double median(std::vector<double> v);
 
-// The tail: p75 when at least ten samples lie beyond it, else p50.  Capped
-// at p75 on purpose: past it a shared host's stalls, not the program, set
-// the value (between runs p99 of service_mix spread by more than half its
-// median, p90 of ntt_table1 and service_mix by about a quarter).
+// The tail: p75 over every unit, or p50 when fewer than ten samples lie
+// beyond p75.  Capped at p75 on purpose: past it the host, not the program,
+// sets the value.  Across ten seeds of service_mix, the quartile spread
+// (IQR / median) was 0.11 for p75, 0.16 for p90, 0.26 for p95 and 1.6 for
+// p99; the other percentiles are printed beside it.
 struct tail_stat {
   double value = 0.0;
   double percentile = 50.0;
@@ -106,17 +132,9 @@ std::vector<double> closed_loop(double seconds, std::size_t min_units,
 // last one is what the measured loop uses.
 double median_setup_s(int times, const std::function<void()>& setup);
 
-// The units a run's headline latency is computed over.  On a shared host,
-// co-tenants slow this process by up to ~1.8x for seconds at a time.  For
-// single-thread compute (ntt_table1), the build sets the time of the faster
-// half of the run's consecutive `window`-unit windows; the neighbours set
-// the time of the slower half.  keep = 1 keeps every unit, in order.
-[[nodiscard]] std::vector<double> faster_windows(const std::vector<double>& v,
-                                                 std::size_t window, double keep);
-
-// latency_ms_p50 and latency_ms_tail over `units` (a selection of the
-// `total` units the run measured).
-void report_latency(report& r, const std::vector<double>& units, std::size_t total);
+// latency_ms_p50 and latency_ms_tail over every unit the run measured;
+// `clock` names what the latencies were timed with.
+void report_latency(report& r, const std::vector<double>& units, const std::string& clock);
 // The outcome metrics every run reports.
 void report_outcome(report& r, const books& b);
 

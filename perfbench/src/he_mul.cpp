@@ -171,7 +171,7 @@ void run_untraced(const run_options& o, report& r, books& b) {
   double total_ms = 0.0;
   for (const double m : ms) total_ms += m;
   r.set("setup_s", setup, "s");
-  report_latency(r, ms, ms.size());
+  report_latency(r, ms, "wall time");
   r.set("throughput_per_s", static_cast<double>(ms.size()) / (total_ms / 1e3), "1/s");
   r.set("array_cycles", cycles / kExactUnits, "cycles");
   r.set("array_energy_nj", energy / kExactUnits, "nJ");

@@ -11,8 +11,6 @@
 // Exit status: 0 ok, 1 a wrong output or failed unit, 2 usage, 3 the run is
 // invalid (non-Release build, or the open-loop generator fell behind), 4 an
 // unexpected error.
-#include <sys/prctl.h>
-
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -86,12 +84,6 @@ int main(int argc, char** argv) {
               o.trace ? 1 : 0, nproc, build_type.c_str());
   std::fflush(stdout);
 
-  // A 1 ns timer slack for the whole process, set before any thread starts
-  // so every thread inherits it: timed waits (the service drainer's 50 us
-  // completion poll, the open-loop generator's sleeps) then wake on time.
-  // With the Linux default of 50 us their wake-up jitter, not the program,
-  // set most of service_mix's run-to-run spread.
-  prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
   report r;
   books b;
   try {

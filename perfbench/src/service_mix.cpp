@@ -1,13 +1,21 @@
 // service_mix — four tenants on one service::service, open loop.
 //
 // cpu backend at the Table-I ring, two executor threads, EDF with aging 8,
-// cross-stream batching on.  Tenants: `latency` (forward/inverse NTTs,
-// priority 8), `bulk` (products, chunk budget 32), `limb` (an RNS limb
-// tenant on its own NTT prime: products, rescales, base extensions) and
-// `plain` (products).  One generator thread submits at a fixed offered rate
-// with seeded exponential gaps; one completion thread collects tickets in
-// submission order.  Each job is timed from the moment it was *due*, so a
-// stall that delays later sends counts against them.
+// cross-stream batching on.  The four tenants are the service soak's
+// (bench/soak.cpp) tenant classes with their session options: `latency`
+// (forward/inverse NTTs, priority 8, a 20'000-cycle deadline), `bulk`
+// (products, priority 0, chunk budget 32), `limb` (an RNS limb tenant on
+// its own NTT prime, priority 4: products, base extensions and rescales in
+// turn) and `plain` (products, priority 2; the soak's `crypto` class, which
+// sends R-LWE encryptions, minus those).  The soak gives every class the
+// same number of clients; here every tenant gets the same share of the
+// offered jobs.
+//
+// One client thread submits at a fixed offered rate with seeded
+// exponential gaps and, between sends, polls every outstanding ticket,
+// stamping each as it becomes ready, whatever its order.  Each job is timed
+// from the moment it was *due*, so a stall that delays later sends counts
+// against them.
 //
 // Backend math is microseconds here, so host time goes to the submission
 // ring, the drainer, the scheduler and context bookkeeping — the sram
@@ -15,9 +23,6 @@
 // through the reference backend and must match bit for bit.
 #include <algorithm>
 #include <cmath>
-#include <condition_variable>
-#include <deque>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -39,11 +44,15 @@ constexpr u64 kN = 256;
 constexpr u64 kQ = 12289;
 constexpr unsigned kK = 16;
 // Offered load, frozen: a bit under half the rate at which this mix
-// saturated (~55k jobs/s, latency p50 climbing from 0.15 ms to 60 ms between
-// 50k and 60k offered) on a 4-core x86 VM when the benchmark was
-// introduced.  Fixed, not searched for, so every build is offered the same
-// jobs at the same times.
-constexpr double kOfferedPerS = 25'000.0;
+// saturated (~43.5k jobs/s: latency p50 0.19 ms at 20k and 0.30 ms at 30k
+// offered, 1.5 ms at 40k, 0.4 s at 50k) on a 4-core x86 VM when the
+// benchmark was introduced.  Fixed, not searched for, so every build is
+// offered the same jobs at the same times.
+constexpr double kOfferedPerS = 20'000.0;
+// The latency tenant's completion budget, as in the soak.
+constexpr u64 kLatencyDeadlineCycles = 20'000;
+// How often the client thread sweeps the outstanding tickets.
+constexpr auto kPoll = std::chrono::microseconds(20);
 constexpr int kSetups = 9;
 constexpr unsigned kWarmJobs = 2'000;
 // One job in kSampleEvery is replayed through the reference backend.
@@ -67,27 +76,36 @@ class job_source {
  public:
   job_source(u64 seed, u64 limb, u64 partner) : rng_(seed), limb_(limb), partner_(partner) {}
 
+  // Tenants in equal shares; the job kinds each sends are the soak's.
   spec next() {
-    const u64 draw = rng_.below(10);
-    if (draw < 4) {
-      const auto dir = rng_.coin() ? core::transform_dir::forward : core::transform_dir::inverse;
-      return {tenant::latency, runtime::ntt_job{.dir = dir, .coeffs = poly(kQ)}};
+    switch (static_cast<tenant>(rng_.below(4))) {
+      case tenant::latency: {
+        const auto dir = rng_.coin() ? core::transform_dir::forward : core::transform_dir::inverse;
+        return {tenant::latency, runtime::ntt_job{.dir = dir, .coeffs = poly(kQ)}};
+      }
+      case tenant::bulk:
+        return {tenant::bulk, runtime::polymul_job{.a = poly(kQ), .b = poly(kQ)}};
+      case tenant::plain:
+        return {tenant::plain, runtime::polymul_job{.a = poly(kQ), .b = poly(kQ)}};
+      case tenant::limb:
+        break;
     }
-    if (draw < 6) return {tenant::bulk, runtime::polymul_job{.a = poly(kQ), .b = poly(kQ)}};
-    if (draw < 8) return {tenant::plain, runtime::polymul_job{.a = poly(kQ), .b = poly(kQ)}};
-    switch (rng_.below(3)) {
+    // What a leveled client's relinearization emits on its limb stream, in
+    // the soak's order: the evk product, the base-extension lift, the
+    // modulus-switch correction.
+    switch (limb_jobs_++ % 3) {
       case 0:
         return {tenant::limb, runtime::polymul_job{.a = poly(limb_), .b = poly(limb_)}};
       case 1:
+        return {tenant::limb, runtime::rns_base_extend_job{.prime = limb_,
+                                                           .source_primes = {partner_},
+                                                           .residues = {poly(partner_)}}};
+      default:
         return {tenant::limb, runtime::rns_rescale_job{.prime = limb_,
                                                        .drop_prime = partner_,
                                                        .x = poly(limb_),
                                                        .dropped = poly(partner_),
                                                        .congruence = 2}};
-      default:
-        return {tenant::limb, runtime::rns_base_extend_job{.prime = limb_,
-                                                           .source_primes = {partner_},
-                                                           .residues = {poly(partner_)}}};
     }
   }
 
@@ -106,6 +124,7 @@ class job_source {
   }
   common::xoshiro256ss rng_;
   u64 limb_, partner_;
+  u64 limb_jobs_ = 0;
 };
 
 // Two 14-bit NTT primes besides the ring's: the limb tenant's ring and the
@@ -155,10 +174,10 @@ struct rig {
       so.max_queued = so.max_in_flight = kCap;
       sessions.push_back(svc->open_session(so));
     };
-    open({.priority = 8});      // tenant::latency
-    open({.chunk_budget = 32});  // tenant::bulk
-    open({.ring_q = limb});      // tenant::limb
-    open({});                    // tenant::plain
+    open({.priority = 8, .deadline_cycles = kLatencyDeadlineCycles});  // tenant::latency
+    open({.priority = 0, .chunk_budget = 32});                         // tenant::bulk
+    open({.priority = 4, .ring_q = limb});                             // tenant::limb
+    open({.priority = 2});                                             // tenant::plain
   }
   ~rig() {
     for (auto& s : sessions) s.close();
@@ -203,8 +222,6 @@ struct sample {
 // Everything one open-loop pass measured.
 struct pass_result {
   std::vector<double> latency_ms;  // due -> completion, per completed job
-  std::vector<double> cycles;      // backend cycles per job (cpu: host time x clock)
-  std::vector<double> energy_nj;
   std::vector<double> submit_us;   // time inside session::submit
   std::vector<double> lag_ms;      // how late the generator sent each job
   double span_s = 0.0;             // first due time -> last completion
@@ -217,33 +234,25 @@ pass_result open_loop(rig& r, u64 seed, double seconds, books& b, span_log* span
   struct pending {
     service::ticket tk;
     steady::time_point due;
+    u64 n = 0;
     std::optional<std::size_t> sample;
   };
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<pending> handoff;
-  bool done_sending = false;
-
-  const auto t0 = steady::now();
-  // The completion thread: tickets in submission order.  Sampled outputs
-  // go to its own list (the generator may grow out.samples meanwhile).
+  std::vector<pending> live;  // sent, not yet complete
   steady::time_point last_done;
-  std::vector<std::pair<std::size_t, std::vector<u64>>> sampled_out;
-  std::thread completer([&] {
-    for (u64 n = 0;; ++n) {
-      pending p;
-      {
-        std::unique_lock<std::mutex> lk(mu);
-        cv.wait(lk, [&] { return !handoff.empty() || done_sending; });
-        if (handoff.empty()) return;
-        p = std::move(handoff.front());
-        handoff.pop_front();
+
+  // Stamp every outstanding ticket that is ready, whatever its order.
+  const auto sweep = [&] {
+    std::size_t kept = 0;
+    for (auto& p : live) {
+      if (!p.tk.ready()) {
+        live[kept++] = std::move(p);
+        continue;
       }
-      auto res = p.tk.get();
       const auto now = steady::now();
-      last_done = now;
-      if (spans != nullptr && n < span_log::kMaxSpans / 4) {
-        spans->record("service", "job", p.due, now, n);
+      auto res = p.tk.get();
+      last_done = std::max(last_done, now);
+      if (spans != nullptr && p.n < span_log::kMaxSpans / 4) {
+        spans->record("service", "job", p.due, now, p.n);
       }
       if (res.status != runtime::job_status::ok) {
         b.fail("service_mix job failed: " + res.error);
@@ -251,16 +260,18 @@ pass_result open_loop(rig& r, u64 seed, double seconds, books& b, span_log* span
       }
       ++out.completed;
       out.latency_ms.push_back(ms_between(p.due, now));
-      const double jobs = static_cast<double>(std::max<std::size_t>(res.jobs_in_batch, 1));
-      out.cycles.push_back(static_cast<double>(res.wall_cycles) / jobs);
-      out.energy_nj.push_back(res.op_stats.energy_pj * 1e-3 / jobs);
-      if (p.sample) sampled_out.emplace_back(*p.sample, std::move(res.outputs.at(0)));
+      if (p.sample) out.samples[*p.sample].out = std::move(res.outputs.at(0));
     }
-  });
+    live.resize(kept);
+  };
 
-  // The generator: sleeps until each job's due time, then submits it.
-  std::thread generator([&] {
+  // One client thread sends each job at its due time and, while it waits
+  // for the next one, sweeps the outstanding tickets every kPoll.  A thread
+  // of its own, so its fine timer slack stays off every library thread.
+  std::thread client([&] {
+    fine_timer_slack();
     job_source src(seed, r.limb, r.partner);
+    const auto t0 = steady::now();
     const auto stop = t0 + std::chrono::duration<double>(seconds);
     auto due = t0;
     for (u64 n = 0;; ++n) {
@@ -269,11 +280,17 @@ pass_result open_loop(rig& r, u64 seed, double seconds, books& b, span_log* span
       if (due >= stop) break;
       spec s = src.next();
       const bool keep = src.sampled();
+      for (;;) {
+        sweep();
+        const auto next_poll = steady::now() + kPoll;
+        if (next_poll >= due) break;
+        std::this_thread::sleep_until(next_poll);
+      }
       std::this_thread::sleep_until(due);
       const auto sent = steady::now();
       b.attempt();
       try {
-        pending p{r.submit(s), due, std::nullopt};
+        pending p{r.submit(s), due, n, std::nullopt};
         const auto submitted = steady::now();
         out.submit_us.push_back(ms_between(sent, submitted) * 1e3);
         out.lag_ms.push_back(ms_between(due, sent));
@@ -284,24 +301,15 @@ pass_result open_loop(rig& r, u64 seed, double seconds, books& b, span_log* span
           p.sample = out.samples.size();
           out.samples.push_back({std::move(s), {}});
         }
-        std::lock_guard<std::mutex> lk(mu);
-        handoff.push_back(std::move(p));
+        live.push_back(std::move(p));
       } catch (const service::admission_error& e) {
         b.fail(std::string("service_mix rejected a job: ") + e.what());
-        continue;
       }
-      cv.notify_one();
     }
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      done_sending = true;
-    }
-    cv.notify_one();
+    for (sweep(); !live.empty(); sweep()) std::this_thread::sleep_for(kPoll);
+    out.span_s = ms_between(t0, last_done) / 1e3;
   });
-  generator.join();
-  completer.join();
-  for (auto& [i, v] : sampled_out) out.samples[i].out = std::move(v);
-  out.span_s = ms_between(t0, last_done) / 1e3;
+  client.join();
   return out;
 }
 
@@ -331,6 +339,37 @@ void replay(const rig& r, const pass_result& p, books& b) {
       b.fail("service_mix: sampled job " + std::to_string(i) + " differs from the reference");
     }
   }
+}
+
+// The cpu backend the service runs on has no array clock, so the mix's
+// modelled array cost comes from the sram backend at the same ring: the
+// latency tenant's transforms, one seeded forward and one inverse, per
+// transform.  They are the only job of the mix the array runs at n = 256:
+// a product needs two n-row regions per lane (2n = 512 data rows, past
+// the 502 a subarray addresses), and rescales and base extensions are
+// host-side CRT on every backend.
+struct array_cost {
+  double cycles = 0.0;
+  double energy_nj = 0.0;
+};
+
+array_cost mix_array_cost(u64 seed, books& b) {
+  auto opts = runtime::runtime_options()
+                  .with_ring(kN, kQ, kK)
+                  .with_backend(runtime::backend_kind::sram)
+                  .with_threads(1);
+  runtime::context ctx(opts);
+  common::xoshiro256ss rng(seed);
+  array_cost cost;
+  for (const auto dir : {core::transform_dir::forward, core::transform_dir::inverse}) {
+    std::vector<u64> p(kN);
+    for (auto& c : p) c = rng.below(kQ);
+    const auto res = ctx.wait(ctx.submit(runtime::ntt_job{.dir = dir, .coeffs = std::move(p)}));
+    if (res.status != runtime::job_status::ok) b.fail("service_mix array cost: " + res.error);
+    cost.cycles += 0.5 * static_cast<double>(res.wall_cycles);
+    cost.energy_nj += 0.5 * res.op_stats.energy_pj * 1e-3;
+  }
+  return cost;
 }
 
 void check_schedule(const pass_result& p, report& r) {
@@ -372,12 +411,13 @@ void run_untraced(const run_options& o, report& r, books& b) {
   replay(*rg, p, b);
   check_schedule(p, r);
   r.set("setup_s", setup, "s");
-  report_latency(r, p.latency_ms, p.latency_ms.size());
+  report_latency(r, p.latency_ms, "wall time from each job's due time");
   r.set("throughput_per_s", p.span_s > 0 ? static_cast<double>(p.completed) / p.span_s : 0.0,
         "1/s");
-  r.set("array_cycles", median(p.cycles), "cycles");
-  r.note("array_cycles", "cpu backend: host time x configured clock, median per job");
-  r.set("array_energy_nj", median(p.energy_nj), "nJ");
+  const array_cost cost = mix_array_cost(o.seed, b);
+  r.set("array_cycles", cost.cycles, "cycles");
+  r.note("array_cycles", "per latency-tenant transform, modelled on the sram backend");
+  r.set("array_energy_nj", cost.energy_nj, "nJ");
   report_outcome(r, b);
 }
 
