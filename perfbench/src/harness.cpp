@@ -61,7 +61,7 @@ double process_cpu_ms() noexcept {
 void fine_timer_slack() noexcept { prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL); }
 
 double host_probe_ms() noexcept {
-  static std::array<u64, 512> rows{};
+  std::array<u64, 512> rows{};
   timespec t0{}, t1{};
   clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t0);
   for (u64 r = 0; r < 4000; ++r) {
@@ -71,10 +71,34 @@ double host_probe_ms() noexcept {
     }
   }
   clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t1);
-  static volatile u64 sink;
-  sink = rows[3];
+  static std::atomic<u64> sink;
+  sink.store(rows[3], std::memory_order_relaxed);
   return static_cast<double>(t1.tv_sec - t0.tv_sec) * 1e3 +
          static_cast<double>(t1.tv_nsec - t0.tv_nsec) * 1e-6;
+}
+
+double host_probe_all_ms() {
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof allowed, &allowed) != 0) return host_probe_ms();
+  std::vector<int> cpus;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &allowed)) cpus.push_back(c);
+  }
+  std::vector<double> ms(cpus.size());
+  std::vector<std::thread> probes;
+  for (std::size_t i = 0; i < cpus.size(); ++i) {
+    probes.emplace_back([&, i] {
+      cpu_set_t one;
+      CPU_ZERO(&one);
+      CPU_SET(cpus[i], &one);
+      sched_setaffinity(0, sizeof one, &one);
+      ms[i] = host_probe_ms();
+    });
+  }
+  for (auto& t : probes) t.join();
+  double sum = 0.0;
+  for (const double m : ms) sum += m;
+  return ms.empty() ? host_probe_ms() : sum / static_cast<double>(ms.size());
 }
 
 cpu_pin::cpu_pin() noexcept {

@@ -86,6 +86,11 @@ class books {
 // Host speed probe: CPU time (ms) of a fixed integer kernel on the calling
 // thread.  It calls no library code, so it changes only with the host.
 [[nodiscard]] double host_probe_ms() noexcept;
+// host_probe_ms() on every CPU the process may use, all at once (one
+// thread pinned to each); the mean.
+[[nodiscard]] double host_probe_all_ms();
+// host_probe_ms() on the reference host (a 4-core x86 VM) at full speed.
+inline constexpr double kProbeRefMs = 1.56;
 // Restricts the calling thread, and every thread it starts while this
 // lives, to the CPU it runs on now; restores the previous affinity of the
 // calling thread on destruction.

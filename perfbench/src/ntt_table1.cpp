@@ -39,8 +39,6 @@ constexpr std::size_t kLanes = 16;
 // repeat exactly for a seed however many units a run fits.
 constexpr std::size_t kExactUnits = 8;
 constexpr int kSetups = 7;
-// host_probe_ms() on the reference host (a 4-core x86 VM) at full speed.
-constexpr double kProbeRefMs = 1.56;
 constexpr u64 kWarmSeed = 0x7ab1e1;
 
 runtime::runtime_options table1_options() {
