@@ -1,7 +1,8 @@
 // Multi-tenant service-layer soak: N client threads hammer one service
 // through session handles for a fixed wall budget, with mixed traffic —
-// forward/inverse transforms, negacyclic products, R-LWE encryptions and
-// an RNS-RLWE limb tenant emitting relinearization-shaped traffic (evk
+// forward/inverse transforms, negacyclic products, R-LWE encryptions (whose
+// staged ring products ride a session as polymul jobs) and an RNS-RLWE
+// limb tenant emitting relinearization-shaped traffic (evk
 // products, base-extension lifts, congruence-preserving rescale
 // corrections) — under the EDF ready-queue policy.
 //
@@ -53,6 +54,7 @@
 
 #include "common/table.h"
 #include "common/xoshiro.h"
+#include "crypto/rlwe.h"
 #include "nttmath/primes.h"
 #include "runtime/context.h"
 #include "service/service.h"
@@ -129,6 +131,7 @@ soak_result run_soak(unsigned threads, unsigned millis, const std::string& trace
                    .with_schedule(runtime::schedule_policy::edf, /*aging=*/8)
                    .with_cross_stream_batching();
   if (!trace_path.empty()) ropts.with_tracing();
+  const crypto::param_set ring = crypto::runtime_ring(ropts);
   service::service svc(std::move(ropts));
 
   std::vector<service::session> sessions;
@@ -150,7 +153,46 @@ soak_result run_soak(unsigned threads, unsigned millis, const std::string& trace
       const unsigned cls = t % kClasses;
       const u64 q = cls == 2 ? limb : kRingQ;
       common::xoshiro256ss rng(1000 + t);
+      // The crypto tenant's R-LWE client: each stage's products go through
+      // this session as polymul jobs, one admitted job on the books each.
+      // A rejected product is retried after a back-off — dropping it would
+      // break the request it belongs to.
+      const crypto::rlwe_client client(ring, [&](std::vector<std::pair<crypto::poly,
+                                                                      crypto::poly>> pairs) {
+        std::vector<service::ticket> tickets;
+        for (auto& [a, b] : pairs) {
+          for (;;) {
+            try {
+              tickets.push_back(sess.submit(runtime::polymul_job{a, b}));
+              ++book.admitted;
+              break;
+            } catch (const service::admission_error&) {
+              ++book.rejected;
+              std::this_thread::sleep_for(std::chrono::microseconds(200));
+            }
+          }
+        }
+        std::vector<crypto::poly> products;
+        for (auto& tk : tickets) {
+          auto r = tk.get();
+          ++book.received;
+          const bool ok = r.status == runtime::job_status::ok;
+          ++(ok ? book.ok : book.failed);
+          products.push_back(ok ? std::move(r.outputs.front()) : crypto::poly(kOrder, 0));
+        }
+        return products;
+      });
       while (std::chrono::steady_clock::now() < stop_at) {
+        if (cls == 3) {  // crypto: eight end-to-end R-LWE encryptions
+          std::vector<crypto::rlwe_request> requests(8);
+          for (auto& req : requests) {
+            req.message.resize(kOrder);
+            for (auto& m : req.message) m = rng() & 1;
+            req.seed = rng();
+          }
+          (void)client.run(requests);
+          continue;
+        }
         // A batch of submissions, then reap: keeps a backlog in front of
         // the drainer without letting tickets pile up unboundedly.
         std::vector<service::ticket> batch;
@@ -184,13 +226,6 @@ soak_result run_soak(unsigned threads, unsigned millis, const std::string& trace
                         .congruence = 2}));
                 }
                 break;
-              case 3: {  // crypto: end-to-end R-LWE encryptions
-                std::vector<u64> msg(kOrder);
-                for (auto& m : msg) m = rng() & 1;
-                batch.push_back(sess.submit(runtime::rlwe_encrypt_job{
-                    .message = std::move(msg), .eta = 2, .seed = rng()}));
-                break;
-              }
               default:  // latency: transforms both ways
                 batch.push_back(sess.submit(runtime::ntt_job{
                     .dir = (rng() & 1) ? core::transform_dir::forward

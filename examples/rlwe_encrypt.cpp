@@ -3,16 +3,17 @@
 // (lattice-based crypto on resource-constrained edge devices, with
 // plaintext never leaving the chip).
 //
-// The runtime executes each rlwe_encrypt_job entirely through its backend:
-// keygen, encrypt and a decrypt round-trip, with every polynomial product
-// running the full in-array pipeline (NTT(a) and NTT(b) at two row regions,
-// in-array pointwise multiply, inverse NTT).  Determinism from the job seed
-// lets the same jobs re-run on the reference backend for a bit-exactness
-// cross-check.
+// crypto::rlwe_client runs keygen, encrypt and a decrypt round-trip per
+// request and hands each stage's ring products to the runtime as one batch
+// of polymul jobs, so every product runs the full in-array pipeline (NTT(a)
+// and NTT(b) at two row regions, in-array pointwise multiply, inverse NTT).
+// Determinism from the request seed lets the same requests re-run on the
+// reference backend for a bit-exactness cross-check.
 #include <cstdio>
 #include <vector>
 
 #include "common/xoshiro.h"
+#include "crypto/rlwe.h"
 #include "crypto/sampler.h"
 #include "runtime/context.h"
 
@@ -26,64 +27,61 @@ int main() {
                         .with_ring(128, 3329, 13)
                         .with_backend(runtime::backend_kind::sram);
   runtime::context ctx(opts);
+  const crypto::rlwe_client client(crypto::runtime_ring(opts),
+                                   crypto::batch_polymul_on(ctx, ctx.stream()));
 
   std::printf("=== R-LWE encrypt/decrypt on the BP-NTT runtime (n=%llu, q=%llu) ===\n\n",
               static_cast<unsigned long long>(opts.params.n),
               static_cast<unsigned long long>(opts.params.q));
 
   common::xoshiro256ss rng(2024);
-  std::vector<runtime::job_id> ids;
-  std::vector<std::vector<core::u64>> messages;
+  std::vector<crypto::rlwe_request> requests;
   for (int trial = 0; trial < 4; ++trial) {
-    messages.push_back(crypto::sample_message(opts.params.n, rng));
-    ids.push_back(ctx.submit(runtime::rlwe_encrypt_job{
-        .message = messages.back(), .eta = 2, .seed = 9000 + static_cast<core::u64>(trial)}));
+    requests.push_back({.message = crypto::sample_message(opts.params.n, rng),
+                        .eta = 2,
+                        .seed = 9000 + static_cast<core::u64>(trial)});
   }
 
-  // Each job's outputs are {ciphertext u, ciphertext v, decrypted message}.
-  // All four flows flush together, so the scheduler batches them stage by
-  // stage: every keygen product in one dispatch, every encryption product
-  // in one, every decryption product in one — each job_result carries the
-  // shared group accounting (jobs_in_batch tells how many flows rode it).
+  // All four requests run together, stage by stage: every keygen product
+  // in one dispatch, every encryption product in one, every decryption
+  // product in one.
+  const auto responses = client.run(requests);
+  const auto stats = ctx.stats();
   unsigned ok = 0;
-  sram::op_stats accel_stats;
-  for (std::size_t trial = 0; trial < ids.size(); ++trial) {
-    const auto r = ctx.wait(ids[trial]);
-    const bool match = r.outputs[2] == messages[trial];
+  for (std::size_t trial = 0; trial < responses.size(); ++trial) {
+    const bool match = responses[trial].decrypted == requests[trial].message;
     ok += match;
-    if (trial == 0) accel_stats = r.op_stats;  // group stats, counted once
-    std::printf("trial %zu: %llu message bits -> %s (rode a %zu-job staged batch)\n", trial,
+    std::printf("trial %zu: %llu message bits -> %s\n", trial,
                 static_cast<unsigned long long>(opts.params.n),
-                match ? "decrypted exactly" : "DECRYPTION FAILED", r.jobs_in_batch);
+                match ? "decrypted exactly" : "DECRYPTION FAILED");
   }
 
-  // Cross-check: the same seeded jobs on the golden backend must produce
-  // bit-identical ciphertexts — the in-SRAM products are exact.
-  runtime::context golden(
-      runtime::runtime_options(opts).with_backend(runtime::backend_kind::reference));
+  // Cross-check: the same seeded requests on the golden backend must
+  // produce bit-identical ciphertexts — the in-SRAM products are exact.
+  const auto golden_opts =
+      runtime::runtime_options(opts).with_backend(runtime::backend_kind::reference);
+  runtime::context golden(golden_opts);
+  const auto want = crypto::rlwe_client(crypto::runtime_ring(golden_opts),
+                                        crypto::batch_polymul_on(golden, golden.stream()))
+                        .run(requests);
   bool bit_exact = true;
-  for (std::size_t trial = 0; trial < messages.size(); ++trial) {
-    const auto id = golden.submit(runtime::rlwe_encrypt_job{
-        .message = messages[trial], .eta = 2, .seed = 9000 + static_cast<core::u64>(trial)});
-    const auto want = golden.wait(id);
-    const auto again = ctx.submit(runtime::rlwe_encrypt_job{
-        .message = messages[trial], .eta = 2, .seed = 9000 + static_cast<core::u64>(trial)});
-    const auto got = ctx.wait(again);
-    bit_exact = bit_exact && got.outputs[0] == want.outputs[0] && got.outputs[1] == want.outputs[1];
+  for (std::size_t trial = 0; trial < requests.size(); ++trial) {
+    bit_exact = bit_exact && responses[trial].ct.u == want[trial].ct.u &&
+                responses[trial].ct.v == want[trial].ct.v;
   }
   std::printf("\nin-SRAM ciphertexts vs reference backend: %s\n",
               bit_exact ? "bit-exact" : "MISMATCH");
 
-  // Four ring products per job: keygen's a*s, the two encryption products
-  // and the decryption product — batched into three staged dispatches for
-  // the whole job group.
+  // Four ring products per request: keygen's a*s, the two encryption
+  // products and the decryption product — batched into three dispatches.
   const double freq_ghz = opts.array.tech.freq_ghz;
-  std::printf("\naccelerator totals over %zu ring products (3 staged dispatches): "
+  std::printf("\naccelerator totals over %zu ring products (%llu dispatches): "
               "%llu cycles, %.1f nJ (%.1f us at %.1f GHz)\n",
-              4 * ids.size(), static_cast<unsigned long long>(accel_stats.cycles),
-              accel_stats.energy_pj * 1e-3, accel_stats.cycles / (freq_ghz * 1e3), freq_ghz);
+              4 * requests.size(), static_cast<unsigned long long>(stats.batches),
+              static_cast<unsigned long long>(stats.wall_cycles), stats.energy_nj,
+              stats.wall_cycles / (freq_ghz * 1e3), freq_ghz);
   std::printf("plaintext polynomials never left the subarray in plain form — the trusted\n"
               "computing base stays on-chip (§I).\n");
 
-  return (ok == ids.size() && bit_exact) ? 0 : 1;
+  return (ok == requests.size() && bit_exact && stats.batches == 3) ? 0 : 1;
 }

@@ -4,6 +4,8 @@
 #include <utility>
 
 #include "nttmath/modarith.h"
+#include "runtime/context.h"
+#include "service/service.h"
 
 namespace bpntt::crypto {
 
@@ -90,6 +92,102 @@ ciphertext rlwe_scheme::encrypt(const public_key& pk, std::span<const std::uint6
 
 poly rlwe_scheme::decrypt(const secret_key& sk, const ciphertext& ct) const {
   return rlwe_decrypt_from_product(params_, ct, mul_(ct.u, sk.s));
+}
+
+// ---- batched client --------------------------------------------------------
+
+rlwe_client::rlwe_client(param_set ring, batch_polymul_fn mul)
+    : ring_(std::move(ring)), mul_(std::move(mul)) {
+  if (!ring_.negacyclic || !ring_.supports_full_ntt() || !mul_) {
+    throw std::invalid_argument(
+        "rlwe_client: needs a batch multiplier and a ring with a full negacyclic NTT "
+        "(x^n + 1 with 2n | q-1)");
+  }
+}
+
+std::vector<rlwe_response> rlwe_client::run(const std::vector<rlwe_request>& requests) const {
+  const std::size_t m = requests.size();
+  std::vector<rlwe_keygen_randomness> kg(m);
+  std::vector<rlwe_encrypt_randomness> en(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    if (requests[i].message.size() != ring_.n) {
+      throw std::invalid_argument("rlwe_client: a message must have exactly n bits");
+    }
+    common::xoshiro256ss rng(requests[i].seed);
+    kg[i] = rlwe_sample_keygen(ring_, requests[i].eta, rng);
+    en[i] = rlwe_sample_encrypt(ring_, requests[i].eta, rng);
+  }
+  const auto stage = [&](std::vector<std::pair<poly, poly>>&& pairs) {
+    const std::size_t want = pairs.size();
+    std::vector<poly> out = want == 0 ? std::vector<poly>{} : mul_(std::move(pairs));
+    if (out.size() != want) throw std::logic_error("rlwe_client: multiplier lost a product");
+    return out;
+  };
+
+  // Stage 1 — keygen products a*s.
+  std::vector<std::pair<poly, poly>> pairs(m);
+  for (std::size_t i = 0; i < m; ++i) pairs[i] = {kg[i].a, kg[i].s};
+  auto as = stage(std::move(pairs));
+  std::vector<rlwe_scheme::keypair> keys(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    keys[i] = rlwe_finish_keygen(ring_, std::move(kg[i]), std::move(as[i]));
+  }
+  // Stage 2 — both encryption products a*r and b*r, pairwise.
+  pairs.assign(2 * m, {});
+  for (std::size_t i = 0; i < m; ++i) {
+    pairs[2 * i] = {keys[i].pk.a, en[i].r};
+    pairs[2 * i + 1] = {keys[i].pk.b, en[i].r};
+  }
+  auto prods = stage(std::move(pairs));
+  std::vector<rlwe_response> out(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    out[i].ct = rlwe_finish_encrypt(ring_, en[i], requests[i].message, std::move(prods[2 * i]),
+                                    std::move(prods[2 * i + 1]));
+  }
+  // Stage 3 — decryption round-trip products u*s.
+  pairs.assign(m, {});
+  for (std::size_t i = 0; i < m; ++i) pairs[i] = {out[i].ct.u, keys[i].sk.s};
+  auto us = stage(std::move(pairs));
+  for (std::size_t i = 0; i < m; ++i) {
+    out[i].decrypted = rlwe_decrypt_from_product(ring_, out[i].ct, us[i]);
+  }
+  return out;
+}
+
+param_set runtime_ring(const runtime::runtime_options& opts) {
+  return {.name = "runtime",
+          .n = opts.params.n,
+          .q = opts.params.q,
+          .negacyclic = opts.params.negacyclic,
+          .min_tile_bits = opts.params.k};
+}
+
+batch_polymul_fn batch_polymul_on(runtime::context& ctx, runtime::stream s) {
+  return [&ctx, s](std::vector<std::pair<poly, poly>> pairs) mutable {
+    std::vector<runtime::job_id> ids;
+    for (auto& [a, b] : pairs) {
+      ids.push_back(s.submit(runtime::polymul_job{std::move(a), std::move(b)}));
+    }
+    std::vector<poly> out;
+    for (const runtime::job_id id : ids) out.push_back(std::move(ctx.wait(id).outputs.front()));
+    return out;
+  };
+}
+
+batch_polymul_fn batch_polymul_on(service::session s) {
+  return [s](std::vector<std::pair<poly, poly>> pairs) mutable {
+    std::vector<service::ticket> tickets;
+    for (auto& [a, b] : pairs) {
+      tickets.push_back(s.submit(runtime::polymul_job{std::move(a), std::move(b)}));
+    }
+    std::vector<poly> out;
+    for (auto& t : tickets) {
+      runtime::job_result r = t.get();
+      if (r.status != runtime::job_status::ok) throw std::runtime_error(r.error);
+      out.push_back(std::move(r.outputs.front()));
+    }
+    return out;
+  };
 }
 
 }  // namespace bpntt::crypto

@@ -7,7 +7,9 @@
 //   decrypt: m' = round_to_bit(v - u*s)
 //
 // The ring product is pluggable so the same scheme can run on the golden
-// CPU NTT or entirely on the in-SRAM engine (examples/rlwe_encrypt).
+// CPU NTT or entirely on the in-SRAM engine.  rlwe_client (below) runs
+// many requests at once with each stage's products gathered into one batch
+// — the shape a batching runtime wants (examples/rlwe_encrypt).
 // This is a pedagogical scheme — no CCA transform, no compression — sized
 // so decryption succeeds with overwhelming margin at the provided params.
 #pragma once
@@ -16,12 +18,22 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "crypto/params.h"
 #include "crypto/sampler.h"
 #include "nttmath/ntt.h"
 #include "nttmath/poly.h"
+
+namespace bpntt::runtime {
+class context;
+class stream;
+struct runtime_options;
+}  // namespace bpntt::runtime
+namespace bpntt::service {
+class session;
+}
 
 namespace bpntt::crypto {
 
@@ -70,8 +82,8 @@ class rlwe_scheme {
 //
 // The sampling and recombination halves of the scheme with the ring
 // products factored out, so a batch scheduler can run the products of many
-// independent key/encrypt/decrypt flows as one wide dispatch (the bpntt
-// runtime batches all pending rlwe jobs stage by stage).  keygen / encrypt
+// independent key/encrypt/decrypt flows as one wide dispatch (rlwe_client
+// below batches them stage by stage).  keygen / encrypt
 // / decrypt above are compositions of these, so the staged path is
 // bit-identical to the serial one for the same RNG stream.
 
@@ -104,5 +116,58 @@ struct rlwe_encrypt_randomness {
 // `us` is the decryption product u*s.
 [[nodiscard]] poly rlwe_decrypt_from_product(const param_set& p, const ciphertext& ct,
                                              const poly& us);
+
+// ---- Batched client --------------------------------------------------------
+//
+// End-to-end requests — a fresh key pair, the encryption of `message` and
+// its decryption round trip — over a batch ring multiplier.  The products
+// of every request are gathered into one batch per stage: all keygen
+// products a*s, then all encryption products a*r and b*r, then all
+// decryption products u*s, so N requests cost three batches.  Each
+// request's randomness comes from its own stream seeded with `seed`, drawn
+// in the serial scheme's order (keygen's a/s/e, then encrypt's r/e1/e2), so
+// a response is bit-identical to rlwe_scheme run on that request alone.
+
+struct rlwe_request {
+  poly message;  // n bits
+  unsigned eta = 2;
+  std::uint64_t seed = 1;
+};
+
+struct rlwe_response {
+  ciphertext ct;
+  poly decrypted;  // the decryption round trip of ct
+};
+
+// One stage's ring products a * b mod (x^n + 1, q), outputs in input order.
+using batch_polymul_fn =
+    std::function<std::vector<poly>(std::vector<std::pair<poly, poly>> pairs)>;
+
+class rlwe_client {
+ public:
+  // Throws std::invalid_argument unless `mul` is set and `ring` is
+  // negacyclic with a full NTT (2n | q-1).
+  rlwe_client(param_set ring, batch_polymul_fn mul);
+
+  [[nodiscard]] const param_set& ring() const noexcept { return ring_; }
+  // Responses in request order.  Throws std::invalid_argument, before any
+  // product runs, for a message that is not n long; a failing batch
+  // propagates its exception.
+  [[nodiscard]] std::vector<rlwe_response> run(const std::vector<rlwe_request>& requests) const;
+
+ private:
+  param_set ring_;
+  batch_polymul_fn mul_;
+};
+
+// The ring a bpntt runtime is configured with (n, q, tile width).
+[[nodiscard]] param_set runtime_ring(const runtime::runtime_options& opts);
+// Batch multipliers over the bpntt runtime: a stage's products become
+// polymul jobs on one context stream, flushed together as one dispatch
+// group, or on one service session.  A failed product throws —
+// runtime::job_failed_error from a stream, std::runtime_error with the
+// job's error from a session — and a session's admission_error propagates.
+[[nodiscard]] batch_polymul_fn batch_polymul_on(runtime::context& ctx, runtime::stream s);
+[[nodiscard]] batch_polymul_fn batch_polymul_on(service::session s);
 
 }  // namespace bpntt::crypto

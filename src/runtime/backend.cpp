@@ -23,48 +23,6 @@ void backend::note_batch(std::size_t jobs, u64 wall_cycles) noexcept {
                      .op = telemetry::trace_op::backend_batch});
 }
 
-namespace {
-
-// Fold one sub-dispatch into the accumulated result: outputs concatenate in
-// order, cycle/wave/energy accounting sums (the sub-batches run back to
-// back on the banks the hints name).
-void fold_chunk(batch_result& acc, batch_result&& part) {
-  for (auto& o : part.outputs) acc.outputs.push_back(std::move(o));
-  acc.stats += part.stats;
-  acc.wall_cycles += part.wall_cycles;
-  acc.waves += part.waves;
-}
-
-}  // namespace
-
-batch_result backend::run_ntt_chunked(const std::vector<std::vector<u64>>& polys,
-                                      transform_dir dir, const dispatch_hints& hints) {
-  const std::size_t budget = static_cast<std::size_t>(hints.chunk_budget);
-  batch_result acc;
-  acc.outputs.reserve(polys.size());
-  for (std::size_t at = 0; at < polys.size(); at += budget) {
-    const std::size_t take = std::min(budget, polys.size() - at);
-    const std::vector<std::vector<u64>> chunk(polys.begin() + at, polys.begin() + at + take);
-    fold_chunk(acc, run_ntt(chunk, dir, hints));
-  }
-  acc.stats.cycles = acc.wall_cycles;
-  return acc;
-}
-
-batch_result backend::run_polymul_chunked(const std::vector<core::polymul_pair>& pairs,
-                                          const dispatch_hints& hints) {
-  const std::size_t budget = static_cast<std::size_t>(hints.chunk_budget);
-  batch_result acc;
-  acc.outputs.reserve(pairs.size());
-  for (std::size_t at = 0; at < pairs.size(); at += budget) {
-    const std::size_t take = std::min(budget, pairs.size() - at);
-    const std::vector<core::polymul_pair> chunk(pairs.begin() + at, pairs.begin() + at + take);
-    fold_chunk(acc, run_polymul(chunk, hints));
-  }
-  acc.stats.cycles = acc.wall_cycles;
-  return acc;
-}
-
 batch_result backend::run_rescale(const std::vector<rns_rescale_job>& jobs,
                                   const dispatch_hints&) {
   batch_result out;

@@ -81,13 +81,6 @@ struct dispatch_hints {
   // backends retarget (sram: per-modulus bank engines, cpu/reference:
   // per-modulus twiddle tables) lazily and cache the result.
   u64 ring_q = 0;
-  // Preemption chunk budget: the largest batch one backend dispatch may
-  // execute at once (0 = unbounded).  The scheduler already splits chunked
-  // groups at yield points; every backend additionally honors the budget
-  // defensively by splitting an oversized batch into sub-dispatches of at
-  // most this many jobs (outputs bit-identical, wall-cycles summed), so a
-  // budgeted batch can never monopolize the array in one indivisible run.
-  u64 chunk_budget = 0;
 };
 
 // Result of one scheduled batch.  wall_cycles is the batch's wall-clock in
@@ -161,17 +154,6 @@ class backend {
   // batch's wall cycles, stamped at the recorder's virtual-time watermark
   // (backends do not see frontier positions).  No-op without a recorder.
   void note_batch(std::size_t jobs, u64 wall_cycles) noexcept;
-
-  // Shared chunk-budget enforcement: run the batch as ceil(n / budget)
-  // sub-dispatches through the virtual entry points (each sub-batch is at
-  // or under the budget, so the callee's own guard passes it straight
-  // through), concatenating outputs and summing cycle/wave/energy
-  // accounting.  Backends call these from their run_* guards when
-  // hints.chunk_budget != 0 and the batch exceeds it.
-  batch_result run_ntt_chunked(const std::vector<std::vector<u64>>& polys, transform_dir dir,
-                               const dispatch_hints& hints);
-  batch_result run_polymul_chunked(const std::vector<core::polymul_pair>& pairs,
-                                   const dispatch_hints& hints);
 
   executor* pool_ = nullptr;
   residency_manager* resman_ = nullptr;

@@ -4,12 +4,11 @@
 #include <bit>
 #include <fstream>
 #include <ostream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
-#include "common/xoshiro.h"
-#include "crypto/rlwe.h"
 #include "nttmath/primes.h"
 #include "telemetry/trace_export.h"
 
@@ -230,11 +229,7 @@ stream context::stream(stream_options sopts) {
 }
 
 context::stream_state& context::state_of(unsigned sid) {
-  const auto it = streams_.find(sid);
-  if (it == streams_.end()) {
-    throw std::logic_error("runtime: stream handle is closed or foreign to this context");
-  }
-  return it->second;
+  return const_cast<stream_state&>(std::as_const(*this).state_of(sid));
 }
 
 const context::stream_state& context::state_of(unsigned sid) const {
@@ -249,8 +244,7 @@ void context::close_stream(unsigned sid) {
   if (sid == 0) {
     throw std::logic_error("runtime: the default stream cannot be closed");
   }
-  (void)state_of(sid);  // precise throw for foreign/already-closed handles
-  flush_stream(sid);    // nothing of the stream's may stay stuck in a queue
+  flush_stream(sid);  // nothing may stay queued; throws for foreign/closed handles
   {
     std::lock_guard<std::mutex> lk(smu_);
     streams_.erase(sid);  // in-flight groups carry their own hints; ids stay waitable
@@ -265,13 +259,6 @@ void context::close_stream(unsigned sid) {
   }
 }
 
-std::size_t context::stream_pending(unsigned sid) const { return state_of(sid).queue.size(); }
-
-std::vector<unsigned> context::stream_bank_set(unsigned sid) const {
-  const auto& ss = state_of(sid);
-  return caps_.banks() == 0 ? std::vector<unsigned>{} : ss.resources;
-}
-
 context& stream::bound() const {
   if (ctx_ == nullptr) {
     throw std::logic_error("runtime: stream handle is not bound to a context");
@@ -279,17 +266,14 @@ context& stream::bound() const {
   return *ctx_;
 }
 
-job_id stream::submit(ntt_job j) { return bound().submit_ntt(id_, std::move(j)); }
-job_id stream::submit(polymul_job j) { return bound().submit_polymul(id_, std::move(j)); }
-job_id stream::submit(rlwe_encrypt_job j) { return bound().submit_rlwe(id_, std::move(j)); }
-job_id stream::submit(rns_rescale_job j) { return bound().submit_rescale(id_, std::move(j)); }
-job_id stream::submit(rns_base_extend_job j) {
-  return bound().submit_base_extend(id_, std::move(j));
-}
+job_id stream::submit(job j) { return bound().submit_on(id_, std::move(j)); }
 void stream::flush() { bound().flush_stream(id_); }
 void stream::close() { bound().close_stream(id_); }
-std::size_t stream::pending() const { return bound().stream_pending(id_); }
-std::vector<unsigned> stream::bank_set() const { return bound().stream_bank_set(id_); }
+std::size_t stream::pending() const { return bound().state_of(id_).queue.size(); }
+std::vector<unsigned> stream::bank_set() const {
+  const context& ctx = bound();
+  return ctx.caps_.banks() == 0 ? std::vector<unsigned>{} : ctx.state_of(id_).resources;
+}
 
 // ---- submission ------------------------------------------------------------
 
@@ -308,9 +292,98 @@ void require_ring_poly(const std::vector<u64>& coeffs, u64 n, u64 q, const char*
   }
 }
 
+// Submit-side validation of one job against its stream's ring (order n,
+// modulus q) and the backend's ring-product capability.
+struct job_validator {
+  u64 n = 0;
+  u64 q = 0;
+  bool polymul = false;
+
+  void operator()(const ntt_job& j) const { require_ring_poly(j.coeffs, n, q, "ntt_job"); }
+
+  void operator()(const polymul_job& j) const {
+    require_ring_poly(j.a, n, q, "polymul_job.a");
+    require_ring_poly(j.b, n, q, "polymul_job.b");
+    if (!polymul) {
+      throw std::invalid_argument(
+          "runtime: this backend's capabilities exclude ring products at these parameters (the "
+          "in-SRAM pipeline needs two n-row operand regions per lane: 2n <= data_rows)");
+    }
+  }
+
+  void operator()(const rns_rescale_job& j) const {
+    if (j.prime != q) {
+      throw std::invalid_argument(
+          "runtime: rns_rescale_job names limb prime " + std::to_string(j.prime) +
+          " but this stream's ring modulus is " + std::to_string(q) +
+          " (the rescale correction of a limb rides that limb's stream)");
+    }
+    if (j.drop_prime == 0 || (j.drop_prime & 1ULL) == 0 || !math::is_prime(j.drop_prime)) {
+      throw std::invalid_argument("runtime: rns_rescale_job drop prime " +
+                                  std::to_string(j.drop_prime) + " must be an odd prime");
+    }
+    if (j.drop_prime == j.prime) {
+      throw std::invalid_argument(
+          "runtime: rns_rescale_job drops its own limb prime " + std::to_string(j.prime) +
+          " (the dropped limb is excluded from the rescale fan-out)");
+    }
+    if (j.congruence >= 2 && j.congruence % j.drop_prime == 0) {
+      throw std::invalid_argument(
+          "runtime: rns_rescale_job congruence " + std::to_string(j.congruence) +
+          " is a multiple of drop prime " + std::to_string(j.drop_prime) +
+          " (the plaintext modulus must be coprime to the dropped limb)");
+    }
+    require_ring_poly(j.x, n, j.prime, "rns_rescale_job.x");
+    require_ring_poly(j.dropped, n, j.drop_prime, "rns_rescale_job.dropped");
+  }
+
+  void operator()(const rns_base_extend_job& j) const {
+    if (j.prime != q) {
+      throw std::invalid_argument(
+          "runtime: rns_base_extend_job names target prime " + std::to_string(j.prime) +
+          " but this stream's ring modulus is " + std::to_string(q) +
+          " (a new limb's extension rides that limb's stream)");
+    }
+    if (j.source_primes.empty()) {
+      throw std::invalid_argument(
+          "runtime: rns_base_extend_job needs at least one source limb prime");
+    }
+    if (j.residues.size() != j.source_primes.size()) {
+      throw std::invalid_argument(
+          "runtime: rns_base_extend_job carries " + std::to_string(j.residues.size()) +
+          " residue polynomials for a source chain of " +
+          std::to_string(j.source_primes.size()) + " primes");
+    }
+    for (std::size_t i = 0; i < j.source_primes.size(); ++i) {
+      const u64 p = j.source_primes[i];
+      if (p == 0 || (p & 1ULL) == 0 || !math::is_prime(p)) {
+        throw std::invalid_argument("runtime: rns_base_extend_job source prime " +
+                                    std::to_string(p) + " must be an odd prime");
+      }
+      if (p == j.prime) {
+        throw std::invalid_argument(
+            "runtime: rns_base_extend_job extends to source prime " + std::to_string(p) +
+            " (the target limb must be new — it already carries those residues)");
+      }
+      for (std::size_t k = i + 1; k < j.source_primes.size(); ++k) {
+        if (j.source_primes[k] == p) {
+          throw std::invalid_argument("runtime: rns_base_extend_job repeats source prime " +
+                                      std::to_string(p) +
+                                      " (an RNS basis needs pairwise-coprime moduli)");
+        }
+      }
+      const std::string what = "rns_base_extend_job limb " + std::to_string(i);
+      require_ring_poly(j.residues[i], n, p, what.c_str());
+    }
+  }
+};
+
 }  // namespace
 
-job_id context::enqueue(unsigned sid, job j) {
+job_id context::submit_on(unsigned sid, job j) {
+  const stream_state& ss = state_of(sid);
+  const u64 q = ss.sopts.ring_q != 0 ? ss.sopts.ring_q : opts_.params.q;
+  std::visit(job_validator{opts_.params.n, q, caps_.polymul}, j);
   const job_id id = next_id_++;
   // Count the submission before the job becomes visible in any queue, so a
   // concurrent stats() reading jobs_submitted *last* can never observe an
@@ -321,122 +394,8 @@ job_id context::enqueue(unsigned sid, job j) {
   return id;
 }
 
-job_id context::submit_ntt(unsigned sid, ntt_job j) {
-  const stream_state& ss = state_of(sid);
-  const u64 q = ss.sopts.ring_q != 0 ? ss.sopts.ring_q : opts_.params.q;
-  require_ring_poly(j.coeffs, opts_.params.n, q, "ntt_job");
-  return enqueue(sid, std::move(j));
-}
-
-job_id context::submit_polymul(unsigned sid, polymul_job j) {
-  const stream_state& ss = state_of(sid);
-  const u64 q = ss.sopts.ring_q != 0 ? ss.sopts.ring_q : opts_.params.q;
-  require_ring_poly(j.a, opts_.params.n, q, "polymul_job.a");
-  require_ring_poly(j.b, opts_.params.n, q, "polymul_job.b");
-  if (!caps_.polymul) {
-    throw std::invalid_argument(
-        "runtime: this backend's capabilities exclude ring products at these parameters (the "
-        "in-SRAM pipeline needs two n-row operand regions per lane: 2n <= data_rows)");
-  }
-  return enqueue(sid, std::move(j));
-}
-
-job_id context::submit_rlwe(unsigned sid, rlwe_encrypt_job j) {
-  const auto& p = opts_.params;
-  if (state_of(sid).sopts.ring_q != 0) {
-    throw std::invalid_argument(
-        "runtime: rlwe_encrypt_job is ring-specific and cannot run on a ring-overridden "
-        "(RNS limb) stream");
-  }
-  if (j.message.size() != p.n) {
-    throw std::invalid_argument("runtime: rlwe message must have exactly n bits");
-  }
-  if (!p.negacyclic || p.incomplete || (p.q - 1) % (2 * p.n) != 0) {
-    throw std::invalid_argument(
-        "runtime: rlwe_encrypt_job needs a ring with a full negacyclic NTT (2n | q-1)");
-  }
-  if (!caps_.polymul) {
-    throw std::invalid_argument(
-        "runtime: rlwe_encrypt_job needs in-array ring products (2n <= data_rows)");
-  }
-  return enqueue(sid, std::move(j));
-}
-
-job_id context::submit_rescale(unsigned sid, rns_rescale_job j) {
-  const stream_state& ss = state_of(sid);
-  const u64 q = ss.sopts.ring_q != 0 ? ss.sopts.ring_q : opts_.params.q;
-  if (j.prime != q) {
-    throw std::invalid_argument(
-        "runtime: rns_rescale_job names limb prime " + std::to_string(j.prime) +
-        " but this stream's ring modulus is " + std::to_string(q) +
-        " (the rescale correction of a limb rides that limb's stream)");
-  }
-  if (j.drop_prime == 0 || (j.drop_prime & 1ULL) == 0 || !math::is_prime(j.drop_prime)) {
-    throw std::invalid_argument("runtime: rns_rescale_job drop prime " +
-                                std::to_string(j.drop_prime) + " must be an odd prime");
-  }
-  if (j.drop_prime == j.prime) {
-    throw std::invalid_argument(
-        "runtime: rns_rescale_job drops its own limb prime " + std::to_string(j.prime) +
-        " (the dropped limb is excluded from the rescale fan-out)");
-  }
-  if (j.congruence >= 2 && j.congruence % j.drop_prime == 0) {
-    throw std::invalid_argument(
-        "runtime: rns_rescale_job congruence " + std::to_string(j.congruence) +
-        " is a multiple of drop prime " + std::to_string(j.drop_prime) +
-        " (the plaintext modulus must be coprime to the dropped limb)");
-  }
-  require_ring_poly(j.x, opts_.params.n, j.prime, "rns_rescale_job.x");
-  require_ring_poly(j.dropped, opts_.params.n, j.drop_prime, "rns_rescale_job.dropped");
-  return enqueue(sid, std::move(j));
-}
-
-job_id context::submit_base_extend(unsigned sid, rns_base_extend_job j) {
-  const stream_state& ss = state_of(sid);
-  const u64 q = ss.sopts.ring_q != 0 ? ss.sopts.ring_q : opts_.params.q;
-  if (j.prime != q) {
-    throw std::invalid_argument(
-        "runtime: rns_base_extend_job names target prime " + std::to_string(j.prime) +
-        " but this stream's ring modulus is " + std::to_string(q) +
-        " (a new limb's extension rides that limb's stream)");
-  }
-  if (j.source_primes.empty()) {
-    throw std::invalid_argument(
-        "runtime: rns_base_extend_job needs at least one source limb prime");
-  }
-  if (j.residues.size() != j.source_primes.size()) {
-    throw std::invalid_argument(
-        "runtime: rns_base_extend_job carries " + std::to_string(j.residues.size()) +
-        " residue polynomials for a source chain of " +
-        std::to_string(j.source_primes.size()) + " primes");
-  }
-  for (std::size_t i = 0; i < j.source_primes.size(); ++i) {
-    const u64 p = j.source_primes[i];
-    if (p == 0 || (p & 1ULL) == 0 || !math::is_prime(p)) {
-      throw std::invalid_argument("runtime: rns_base_extend_job source prime " +
-                                  std::to_string(p) + " must be an odd prime");
-    }
-    if (p == j.prime) {
-      throw std::invalid_argument(
-          "runtime: rns_base_extend_job extends to source prime " + std::to_string(p) +
-          " (the target limb must be new — it already carries those residues)");
-    }
-    for (std::size_t k = i + 1; k < j.source_primes.size(); ++k) {
-      if (j.source_primes[k] == p) {
-        throw std::invalid_argument("runtime: rns_base_extend_job repeats source prime " +
-                                    std::to_string(p) +
-                                    " (an RNS basis needs pairwise-coprime moduli)");
-      }
-    }
-    const std::string what = "rns_base_extend_job limb " + std::to_string(i);
-    require_ring_poly(j.residues[i], opts_.params.n, p, what.c_str());
-  }
-  return enqueue(sid, std::move(j));
-}
-
-job_id context::submit(ntt_job j) { return submit_ntt(0, std::move(j)); }
-job_id context::submit(polymul_job j) { return submit_polymul(0, std::move(j)); }
-job_id context::submit(rlwe_encrypt_job j) { return submit_rlwe(0, std::move(j)); }
+job_id context::submit(ntt_job j) { return submit_on(0, std::move(j)); }
+job_id context::submit(polymul_job j) { return submit_on(0, std::move(j)); }
 
 // ---- RNS fan-out ------------------------------------------------------------
 
@@ -489,7 +448,7 @@ rns_submission context::submit_rns(rns_polymul_job j) {
   sub.limb_ids.reserve(limbs);
   for (std::size_t i = 0; i < limbs; ++i) {
     sub.limb_ids.push_back(
-        submit_polymul(sids[i], polymul_job{std::move(j.a[i]), std::move(j.b[i])}));
+        submit_on(sids[i], polymul_job{std::move(j.a[i]), std::move(j.b[i])}));
   }
   return sub;
 }
@@ -547,6 +506,13 @@ void context::export_trace(std::ostream& os) const {
         "runtime: tracing is disabled — construct the context with "
         "runtime_options::with_tracing() to record a timeline");
   }
+  // The recorder's rings are drained without synchronization against the
+  // pool, so the export needs every job done: nothing queued, nothing in
+  // flight.
+  if (pending() != 0 || stats().jobs_in_flight != 0) {
+    throw std::logic_error(
+        "runtime: export_trace needs a quiescent context — call sync() or wait_all() first");
+  }
   telemetry::trace_export_layout layout;
   layout.banks = std::max(1u, caps_.banks());
   layout.banks_per_channel = (caps_.channels > 1 && layout.banks % caps_.channels == 0)
@@ -556,11 +522,13 @@ void context::export_trace(std::ostream& os) const {
 }
 
 void context::export_trace(const std::string& path) const {
+  std::ostringstream doc;
+  export_trace(doc);  // every precondition throws before the file exists
   std::ofstream os(path);
   if (!os) {
     throw std::runtime_error("runtime: cannot open trace output file " + path);
   }
-  export_trace(os);
+  os << doc.str();
 }
 
 std::size_t context::operand_cache_size() const noexcept {
@@ -593,34 +561,48 @@ void context::unpin_operand(const std::vector<u64>& coeffs) noexcept {
 
 // ---- group building and admission ------------------------------------------
 
+namespace {
+
+batch_kind kind_of(const job& j) noexcept {
+  if (const auto* ntt = std::get_if<ntt_job>(&j)) {
+    return ntt->dir == transform_dir::forward ? batch_kind::forward : batch_kind::inverse;
+  }
+  if (std::holds_alternative<polymul_job>(j)) return batch_kind::polymul;
+  if (std::holds_alternative<rns_rescale_job>(j)) return batch_kind::rescale;
+  return batch_kind::base_extend;
+}
+
+// The dispatch-span op of each batch_kind.
+constexpr telemetry::trace_op kSpanOp[kBatchKinds] = {
+    telemetry::trace_op::ntt_forward, telemetry::trace_op::ntt_inverse,
+    telemetry::trace_op::polymul, telemetry::trace_op::rescale, telemetry::trace_op::base_extend};
+
+// Each job of one kind (alternative J), moved out in the form the backend
+// entry point for that kind takes.
+template <typename J, typename Take>
+auto payloads(std::vector<job>& jobs, Take take) {
+  std::vector<decltype(take(std::declval<J&>()))> out;
+  out.reserve(jobs.size());
+  for (auto& j : jobs) out.push_back(take(std::get<J>(j)));
+  return out;
+}
+
+}  // namespace
+
 std::shared_ptr<dispatch_group> context::build_group(unsigned sid) {
   std::lock_guard<std::mutex> lk(smu_);
   stream_state& ss = state_of(sid);
   if (ss.queue.empty()) return nullptr;
-  // Jobs of one stream are independent, so its pending set is partitioned
-  // by kind (and direction) into one backend dispatch each — the widest
-  // batches the backend can shard over banks, lanes and waves.  Results
-  // are keyed by job_id, so regrouping never misroutes an output.
+  // The stream's pending set becomes one typed batch per job kind, in
+  // batch_kind order (see flush_plan).
   auto g = std::make_shared<dispatch_group>();
   for (auto& [id, j] : ss.queue) {
-    if (auto* ntt = std::get_if<ntt_job>(&j)) {
-      auto& ids = ntt->dir == transform_dir::forward ? g->plan.fwd_ids : g->plan.inv_ids;
-      auto& group = ntt->dir == transform_dir::forward ? g->plan.fwd : g->plan.inv;
-      ids.push_back(id);
-      group.push_back(std::move(*ntt));
-    } else if (auto* mul = std::get_if<polymul_job>(&j)) {
-      g->plan.mul_ids.push_back(id);
-      g->plan.muls.push_back(std::move(*mul));
-    } else if (auto* rescale = std::get_if<rns_rescale_job>(&j)) {
-      g->plan.rescale_ids.push_back(id);
-      g->plan.rescales.push_back(std::move(*rescale));
-    } else if (auto* bext = std::get_if<rns_base_extend_job>(&j)) {
-      g->plan.bext_ids.push_back(id);
-      g->plan.bexts.push_back(std::move(*bext));
-    } else {
-      g->plan.rlwe_ids.push_back(id);
-      g->plan.rlwes.push_back(std::move(std::get<rlwe_encrypt_job>(j)));
-    }
+    const batch_kind kind = kind_of(j);
+    auto it = std::find_if(g->plan.begin(), g->plan.end(),
+                           [&](const typed_batch& b) { return b.kind >= kind; });
+    if (it == g->plan.end() || it->kind != kind) it = g->plan.insert(it, {kind, {}, {}});
+    it->ids.push_back(id);
+    it->jobs.push_back(std::move(j));
   }
   ss.queue.clear();
 
@@ -628,49 +610,15 @@ std::shared_ptr<dispatch_group> context::build_group(unsigned sid) {
   g->hints.priority = ss.sopts.priority;
   g->hints.deadline_cycles = ss.sopts.deadline_cycles;
   g->hints.ring_q = ss.sopts.ring_q;
-  g->hints.chunk_budget = ss.sopts.chunk_budget;
-  // Non-banked backends get no bank subset (the pseudo-resource is a
-  // scheduler fiction); banked backends are confined to the stream's banks.
-  if (caps_.banks() != 0) g->hints.bank_set = ss.resources;
   g->resources = ss.resources;
   // Residency affinity hint: the banks currently holding images for this
   // stream's ring — the scheduler counts a hit when the claim lands on one.
   if (resman_ && ss.sopts.ring_q != 0 && caps_.banks() != 0) {
     g->affinity_banks = resman_->banks_holding(ss.sopts.ring_q);
   }
-  // Merge eligibility: R-LWE groups run a staged multi-dispatch flow that
-  // cannot share a dispatch, and a stream may opt out wholesale.
-  g->mergeable = !ss.sopts.no_merge && g->plan.rlwe_ids.empty();
+  g->mergeable = !ss.sopts.no_merge;
+  g->chunk_budget = ss.sopts.chunk_budget;
   return g;
-}
-
-void context::admit_group_locked(std::shared_ptr<dispatch_group> g) {
-  // Jobs become in-flight before the group can run, so a wait() racing the
-  // pool can never mistake a dispatched job for a claimed one.
-  for (const auto* ids : {&g->plan.fwd_ids, &g->plan.inv_ids, &g->plan.mul_ids,
-                          &g->plan.rlwe_ids, &g->plan.rescale_ids, &g->plan.bext_ids}) {
-    in_flight_.insert(ids->begin(), ids->end());
-  }
-  m_.groups->add();
-  const dispatch_group* gp = g.get();
-  sched_->enqueue(std::move(g));
-  if (recorder_) {
-    // The group's lifecycle starts here: seq/ref_vtime were just assigned
-    // by the scheduler.  A queue-depth sample rides along so the counter
-    // track shows the backlog the group joined.
-    recorder_->record({.ts = gp->ref_vtime,
-                       .dur = 0,
-                       .a = 0,
-                       .track = telemetry::kTrackScheduler,
-                       .arg = static_cast<telemetry::u32>(gp->seq),
-                       .op = telemetry::trace_op::group_enqueue});
-    recorder_->record({.ts = gp->ref_vtime,
-                       .dur = 0,
-                       .a = sched_->ready_groups(),
-                       .track = telemetry::kTrackScheduler,
-                       .arg = 0,
-                       .op = telemetry::trace_op::queue_depth});
-  }
 }
 
 void context::kick_locked() {
@@ -688,76 +636,103 @@ void context::kick_locked() {
 }
 
 void context::flush_stream(unsigned sid) {
-  auto g = build_group(sid);
-  if (!g) return;
-  std::lock_guard<std::mutex> lk(mu_);
-  admit_group_locked(std::move(g));
-  kick_locked();
+  if (auto g = build_group(sid)) admit({std::move(g)});
 }
 
 void context::flush() {
-  // Every stream's group enters the ready queue before any scheduling
-  // decision, so priority order holds across streams flushed together —
-  // a lower-id bulk stream cannot seize contended banks ahead of a
-  // higher-priority stream in the same flush.
   std::vector<std::shared_ptr<dispatch_group>> groups;
   for (auto& [sid, ss] : streams_) {
     if (auto g = build_group(sid)) groups.push_back(std::move(g));
   }
-  if (groups.empty()) return;
+  if (!groups.empty()) admit(std::move(groups));
+}
+
+void context::admit(std::vector<std::shared_ptr<dispatch_group>> groups) {
+  // Every group enters the ready queue before any scheduling decision, so
+  // priority order holds across streams flushed together — a lower-id bulk
+  // stream cannot seize contended banks ahead of a higher-priority stream
+  // in the same flush.
   std::lock_guard<std::mutex> lk(mu_);
-  for (auto& g : groups) admit_group_locked(std::move(g));
+  for (auto& g : groups) {
+    // Jobs become in-flight before the group can run, so a wait() racing
+    // the pool can never mistake a dispatched job for a claimed one.
+    for (const typed_batch& b : g->plan) in_flight_.insert(b.ids.begin(), b.ids.end());
+    m_.groups->add();
+    const dispatch_group* gp = g.get();
+    sched_->enqueue(std::move(g));
+    if (recorder_) {
+      // The group's lifecycle starts here: seq/ref_vtime were just assigned
+      // by the scheduler.  A queue-depth sample rides along so the counter
+      // track shows the backlog the group joined.
+      recorder_->record({.ts = gp->ref_vtime,
+                         .dur = 0,
+                         .a = 0,
+                         .track = telemetry::kTrackScheduler,
+                         .arg = static_cast<telemetry::u32>(gp->seq),
+                         .op = telemetry::trace_op::group_enqueue});
+      recorder_->record({.ts = gp->ref_vtime,
+                         .dur = 0,
+                         .a = sched_->ready_groups(),
+                         .track = telemetry::kTrackScheduler,
+                         .arg = 0,
+                         .op = telemetry::trace_op::queue_depth});
+    }
+  }
   kick_locked();
 }
 
 // ---- group execution --------------------------------------------------------
 
 void context::run_group(const std::shared_ptr<dispatch_group>& g) {
-  bool yielded = false;
-  if (!g->absorbed.empty()) {
-    run_merged_group(g);
-  } else {
-    yielded = run_solo_group(g);
-  }
-  // A yielded group released its banks and re-entered the ready queue
-  // inside the yield decision; everything else releases here and lets the
-  // next contender in.
-  if (yielded) return;
-  std::lock_guard<std::mutex> lk(mu_);
-  sched_->release(*g);
-  kick_locked();
-}
+  // A solo group is a one-member merge: the host first, then absorbed
+  // groups in absorption order.  Per-job math is independent, so one
+  // dispatch over every member's jobs of a kind is bit-identical to running
+  // the members separately — only the makespan and the per-dispatch
+  // amortization change.
+  std::vector<dispatch_group*> members{g.get()};
+  for (const auto& m : g->absorbed) members.push_back(m.get());
+  // A solo group with a chunk budget hands its jobs to the backend at most
+  // budget at a time and offers its banks to any earlier-ordered ready group
+  // between chunks (scheduler::should_yield).  Merged groups, and budget 0,
+  // dispatch each kind whole with no yield points.
+  const u64 budget = members.size() == 1 ? g->chunk_budget : 0;
+  // Non-banked backends get no bank subset (the pseudo-resource is a
+  // scheduler fiction); banked backends run on the claimed banks.
+  dispatch_hints hints = g->hints;
+  if (caps_.banks() != 0) hints.bank_set = g->resources;
 
-bool context::run_solo_group(const std::shared_ptr<dispatch_group>& g) {
-  // Dispatches within a group run in submission order; a backend exception
-  // fails exactly its own dispatch (or chunk) — sibling dispatches of the
-  // same group, and other streams' groups, still run.
-  const auto guarded = [&](const std::vector<job_id>& ids, auto&& fn) {
-    try {
-      fn();
-    } catch (const std::exception& e) {
-      fail_group(*g, ids, e.what());
-    } catch (...) {
-      fail_group(*g, ids, "unknown backend error");
-    }
-  };
+  // Kinds run in batch_kind order, each draining chunk by chunk before the
+  // next starts; plans keep that order, so a kind's jobs sit at the front
+  // of every member's plan when its turn comes.
+  for (std::size_t k = 0; k < kBatchKinds; ++k) {
+    const auto kind = static_cast<batch_kind>(k);
+    for (;;) {
+      std::vector<member_slice> slices;
+      std::vector<job> jobs;
+      for (auto* m : members) {
+        if (m->plan.empty() || m->plan.front().kind != kind) continue;
+        typed_batch& b = m->plan.front();
+        const std::size_t take =
+            budget == 0 ? b.ids.size() : std::min<std::size_t>(b.ids.size(), budget);
+        slices.push_back({m, {b.ids.begin(), b.ids.begin() + take}, jobs.size()});
+        jobs.insert(jobs.end(), std::make_move_iterator(b.jobs.begin()),
+                    std::make_move_iterator(b.jobs.begin() + take));
+        b.ids.erase(b.ids.begin(), b.ids.begin() + take);
+        b.jobs.erase(b.jobs.begin(), b.jobs.begin() + take);
+        if (b.ids.empty()) m->plan.erase(m->plan.begin());
+      }
+      if (slices.empty()) break;
 
-  // Chunked per-kind dispatch: a stream with a chunk_budget hands its jobs
-  // to the backend at most budget at a time and offers its banks to any
-  // earlier-ordered ready group between chunks (scheduler::should_yield).
-  // Budget 0 dispatches each kind whole with no yield points — the legacy
-  // path, bit-identical in outputs, dispatch counts and accounting.
-  const u64 budget = g->hints.chunk_budget;
-  const auto chunked = [&](std::vector<job_id>& ids, auto& jobs, auto&& dispatch_chunk) {
-    while (!ids.empty()) {
-      const std::size_t take =
-          budget == 0 ? ids.size() : std::min<std::size_t>(ids.size(), budget);
-      std::vector<job_id> cids(ids.begin(), ids.begin() + take);
-      std::decay_t<decltype(jobs)> cjobs(std::make_move_iterator(jobs.begin()),
-                                         std::make_move_iterator(jobs.begin() + take));
-      ids.erase(ids.begin(), ids.begin() + take);
-      jobs.erase(jobs.begin(), jobs.begin() + take);
-      guarded(cids, [&] { dispatch_chunk(cids, std::move(cjobs)); });
+      // A backend exception fails exactly this dispatch's jobs — sibling
+      // dispatches of the same group, and other streams' groups, still run.
+      try {
+        distribute(*g, slices, dispatch(kind, std::move(jobs), hints), kSpanOp[k]);
+      } catch (const std::exception& e) {
+        fail(slices, e.what());
+      } catch (...) {
+        fail(slices, "unknown backend error");
+      }
+
       if (budget != 0 && !g->plan.empty()) {
         std::lock_guard<std::mutex> lk(mu_);
         if (sched_->should_yield(*g)) {
@@ -767,162 +742,56 @@ bool context::run_solo_group(const std::shared_ptr<dispatch_group>& g) {
           sched_->release(*g);
           sched_->requeue_preempted(g);
           kick_locked();
-          return true;
+          return;
         }
       }
     }
-    return false;
-  };
-
-  flush_plan& plan = g->plan;
-  if (chunked(plan.fwd_ids, plan.fwd, [&](const std::vector<job_id>& ids, auto&& js) {
-        dispatch_ntt_group(*g, ids, std::move(js), transform_dir::forward);
-      })) {
-    return true;
   }
-  if (chunked(plan.inv_ids, plan.inv, [&](const std::vector<job_id>& ids, auto&& js) {
-        dispatch_ntt_group(*g, ids, std::move(js), transform_dir::inverse);
-      })) {
-    return true;
-  }
-  if (chunked(plan.mul_ids, plan.muls, [&](const std::vector<job_id>& ids, auto&& js) {
-        dispatch_polymul_group(*g, ids, std::move(js));
-      })) {
-    return true;
-  }
-  if (chunked(plan.rescale_ids, plan.rescales, [&](const std::vector<job_id>& ids, auto&& js) {
-        dispatch_rescale_group(*g, ids, std::move(js));
-      })) {
-    return true;
-  }
-  if (chunked(plan.bext_ids, plan.bexts, [&](const std::vector<job_id>& ids, auto&& js) {
-        dispatch_base_extend_group(*g, ids, std::move(js));
-      })) {
-    return true;
-  }
-  // R-LWE runs a staged three-dispatch flow over shared intermediates;
-  // it always dispatches whole (and is never merge-eligible).
-  if (!plan.rlwe_ids.empty()) {
-    std::vector<job_id> ids = std::move(plan.rlwe_ids);
-    plan.rlwe_ids.clear();
-    guarded(ids, [&] { run_rlwe_group(*g, ids, std::move(plan.rlwes)); });
-  }
-  return false;
+  std::lock_guard<std::mutex> lk(mu_);
+  sched_->release(*g);
+  kick_locked();
 }
 
-void context::run_merged_group(const std::shared_ptr<dispatch_group>& g) {
-  // One dispatch per job kind over every member's jobs (host first, then
-  // absorbed groups in absorption order), sharded over the claimed bank
-  // union.  Per-job math is independent, so the concatenated dispatch is
-  // bit-identical to running the members separately — only the makespan
-  // and per-dispatch amortization change.
-  std::vector<dispatch_group*> members;
-  members.reserve(1 + g->absorbed.size());
-  members.push_back(g.get());
-  for (const auto& m : g->absorbed) members.push_back(m.get());
-
-  dispatch_hints hints = g->hints;
-  hints.chunk_budget = 0;  // merged dispatches run whole
-  if (caps_.banks() != 0) hints.bank_set = g->resources;
-
-  const auto guarded = [&](const std::vector<member_slice>& slices, auto&& fn) {
-    try {
-      fn();
-    } catch (const std::exception& e) {
-      for (const auto& s : slices) fail_group(*s.g, *s.ids, e.what());
-    } catch (...) {
-      for (const auto& s : slices) fail_group(*s.g, *s.ids, "unknown backend error");
+batch_result context::dispatch(batch_kind kind, std::vector<job>&& jobs,
+                               const dispatch_hints& hints) {
+  const auto whole = [](auto& j) { return std::move(j); };
+  switch (kind) {
+    case batch_kind::forward:
+    case batch_kind::inverse: {
+      const auto coeffs = [](ntt_job& j) { return std::move(j.coeffs); };
+      return backend_->run_ntt(
+          payloads<ntt_job>(jobs, coeffs),
+          kind == batch_kind::forward ? transform_dir::forward : transform_dir::inverse, hints);
     }
-  };
-
-  // Forward and inverse transforms.
-  for (const transform_dir dir : {transform_dir::forward, transform_dir::inverse}) {
-    std::vector<member_slice> slices;
-    std::vector<std::vector<u64>> polys;
-    std::size_t total = 0;
-    for (auto* m : members) {
-      auto& ids = dir == transform_dir::forward ? m->plan.fwd_ids : m->plan.inv_ids;
-      auto& jobs = dir == transform_dir::forward ? m->plan.fwd : m->plan.inv;
-      if (ids.empty()) continue;
-      slices.push_back({m, &ids, total});
-      total += ids.size();
-      for (auto& j : jobs) polys.push_back(std::move(j.coeffs));
+    case batch_kind::polymul: {
+      const auto pair = [](polymul_job& j) {
+        return core::polymul_pair{std::move(j.a), std::move(j.b)};
+      };
+      return backend_->run_polymul(payloads<polymul_job>(jobs, pair), hints);
     }
-    if (slices.empty()) continue;
-    guarded(slices, [&] {
-      distribute_merged(*g, slices, total, backend_->run_ntt(polys, dir, hints),
-                        dir == transform_dir::forward ? telemetry::trace_op::ntt_forward
-                                                      : telemetry::trace_op::ntt_inverse);
-    });
+    case batch_kind::rescale:
+      return backend_->run_rescale(payloads<rns_rescale_job>(jobs, whole), hints);
+    case batch_kind::base_extend:
+      return backend_->run_base_extend(payloads<rns_base_extend_job>(jobs, whole), hints);
   }
-
-  // Ring products.
-  {
-    std::vector<member_slice> slices;
-    std::vector<core::polymul_pair> pairs;
-    std::size_t total = 0;
-    for (auto* m : members) {
-      if (m->plan.mul_ids.empty()) continue;
-      slices.push_back({m, &m->plan.mul_ids, total});
-      total += m->plan.mul_ids.size();
-      for (auto& j : m->plan.muls) pairs.push_back({std::move(j.a), std::move(j.b)});
-    }
-    if (!slices.empty()) {
-      guarded(slices, [&] {
-        distribute_merged(*g, slices, total, backend_->run_polymul(pairs, hints),
-                          telemetry::trace_op::polymul);
-      });
-    }
-  }
-
-  // Rescale corrections.  Members may sit on different limb streams only
-  // when their ring modulus matches (merge eligibility), so one dispatch
-  // covers them all; each job still names its own limb prime.
-  {
-    std::vector<member_slice> slices;
-    std::vector<rns_rescale_job> jobs;
-    std::size_t total = 0;
-    for (auto* m : members) {
-      if (m->plan.rescale_ids.empty()) continue;
-      slices.push_back({m, &m->plan.rescale_ids, total});
-      total += m->plan.rescale_ids.size();
-      for (auto& j : m->plan.rescales) jobs.push_back(std::move(j));
-    }
-    if (!slices.empty()) {
-      guarded(slices, [&] {
-        distribute_merged(*g, slices, total, backend_->run_rescale(jobs, hints),
-                          telemetry::trace_op::rescale);
-      });
-    }
-  }
-
-  // Base extensions — same shape as the rescale section: one dispatch over
-  // every member's jobs, each job naming its own target limb prime.
-  {
-    std::vector<member_slice> slices;
-    std::vector<rns_base_extend_job> jobs;
-    std::size_t total = 0;
-    for (auto* m : members) {
-      if (m->plan.bext_ids.empty()) continue;
-      slices.push_back({m, &m->plan.bext_ids, total});
-      total += m->plan.bext_ids.size();
-      for (auto& j : m->plan.bexts) jobs.push_back(std::move(j));
-    }
-    if (!slices.empty()) {
-      guarded(slices, [&] {
-        distribute_merged(*g, slices, total, backend_->run_base_extend(jobs, hints),
-                          telemetry::trace_op::base_extend);
-      });
-    }
-  }
-  // Merge eligibility excludes R-LWE plans, so nothing else remains.
+  throw std::logic_error("runtime: unknown batch kind");
 }
 
 // ---- accounting and completion ---------------------------------------------
 
-u64 context::account_locked(const dispatch_group& g, const batch_result& r,
-                            telemetry::trace_op op, std::size_t jobs) {
-  const u64 end = sched_->account(g, r.wall_cycles);
+void context::distribute(const dispatch_group& host, const std::vector<member_slice>& slices,
+                         batch_result&& r, telemetry::trace_op op) {
+  const std::size_t total = slices.back().offset + slices.back().ids.size();
+  // A backend returning the wrong number of outputs would misroute results;
+  // refuse loudly (the caller turns this into per-job failures).
+  if (r.outputs.size() != total) {
+    throw std::logic_error("runtime: backend returned " + std::to_string(r.outputs.size()) +
+                           " outputs for a dispatch of " + std::to_string(total) + " jobs");
+  }
+  std::lock_guard<std::mutex> lk(mu_);
+  // One accounting event on the host's claimed banks: the batch starts at
+  // their frontier and advances it by its wall cycles.
+  const u64 end = sched_->account(host, r.wall_cycles);
   m_.batches->add();
   m_.waves->add(r.waves);
   m_.wall_cycles->set_max(end);
@@ -933,252 +802,64 @@ u64 context::account_locked(const dispatch_group& g, const batch_result& r,
     // interval scheduler::account just advanced the frontiers by.  The max
     // span end across bank rows therefore *equals* stats().wall_cycles; the
     // trace_export_test asserts that reconstruction exactly.
-    for (const unsigned b : g.resources) {
+    for (const unsigned b : host.resources) {
       recorder_->record({.ts = end - r.wall_cycles,
                          .dur = r.wall_cycles,
-                         .a = jobs,
+                         .a = total,
                          .track = b,
-                         .arg = static_cast<telemetry::u32>(g.seq),
+                         .arg = static_cast<telemetry::u32>(host.seq),
                          .op = op});
     }
   }
-  return end;
-}
-
-namespace {
-
-// A backend returning the wrong number of outputs would misroute results;
-// refuse loudly (the dispatch guard converts this into per-job failures).
-void require_output_count(std::size_t got, std::size_t want, const char* what) {
-  if (got != want) {
-    throw std::logic_error("runtime: backend returned " + std::to_string(got) +
-                           " outputs for " + what + " of " + std::to_string(want) + " jobs");
-  }
-}
-
-// The one deadline check every dispatch path shares.  A stream deadline is
-// a completion budget measured from the stream's flush (the group's
-// reference virtual time); finishing *exactly at* the deadline is a meet,
-// not a miss — the boundary both dispatch paths must agree on.
-bool past_deadline(const dispatch_hints& hints, u64 ref_vtime, u64 end) noexcept {
-  return hints.deadline_cycles != 0 && end - ref_vtime > hints.deadline_cycles;
-}
-
-}  // namespace
-
-void context::distribute(const dispatch_group& g, const std::vector<job_id>& ids,
-                         batch_result&& r, telemetry::trace_op op) {
-  require_output_count(r.outputs.size(), ids.size(), "a dispatch");
-  std::lock_guard<std::mutex> lk(mu_);
-  const u64 end = account_locked(g, r, op, ids.size());
-  const bool missed = past_deadline(g.hints, g.ref_vtime, end);
-  if (missed) {
-    m_.deadline_misses->add(ids.size());
-    if (recorder_) {
-      recorder_->record({.ts = end,
-                         .dur = 0,
-                         .a = ids.size(),
-                         .track = telemetry::kTrackScheduler,
-                         .arg = static_cast<telemetry::u32>(g.seq),
-                         .op = telemetry::trace_op::deadline_miss});
-    }
-  }
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    job_result res;
-    res.outputs.push_back(std::move(r.outputs[i]));
-    res.op_stats = r.stats;
-    res.wall_cycles = r.wall_cycles;
-    res.jobs_in_batch = ids.size();
-    res.stream = g.hints.stream;
-    res.finish_cycles = end;
-    res.deadline_missed = missed;
-    done_.emplace(ids[i], std::move(res));
-    in_flight_.erase(ids[i]);
-  }
-  m_.jobs_completed->add(ids.size());
-  cv_.notify_all();
-}
-
-void context::distribute_merged(const dispatch_group& host,
-                                const std::vector<member_slice>& slices, std::size_t total_jobs,
-                                batch_result&& r, telemetry::trace_op op) {
-  require_output_count(r.outputs.size(), total_jobs, "a merged dispatch");
-  std::lock_guard<std::mutex> lk(mu_);
-  // One accounting event on the claimed union: every member's jobs finish
-  // at the merged batch's end, but each member's deadline is judged from
-  // its *own* flush frontier — per-tenant accounting survives the merge.
-  const u64 end = account_locked(host, r, op, total_jobs);
+  // Every member's jobs finish at the batch's end, but each member's
+  // deadline is judged from its *own* flush frontier — per-tenant
+  // accounting survives a merge.  A deadline is a completion budget
+  // measured from the flush; finishing exactly at it is a meet, not a miss.
   for (const auto& s : slices) {
-    const bool missed = past_deadline(s.g->hints, s.g->ref_vtime, end);
+    const u64 deadline = s.g->hints.deadline_cycles;
+    const bool missed = deadline != 0 && end - s.g->ref_vtime > deadline;
     if (missed) {
-      m_.deadline_misses->add(s.ids->size());
+      m_.deadline_misses->add(s.ids.size());
       if (recorder_) {
         recorder_->record({.ts = end,
                            .dur = 0,
-                           .a = s.ids->size(),
+                           .a = s.ids.size(),
                            .track = telemetry::kTrackScheduler,
                            .arg = static_cast<telemetry::u32>(s.g->seq),
                            .op = telemetry::trace_op::deadline_miss});
       }
     }
-    for (std::size_t i = 0; i < s.ids->size(); ++i) {
+    for (std::size_t i = 0; i < s.ids.size(); ++i) {
       job_result res;
       res.outputs.push_back(std::move(r.outputs[s.offset + i]));
       res.op_stats = r.stats;
       res.wall_cycles = r.wall_cycles;
-      res.jobs_in_batch = total_jobs;
+      res.jobs_in_batch = total;
       res.stream = s.g->hints.stream;
       res.finish_cycles = end;
       res.deadline_missed = missed;
-      done_.emplace((*s.ids)[i], std::move(res));
-      in_flight_.erase((*s.ids)[i]);
+      done_.emplace(s.ids[i], std::move(res));
+      in_flight_.erase(s.ids[i]);
     }
-    m_.jobs_completed->add(s.ids->size());
+    m_.jobs_completed->add(s.ids.size());
   }
   cv_.notify_all();
 }
 
-void context::fail_group(const dispatch_group& g, const std::vector<job_id>& ids,
-                         const std::string& what) {
+void context::fail(const std::vector<member_slice>& slices, const std::string& what) {
   std::lock_guard<std::mutex> lk(mu_);
-  for (const job_id id : ids) {
-    job_result res;
-    res.status = job_status::failed;
-    res.error = what;
-    res.jobs_in_batch = ids.size();
-    res.stream = g.hints.stream;
-    done_.emplace(id, std::move(res));
-    in_flight_.erase(id);
-  }
-  m_.jobs_failed->add(ids.size());
-  cv_.notify_all();
-}
-
-void context::dispatch_ntt_group(const dispatch_group& g, const std::vector<job_id>& ids,
-                                 std::vector<ntt_job>&& jobs, transform_dir dir) {
-  std::vector<std::vector<u64>> polys;
-  polys.reserve(jobs.size());
-  for (auto& j : jobs) polys.push_back(std::move(j.coeffs));
-  distribute(g, ids, backend_->run_ntt(polys, dir, g.hints),
-             dir == transform_dir::forward ? telemetry::trace_op::ntt_forward
-                                           : telemetry::trace_op::ntt_inverse);
-}
-
-void context::dispatch_polymul_group(const dispatch_group& g, const std::vector<job_id>& ids,
-                                     std::vector<polymul_job>&& jobs) {
-  std::vector<core::polymul_pair> pairs;
-  pairs.reserve(jobs.size());
-  for (auto& j : jobs) pairs.push_back({std::move(j.a), std::move(j.b)});
-  distribute(g, ids, backend_->run_polymul(pairs, g.hints), telemetry::trace_op::polymul);
-}
-
-void context::dispatch_rescale_group(const dispatch_group& g, const std::vector<job_id>& ids,
-                                     std::vector<rns_rescale_job>&& jobs) {
-  distribute(g, ids, backend_->run_rescale(jobs, g.hints), telemetry::trace_op::rescale);
-}
-
-void context::dispatch_base_extend_group(const dispatch_group& g,
-                                         const std::vector<job_id>& ids,
-                                         std::vector<rns_base_extend_job>&& jobs) {
-  distribute(g, ids, backend_->run_base_extend(jobs, g.hints),
-             telemetry::trace_op::base_extend);
-}
-
-void context::run_rlwe_group(const dispatch_group& g, const std::vector<job_id>& ids,
-                             std::vector<rlwe_encrypt_job>&& jobs) {
-  crypto::param_set ring;
-  ring.name = "runtime";
-  ring.n = opts_.params.n;
-  ring.q = opts_.params.q;
-  ring.min_tile_bits = opts_.params.k;
-  const std::size_t m = jobs.size();
-
-  // Each job's randomness comes from its own seeded stream in exactly the
-  // order the serial scheme draws it (keygen's a/s/e, then encrypt's
-  // r/e1/e2 — the ring products never touch the stream), so the staged
-  // flow below is bit-identical to running the scheme per job.
-  std::vector<crypto::rlwe_keygen_randomness> kg(m);
-  std::vector<crypto::rlwe_encrypt_randomness> en(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    common::xoshiro256ss rng(jobs[i].seed);
-    kg[i] = crypto::rlwe_sample_keygen(ring, jobs[i].eta, rng);
-    en[i] = crypto::rlwe_sample_encrypt(ring, jobs[i].eta, rng);
-  }
-
-  sram::op_stats stats;
-  u64 cycles = 0;
-  u64 last_end = 0;
-  auto batch_mul = [&](std::vector<core::polymul_pair>&& pairs) {
-    const std::size_t stage_jobs = pairs.size();
-    batch_result r = backend_->run_polymul(pairs, g.hints);
-    require_output_count(r.outputs.size(), stage_jobs, "an rlwe product stage");
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      last_end = account_locked(g, r, telemetry::trace_op::rlwe_stage, stage_jobs);
+  for (const auto& s : slices) {
+    for (const job_id id : s.ids) {
+      job_result res;
+      res.status = job_status::failed;
+      res.error = what;
+      res.jobs_in_batch = s.ids.size();
+      res.stream = s.g->hints.stream;
+      done_.emplace(id, std::move(res));
+      in_flight_.erase(id);
     }
-    stats += r.stats;
-    cycles += r.wall_cycles;
-    return std::move(r.outputs);
-  };
-
-  // Stage 1 — keygen products a*s, one wide dispatch across all jobs.
-  std::vector<core::polymul_pair> pairs(m);
-  for (std::size_t i = 0; i < m; ++i) pairs[i] = {kg[i].a, kg[i].s};
-  auto as = batch_mul(std::move(pairs));
-  std::vector<crypto::rlwe_scheme::keypair> keys(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    keys[i] = crypto::rlwe_finish_keygen(ring, std::move(kg[i]), std::move(as[i]));
+    m_.jobs_failed->add(s.ids.size());
   }
-
-  // Stage 2 — both encryption products a*r and b*r, batched pairwise.
-  pairs.assign(2 * m, core::polymul_pair{});
-  for (std::size_t i = 0; i < m; ++i) {
-    pairs[2 * i] = {keys[i].pk.a, en[i].r};
-    pairs[2 * i + 1] = {keys[i].pk.b, en[i].r};
-  }
-  auto prods = batch_mul(std::move(pairs));
-  std::vector<crypto::ciphertext> cts(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    cts[i] = crypto::rlwe_finish_encrypt(ring, en[i], jobs[i].message,
-                                         std::move(prods[2 * i]), std::move(prods[2 * i + 1]));
-  }
-
-  // Stage 3 — decryption round-trip products u*s.
-  pairs.assign(m, core::polymul_pair{});
-  for (std::size_t i = 0; i < m; ++i) pairs[i] = {cts[i].u, keys[i].sk.s};
-  auto us = batch_mul(std::move(pairs));
-
-  std::lock_guard<std::mutex> lk(mu_);
-  const bool missed = past_deadline(g.hints, g.ref_vtime, last_end);
-  if (missed) {
-    m_.deadline_misses->add(m);
-    if (recorder_) {
-      recorder_->record({.ts = last_end,
-                         .dur = 0,
-                         .a = m,
-                         .track = telemetry::kTrackScheduler,
-                         .arg = static_cast<telemetry::u32>(g.seq),
-                         .op = telemetry::trace_op::deadline_miss});
-    }
-  }
-  for (std::size_t i = 0; i < m; ++i) {
-    auto decrypted = crypto::rlwe_decrypt_from_product(ring, cts[i], us[i]);
-    job_result res;
-    res.outputs.reserve(3);
-    res.outputs.push_back(std::move(cts[i].u));
-    res.outputs.push_back(std::move(cts[i].v));
-    res.outputs.push_back(std::move(decrypted));
-    res.op_stats = stats;
-    res.op_stats.cycles = cycles;  // the three product stages run back-to-back
-    res.wall_cycles = cycles;
-    res.jobs_in_batch = m;
-    res.stream = g.hints.stream;
-    res.finish_cycles = last_end;
-    res.deadline_missed = missed;
-    done_.emplace(ids[i], std::move(res));
-    in_flight_.erase(ids[i]);
-  }
-  m_.jobs_completed->add(m);
   cv_.notify_all();
 }
 
@@ -1232,9 +913,8 @@ void context::sync() {
 }
 
 std::vector<job_result> context::wait_all() {
-  flush();
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait(lk, [&] { return in_flight_.empty(); });
+  sync();
+  std::lock_guard<std::mutex> lk(mu_);
   std::vector<job_result> all;
   all.reserve(done_.size());
   for (auto& [id, res] : done_) all.push_back(std::move(res));

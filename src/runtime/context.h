@@ -18,21 +18,22 @@
 //
 // submit() validates against the backend's capabilities() descriptor and
 // enqueues; nothing executes until a flush (or a wait).  The deferral is
-// the batching opportunity: at flush time a stream's pending set is
-// partitioned by job kind — forward transforms with forward transforms,
-// ring products with ring products, R-LWE flows staged together — and the
-// partitions become one *dispatch group* carrying the stream's
-// dispatch_hints (stream id, priority, deadline, bank subset, chunk
-// budget).
+// the batching opportunity: at flush time a stream's pending set becomes
+// one typed batch per job kind — forward transforms with forward
+// transforms, ring products with ring products — and the batches, in a
+// fixed kind order, become one *dispatch group* carrying the stream's
+// dispatch_hints (stream id, priority, deadline, bank subset) and chunk
+// budget.
 //
 // Scheduling is the scheduler module's job (src/runtime/scheduler.h):
 // group ordering (priority / EDF + aging behind one comparator), bank
 // claiming and placement, cross-stream merging of compatible groups, and
 // the yield decision of chunked dispatch all live there.  The context is
-// job bookkeeping and result distribution: it builds groups at flush,
-// executes the backend dispatches the scheduler hands back, accounts them
-// on the scheduler's virtual timeline, and routes per-job results —
-// including each merged member's slice — to completion state.
+// job bookkeeping and result distribution: it builds groups at flush and
+// runs every group the scheduler hands back through one loop — a solo
+// group is a one-member merge — that gathers each member's slice of a
+// kind, dispatches it, accounts it on the scheduler's virtual timeline and
+// routes per-job results to completion state.
 //
 // Accounting runs on a virtual timeline of per-bank frontiers: a batch on
 // subset S starts at S's frontier and advances it by the batch's
@@ -50,8 +51,8 @@
 //
 // Cross-stream batching (runtime_options::merge_streams, default off):
 // when the scheduler picks a runnable group it absorbs merge-compatible
-// ready groups — same ring modulus, no rlwe jobs, streams that did not opt
-// out (stream_options::no_merge), banks disjoint-or-shareable — and the
+// ready groups — same ring modulus, streams that did not opt out
+// (stream_options::no_merge), banks disjoint-or-shareable — and the
 // context runs one dispatch per job kind over every member's jobs,
 // distributing each member's outputs back to its own stream with that
 // member's deadline accounting.  Outputs are bit-identical to unmerged
@@ -81,7 +82,6 @@
 #include <mutex>
 #include <optional>
 #include <set>
-#include <variant>
 #include <vector>
 
 #include "runtime/backend.h"
@@ -95,9 +95,6 @@
 #include "telemetry/trace.h"
 
 namespace bpntt::runtime {
-
-using job = std::variant<ntt_job, polymul_job, rlwe_encrypt_job, rns_rescale_job,
-                         rns_base_extend_job>;
 
 // Cumulative scheduling counters across the context's lifetime.  A plain
 // value snapshot — the live instruments behind every field are registry
@@ -192,10 +189,10 @@ class context {
 
   // Export the recorded virtual-timeline trace as Chrome trace-event JSON
   // (Perfetto / chrome://tracing open it directly).  Throws
-  // std::logic_error when the context was built without with_tracing().
-  // *Quiescent-only*: call after sync()/wait_all() — the recorder's rings
-  // are drained without synchronization against in-flight dispatches (the
-  // same contract as trace_recorder::snapshot_events()).
+  // std::logic_error when the context was built without with_tracing(),
+  // and while any job is queued or in flight: the recorder's rings are
+  // drained without synchronization against the pool, so call it after
+  // sync()/wait_all().
   void export_trace(const std::string& path) const;
   void export_trace(std::ostream& os) const;
 
@@ -268,7 +265,6 @@ class context {
   // backend capabilities cannot execute.
   job_id submit(ntt_job j);
   job_id submit(polymul_job j);
-  job_id submit(rlwe_encrypt_job j);
 
   // Flush every stream: each non-empty queue becomes one dispatch group
   // handed to the scheduler; returns without blocking.
@@ -303,77 +299,53 @@ class context {
     std::vector<std::pair<job_id, job>> queue;
   };
 
-  // One merged member's share of a concatenated dispatch: the member group
-  // (hints + ref_vtime for distribution) and its contiguous output range.
+  // One member group's share of a dispatch: the member (hints and
+  // ref_vtime, for its stream and deadline) and the ids of its jobs, whose
+  // outputs are [offset, offset + ids.size()) of the batch.
   struct member_slice {
     const dispatch_group* g = nullptr;
-    const std::vector<job_id>* ids = nullptr;
+    std::vector<job_id> ids;
     std::size_t offset = 0;
   };
 
   void finish_construction();
 
-  // Stream plumbing (called by the handle).
-  job_id submit_ntt(unsigned sid, ntt_job j);
-  job_id submit_polymul(unsigned sid, polymul_job j);
-  job_id submit_rlwe(unsigned sid, rlwe_encrypt_job j);
-  job_id submit_rescale(unsigned sid, rns_rescale_job j);
-  job_id submit_base_extend(unsigned sid, rns_base_extend_job j);
+  // Stream plumbing (called by the handle).  submit_on validates a job
+  // against its stream's ring and the backend, then enqueues it.
+  job_id submit_on(unsigned sid, job j);
   void flush_stream(unsigned sid);
   void close_stream(unsigned sid);
-  [[nodiscard]] std::size_t stream_pending(unsigned sid) const;
-  [[nodiscard]] std::vector<unsigned> stream_bank_set(unsigned sid) const;
   [[nodiscard]] stream_state& state_of(unsigned sid);
   [[nodiscard]] const stream_state& state_of(unsigned sid) const;
   [[nodiscard]] std::vector<unsigned> auto_bank_set(unsigned sid) const;
   // Partition one stream's queue into a dispatch group (nullptr if empty).
   [[nodiscard]] std::shared_ptr<dispatch_group> build_group(unsigned sid);
-  // Job bookkeeping around scheduler::enqueue: jobs become in-flight before
-  // the group can run, the flush counts into stats_.groups.  Requires mu_.
-  void admit_group_locked(std::shared_ptr<dispatch_group> g);
+  // Hand freshly built groups to the scheduler together — their jobs become
+  // in flight, each counts into stats().groups — then schedule.
+  void admit(std::vector<std::shared_ptr<dispatch_group>> groups);
   // Pull every runnable group off the scheduler and hand it to the pool.
   // Requires mu_.
   void kick_locked();
 
-  job_id enqueue(unsigned sid, job j);
   // The stream a still-queued job sits on, if any.
   [[nodiscard]] std::optional<unsigned> queued_on(job_id id) const noexcept;
 
+  // Run a claimed group (and its absorbed members) kind by kind, then
+  // release its banks — or, for a budgeted solo group, yield them between
+  // chunks and re-enqueue the remainder.
   void run_group(const std::shared_ptr<dispatch_group>& g);
-  // Solo path: chunked per-kind dispatch with yield points between chunks.
-  // Returns true when the group yielded (banks released, remainder
-  // re-enqueued) — the caller must not release again.
-  bool run_solo_group(const std::shared_ptr<dispatch_group>& g);
-  // Merged path: one dispatch per job kind over every member's jobs,
-  // outputs distributed back per member.
-  void run_merged_group(const std::shared_ptr<dispatch_group>& g);
+  // One backend dispatch of one kind's jobs.
+  batch_result dispatch(batch_kind kind, std::vector<job>&& jobs, const dispatch_hints& hints);
 
-  // Advance the group's bank frontiers by one batch (scheduler::account)
-  // and fold the batch into the cumulative counters; returns the batch's
-  // completion time on the virtual timeline.  When tracing, stamps one
-  // `op` span per claimed bank over exactly [end - wall, end) — the trace's
-  // reconstructed makespan (max span end) equals stats().wall_cycles by
-  // construction.  Requires mu_.
-  u64 account_locked(const dispatch_group& g, const batch_result& r, telemetry::trace_op op,
-                     std::size_t jobs);
-  void distribute(const dispatch_group& g, const std::vector<job_id>& ids, batch_result&& r,
-                  telemetry::trace_op op);
-  // Merged distribution: account once on the claimed union, then route each
-  // member's slice of the outputs with that member's deadline accounting.
-  void distribute_merged(const dispatch_group& host, const std::vector<member_slice>& slices,
-                         std::size_t total_jobs, batch_result&& r, telemetry::trace_op op);
-  void fail_group(const dispatch_group& g, const std::vector<job_id>& ids,
-                  const std::string& what);
-  void dispatch_ntt_group(const dispatch_group& g, const std::vector<job_id>& ids,
-                          std::vector<ntt_job>&& jobs, transform_dir dir);
-  void dispatch_polymul_group(const dispatch_group& g, const std::vector<job_id>& ids,
-                              std::vector<polymul_job>&& jobs);
-  void dispatch_rescale_group(const dispatch_group& g, const std::vector<job_id>& ids,
-                              std::vector<rns_rescale_job>&& jobs);
-  void dispatch_base_extend_group(const dispatch_group& g, const std::vector<job_id>& ids,
-                                  std::vector<rns_base_extend_job>&& jobs);
-  void run_rlwe_group(const dispatch_group& g, const std::vector<job_id>& ids,
-                      std::vector<rlwe_encrypt_job>&& jobs);
+  // Account a finished dispatch once on the host's claim (the scheduler's
+  // virtual timeline, the cumulative counters, one trace span per claimed
+  // bank), then complete each slice's jobs with its member's deadline
+  // judgement.  Throws, before any accounting, when the backend returned
+  // the wrong number of outputs.
+  void distribute(const dispatch_group& host, const std::vector<member_slice>& slices,
+                  batch_result&& r, telemetry::trace_op op);
+  // Fail every job of a dispatch that threw.
+  void fail(const std::vector<member_slice>& slices, const std::string& what);
 
   runtime_options opts_;
   std::unique_ptr<backend> backend_;

@@ -112,9 +112,6 @@ batch_result cpu_backend::finish(std::vector<std::vector<u64>> outputs, double s
 
 batch_result cpu_backend::run_ntt(const std::vector<std::vector<u64>>& polys,
                                   transform_dir dir, const dispatch_hints& hints) {
-  if (hints.chunk_budget != 0 && polys.size() > hints.chunk_budget) {
-    return run_ntt_chunked(polys, dir, hints);
-  }
   // Resolve a ring override before the clock starts: retarget table
   // construction is setup, not per-batch work.
   const std::shared_ptr<const limb_ring> limb =
@@ -143,9 +140,6 @@ batch_result cpu_backend::run_ntt(const std::vector<std::vector<u64>>& polys,
 
 batch_result cpu_backend::run_polymul(const std::vector<core::polymul_pair>& pairs,
                                       const dispatch_hints& hints) {
-  if (hints.chunk_budget != 0 && pairs.size() > hints.chunk_budget) {
-    return run_polymul_chunked(pairs, hints);
-  }
   const std::shared_ptr<const limb_ring> limb =
       hints.ring_q != 0 ? ring_for(hints.ring_q) : nullptr;
   std::vector<std::vector<u64>> outputs(pairs.size());

@@ -1,17 +1,20 @@
 // Typed job model of the bpntt runtime — the unit of work a client submits
 // to a runtime::context.
 //
-// Three job kinds cover the workloads the paper measures: raw transforms
-// (the Table I microkernel), full negacyclic ring products (the polynomial
-// multiplication every lattice scheme spends its time in), and end-to-end
-// R-LWE encryption (the edge-device motivation of §I).  Each submit()
-// returns a job_id; wait() returns the matching job_result regardless of
-// which backend executed it.
+// Four job kinds cover the workloads the paper measures and the RNS layer
+// built on them: raw transforms (the Table I microkernel), full negacyclic
+// ring products (the polynomial multiplication every lattice scheme spends
+// its time in), and the per-limb rescale and base-extension corrections of
+// big-modulus RNS arithmetic.  Schemes built from ring products — R-LWE
+// encryption among them (src/crypto/) — are clients of these kinds, not
+// kinds of their own.  Each submit() returns a job_id; wait() returns the
+// matching job_result regardless of which backend executed it.
 #pragma once
 
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "bpntt/bank.h"
@@ -103,28 +106,18 @@ struct rns_base_extend_job {
   std::vector<std::vector<u64>> residues; // residues[i]: n residues mod source_primes[i]
 };
 
-// End-to-end R-LWE public-key encryption of a {0,1} message polynomial.
-// Key generation, encryption and a decryption round-trip all run with ring
-// products routed through the executing backend.  Randomness is derived
-// deterministically from `seed`, so two backends given the same job produce
-// bit-identical ciphertexts — the property the differential tests pin down.
-struct rlwe_encrypt_job {
-  std::vector<u64> message;
-  unsigned eta = 2;
-  u64 seed = 1;
-};
+// Any one submitted job, as a stream queues it before its flush.
+using job = std::variant<ntt_job, polymul_job, rns_rescale_job, rns_base_extend_job>;
 
 // Terminal state of a job.  A backend exception fails exactly the jobs of
 // the dispatch it occurred in; sibling dispatches of the same flush still
 // complete with `ok` results.
 enum class job_status { ok, failed };
 
-// Unified result: `outputs` holds the job's polynomials (one for ntt_job and
-// polymul_job; ciphertext u, v and the decrypted round-trip for
-// rlwe_encrypt_job).  op_stats and wall_cycles describe the scheduled batch
-// the job rode in — divide by jobs_in_batch for an amortized per-job view.
-// When status == failed, `error` carries the backend's message and
-// `outputs` is empty.
+// Unified result: `outputs` holds the job's one output polynomial.
+// op_stats and wall_cycles describe the scheduled batch the job rode in —
+// divide by jobs_in_batch for an amortized per-job view.  When status ==
+// failed, `error` carries the backend's message and `outputs` is empty.
 //
 // Stream accounting: `stream` is the submission stream the job rode in (0 =
 // the default stream), `finish_cycles` is the job's completion time on the

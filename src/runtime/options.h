@@ -110,9 +110,9 @@ struct runtime_options {
   unsigned aging_limit = 0;
 
   // Cross-stream batching: when the scheduler picks a runnable group it
-  // absorbs merge-compatible ready groups (same ring modulus, no rlwe
-  // jobs, streams that did not opt out, disjoint-or-shareable banks) into
-  // one dispatch, distributing results back per stream.  Outputs are
+  // absorbs merge-compatible ready groups (same ring modulus, streams
+  // that did not opt out, disjoint-or-shareable banks) into one dispatch
+  // per job kind, distributing results back per stream.  Outputs are
   // bit-identical either way; off by default so dispatch counts and
   // ordering match the pre-batching scheduler exactly.
   bool merge_streams = false;

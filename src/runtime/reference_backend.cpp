@@ -22,9 +22,6 @@ std::shared_ptr<const math::ntt_tables> reference_backend::tables_for(u64 ring_q
 
 batch_result reference_backend::run_ntt(const std::vector<std::vector<u64>>& polys,
                                         transform_dir dir, const dispatch_hints& hints) {
-  if (hints.chunk_budget != 0 && polys.size() > hints.chunk_budget) {
-    return run_ntt_chunked(polys, dir, hints);
-  }
   batch_result out;
   out.outputs = polys;
   out.waves = polys.empty() ? 0 : 1;
@@ -65,9 +62,6 @@ batch_result reference_backend::run_ntt(const std::vector<std::vector<u64>>& pol
 
 batch_result reference_backend::run_polymul(const std::vector<core::polymul_pair>& pairs,
                                             const dispatch_hints& hints) {
-  if (hints.chunk_budget != 0 && pairs.size() > hints.chunk_budget) {
-    return run_polymul_chunked(pairs, hints);
-  }
   batch_result out;
   out.outputs.resize(pairs.size());
   out.waves = pairs.empty() ? 0 : 1;

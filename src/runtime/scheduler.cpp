@@ -29,6 +29,10 @@ void scheduler::enqueue(std::shared_ptr<dispatch_group> g) {
     g->ref_vtime = std::max(g->ref_vtime, bank_free_at_[r]);
   }
   g->deadline_abs = absolute_deadline(g->ref_vtime, g->hints.deadline_cycles);
+  insert_ready(std::move(g));
+}
+
+void scheduler::insert_ready(std::shared_ptr<dispatch_group> g) {
   const auto before = [this](const std::shared_ptr<dispatch_group>& a,
                              const std::shared_ptr<dispatch_group>& b) {
     return group_before(*a, *b);
@@ -50,11 +54,7 @@ void scheduler::requeue_preempted(std::shared_ptr<dispatch_group> g) {
                        .arg = static_cast<telemetry::u32>(g->seq),
                        .op = telemetry::trace_op::preempt_yield});
   }
-  const auto before = [this](const std::shared_ptr<dispatch_group>& a,
-                             const std::shared_ptr<dispatch_group>& b) {
-    return group_before(*a, *b);
-  };
-  ready_.insert(std::upper_bound(ready_.begin(), ready_.end(), g, before), std::move(g));
+  insert_ready(std::move(g));
 }
 
 void scheduler::absorb_compatible(const std::shared_ptr<dispatch_group>& host,
@@ -62,10 +62,10 @@ void scheduler::absorb_compatible(const std::shared_ptr<dispatch_group>& host,
   if (!cfg_.merge_streams || !host->mergeable) return;
   for (auto it = ready_.begin(); it != ready_.end();) {
     auto& h = *it;
-    // Merge eligibility: both sides opted in (mergeable excludes rlwe
-    // groups and opted-out streams), same ring modulus (native or the same
-    // RNS limb prime), and every bank of the candidate either already in
-    // the host's claim or currently unclaimed — disjoint-or-shareable.
+    // Merge eligibility: neither stream opted out, same ring modulus
+    // (native or the same RNS limb prime), and every bank of the candidate
+    // either already in the host's claim or currently unclaimed —
+    // disjoint-or-shareable.
     bool compatible = h->mergeable && h->hints.ring_q == host->hints.ring_q;
     if (compatible) {
       for (const unsigned r : h->resources) {

@@ -29,9 +29,9 @@
 // Cross-stream batching: when take_runnable() picks a runnable group and
 // merging is enabled, it scans the remaining ready queue for *merge-
 // compatible* groups — same ring modulus (native or the same RNS limb
-// prime), both merge-eligible (no rlwe jobs, neither stream opted out),
-// and a bank set that is disjoint-or-shareable (every bank either already
-// in the host's claim or currently unclaimed).  Compatible groups are
+// prime), both merge-eligible (neither stream opted out), and a bank set
+// that is disjoint-or-shareable (every bank either already in the host's
+// claim or currently unclaimed).  Compatible groups are
 // absorbed into the host's `absorbed` list and the host claims the union:
 // one backend dispatch per job kind executes every member's jobs, and the
 // context distributes each member's slice of the outputs back to its
@@ -52,6 +52,7 @@
 // the same contract the extracted code had when it was private machinery.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -67,24 +68,24 @@ class trace_recorder;
 
 namespace bpntt::runtime {
 
-// One stream flush, partitioned by job kind.  Jobs of one stream are
-// independent, so the pending set splits into one backend dispatch per kind
-// (and direction) — the widest batches the backend can shard over banks,
-// lanes and waves.  Results are keyed by job_id, so regrouping never
-// misroutes an output.
-struct flush_plan {
-  std::vector<job_id> fwd_ids, inv_ids, mul_ids, rlwe_ids, rescale_ids, bext_ids;
-  std::vector<ntt_job> fwd, inv;
-  std::vector<polymul_job> muls;
-  std::vector<rlwe_encrypt_job> rlwes;
-  std::vector<rns_rescale_job> rescales;
-  std::vector<rns_base_extend_job> bexts;
+// The job kinds of a flush plan, in dispatch order: a group runs all of
+// its forward transforms before any inverse one, and so on down the list.
+enum class batch_kind : std::uint8_t { forward, inverse, polymul, rescale, base_extend };
+inline constexpr std::size_t kBatchKinds = 5;
 
-  [[nodiscard]] bool empty() const noexcept {
-    return fwd_ids.empty() && inv_ids.empty() && mul_ids.empty() && rlwe_ids.empty() &&
-           rescale_ids.empty() && bext_ids.empty();
-  }
+// One kind's share of a stream flush: the job ids and the jobs, index-
+// aligned.  Jobs of one stream are independent, so each kind becomes one
+// backend dispatch (or one per chunk) — the widest batches the backend can
+// shard over banks, lanes and waves.  Results are keyed by job_id, so
+// regrouping never misroutes an output.
+struct typed_batch {
+  batch_kind kind = batch_kind::forward;
+  std::vector<job_id> ids;
+  std::vector<job> jobs;
 };
+
+// One stream flush: its non-empty typed batches in batch_kind order.
+using flush_plan = std::vector<typed_batch>;
 
 // The scheduling unit: a flushed stream queue waiting for (or holding) its
 // bank reservation.  Public since the scheduler extraction — tests and
@@ -100,7 +101,11 @@ struct dispatch_group {
   u64 deadline_abs = no_deadline;
   unsigned waits = 0;    // scheduling rounds this group was passed over
   bool aged = false;     // waits hit aging_limit: promoted ahead of non-aged
-  bool mergeable = true; // stream did not opt out and the plan carries no rlwe jobs
+  bool mergeable = true; // the stream did not opt out of cross-stream batching
+  // Preemptive-yield budget (stream_options::chunk_budget): a solo group
+  // hands its jobs to the backend at most this many at a time and may yield
+  // between chunks; 0 = whole per-kind dispatches.  Merged groups run whole.
+  u64 chunk_budget = 0;
   // Residency affinity hint: banks currently holding this group's limb
   // operands (residency_manager::banks_holding at build time).  Purely
   // advisory — claiming is unchanged; the scheduler counts a
@@ -125,18 +130,6 @@ struct dispatch_group {
   if (abs < ref_vtime) return dispatch_group::no_deadline - 1;  // overflow: saturate finite
   return abs < dispatch_group::no_deadline - 1 ? abs : dispatch_group::no_deadline - 1;
 }
-
-// Snapshot of the scheduler's cumulative counters (the context folds them
-// into its scheduler_stats snapshot).  Backed by telemetry::counter
-// instruments — attach_metrics() points them at registry-owned counters so
-// the registry and this snapshot can never disagree.
-struct scheduler_counters {
-  u64 groups_merged = 0;      // ready groups absorbed into another group's dispatch
-  u64 preemption_yields = 0;  // chunked groups that gave their banks up mid-plan
-  // Claims that landed a group on a bank already holding its limb operands
-  // (one per group whose claim intersects its affinity_banks hint).
-  u64 residency_affinity_hits = 0;
-};
 
 class scheduler {
  public:
@@ -187,15 +180,14 @@ class scheduler {
   // order), then edf/priority as configured.
   [[nodiscard]] bool group_before(const dispatch_group& a, const dispatch_group& b) const;
 
-  [[nodiscard]] scheduler_counters counters() const noexcept {
-    return {merged_->value(), yields_->value(), affinity_->value()};
-  }
   [[nodiscard]] std::size_t ready_groups() const noexcept { return ready_.size(); }
 
-  // Publish the merge/yield/affinity counters into registry-owned
-  // instruments: the scheduler increments *those* counters from here on, so
-  // the registry and counters() are literally the same numbers.  Null
-  // leaves the owned fallback in place.
+  // Publish the merge/yield/affinity counters — groups absorbed into
+  // another group's dispatch, chunked groups that gave their banks up
+  // mid-plan, claims landing on a bank already holding the group's limb
+  // operands — into registry-owned instruments: the scheduler increments
+  // *those* counters from here on.  Null leaves the owned fallback in
+  // place.
   void attach_metrics(telemetry::counter* groups_merged,
                       telemetry::counter* preemption_yields,
                       telemetry::counter* residency_affinity_hits = nullptr) noexcept {
@@ -212,6 +204,8 @@ class scheduler {
   // Merge scan for one freshly claimed host: absorb every compatible ready
   // group whose banks are shareable with the claim state.
   void absorb_compatible(const std::shared_ptr<dispatch_group>& host, std::vector<char>& claimed);
+  // Insert into the ready queue after every group that orders before it.
+  void insert_ready(std::shared_ptr<dispatch_group> g);
   void age_passed_over();
 
   policy_config cfg_;

@@ -132,9 +132,6 @@ batch_result sram_backend::shard(std::vector<core::bp_ntt_bank>& banks, std::siz
 
 batch_result sram_backend::run_ntt(const std::vector<std::vector<u64>>& polys,
                                    transform_dir dir, const dispatch_hints& hints) {
-  if (hints.chunk_budget != 0 && polys.size() > hints.chunk_budget) {
-    return run_ntt_chunked(polys, dir, hints);
-  }
   const auto banks = banks_for(hints.ring_q);
   batch_result out =
       hints.ring_q != 0 && resman_ != nullptr
@@ -219,9 +216,6 @@ batch_result sram_backend::run_ntt_cached(const std::vector<std::vector<u64>>& p
 
 batch_result sram_backend::run_polymul(const std::vector<core::polymul_pair>& pairs,
                                        const dispatch_hints& hints) {
-  if (hints.chunk_budget != 0 && pairs.size() > hints.chunk_budget) {
-    return run_polymul_chunked(pairs, hints);
-  }
   const auto banks = banks_for(hints.ring_q);
   batch_result out =
       hints.ring_q != 0 && resman_ != nullptr

@@ -49,8 +49,7 @@ struct stream_options {
   // and tile width stay as configured.  This is how an RNS limb stream
   // carries its residue channel: context::stream() validates the modulus
   // (odd prime, full negacyclic support at n, inside the backend's
-  // envelope) and submissions validate coefficients against it.  R-LWE
-  // jobs are ring-specific and are rejected on overridden streams.
+  // envelope) and submissions validate coefficients against it.
   u64 ring_q = 0;
   // Opt this stream out of cross-stream batching
   // (runtime_options::merge_streams): its groups are never absorbed into
@@ -61,8 +60,8 @@ struct stream_options {
   // Preemptive-yield budget: dispatch this stream's groups in chunks of at
   // most this many jobs, offering the banks to any earlier-ordered group
   // (under the configured policy) between chunks.  0 = unbounded — whole
-  // per-kind dispatches, the legacy behaviour.  R-LWE stages always
-  // dispatch whole.
+  // per-kind dispatches, the legacy behaviour.  Groups merged across
+  // streams always dispatch whole.
   u64 chunk_budget = 0;
 };
 
@@ -73,17 +72,13 @@ class stream {
   // assigned over it.
   stream() = default;
 
-  // Validate and enqueue on this stream's FIFO; same contract as
-  // context::submit.  An rns_rescale_job must name this stream's ring
+  // Validate and enqueue any job kind on this stream's FIFO; same contract
+  // as context::submit.  An rns_rescale_job must name this stream's ring
   // modulus as its `prime` — the rescale correction of limb i rides limb
   // i's stream; an rns_base_extend_job likewise names this stream's ring
   // as its target `prime` — the new limb's extension rides the new limb's
   // stream.
-  job_id submit(ntt_job j);
-  job_id submit(polymul_job j);
-  job_id submit(rlwe_encrypt_job j);
-  job_id submit(rns_rescale_job j);
-  job_id submit(rns_base_extend_job j);
+  job_id submit(job j);
 
   // Hand this stream's pending jobs to the scheduler as one dispatch group
   // (partitioned by job kind, executed in order); returns without blocking.

@@ -46,25 +46,9 @@ bool ticket::ready() const noexcept {
 
 // ---- session handle --------------------------------------------------------
 
-ticket session::submit(runtime::ntt_job j) {
+ticket session::submit(runtime::job j) {
   if (svc_ == nullptr) throw std::logic_error("service: session handle is not bound");
-  return svc_->admit(id_, service::service_job(std::move(j)));
-}
-ticket session::submit(runtime::polymul_job j) {
-  if (svc_ == nullptr) throw std::logic_error("service: session handle is not bound");
-  return svc_->admit(id_, service::service_job(std::move(j)));
-}
-ticket session::submit(runtime::rlwe_encrypt_job j) {
-  if (svc_ == nullptr) throw std::logic_error("service: session handle is not bound");
-  return svc_->admit(id_, service::service_job(std::move(j)));
-}
-ticket session::submit(runtime::rns_rescale_job j) {
-  if (svc_ == nullptr) throw std::logic_error("service: session handle is not bound");
-  return svc_->admit(id_, service::service_job(std::move(j)));
-}
-ticket session::submit(runtime::rns_base_extend_job j) {
-  if (svc_ == nullptr) throw std::logic_error("service: session handle is not bound");
-  return svc_->admit(id_, service::service_job(std::move(j)));
+  return svc_->admit(id_, std::move(j));
 }
 void session::close() {
   if (svc_ == nullptr) throw std::logic_error("service: session handle is not bound");
@@ -164,7 +148,7 @@ void service::close_session(unsigned sid) {
 
 // ---- admission (client threads, lock-free) ---------------------------------
 
-ticket service::admit(unsigned sid, service_job j) {
+ticket service::admit(unsigned sid, runtime::job j) {
   auto sess = session_of(sid);
   sess->submitted.fetch_add(1, std::memory_order_relaxed);
   m_.submitted->add();
@@ -279,11 +263,10 @@ bool service::dispatch(submission&& s, std::map<runtime::job_id, inflight_rec>& 
   runtime::job_id id = 0;
   try {
     ensure_stream(sess);
-    id = std::visit([&](auto&& j) { return sess->stream.submit(std::move(j)); },
-                    std::move(s.job));
+    id = sess->stream.submit(std::move(s.job));
   } catch (const std::exception& e) {
-    // Deep validation failed (bad coefficients, capability mismatch, an
-    // R-LWE job on a limb ring...): the admission already happened, so the
+    // Deep validation failed (bad coefficients, capability mismatch, a
+    // rescale naming the wrong limb...): the admission already happened, so the
     // rejection is delivered as a failed result, not an exception on the
     // submitting thread.
     sess->queued.fetch_sub(1, std::memory_order_acq_rel);
@@ -467,6 +450,16 @@ service_stats service::session_stats(unsigned sid) const {
   s.deadline_misses = sess->deadline_misses;
   fill_quantiles(s, sess->latency);
   return s;
+}
+
+void service::export_trace(const std::string& path) const {
+  const u64 outstanding = outstanding_.load(std::memory_order_acquire);
+  if (outstanding != 0) {
+    throw std::logic_error("service: export_trace needs a drained service (" +
+                           std::to_string(outstanding) +
+                           " admitted jobs outstanding) — call drain() first");
+  }
+  ctx_.export_trace(path);
 }
 
 void service::drain() {

@@ -45,7 +45,6 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <variant>
 #include <vector>
 
 #include "runtime/context.h"
@@ -188,14 +187,10 @@ class session {
   // push into the ring.  Throws admission_error on rejection; deep job
   // validation happens on the drainer (an invalid job comes back as a
   // failed result carrying the runtime's message).
-  ticket submit(runtime::ntt_job j);
-  ticket submit(runtime::polymul_job j);
-  ticket submit(runtime::rlwe_encrypt_job j);
-  // The RNS limb-tenant jobs (ring_q sessions): a modulus-switch
-  // correction and a base-extension lift on the tenant's limb stream —
-  // what a leveled RNS-RLWE client's relinearization traffic looks like.
-  ticket submit(runtime::rns_rescale_job j);
-  ticket submit(runtime::rns_base_extend_job j);
+  // Any job kind: transforms and ring products, and on RNS limb tenants
+  // (ring_q sessions) the modulus-switch corrections and base-extension
+  // lifts a leveled client's relinearization traffic is made of.
+  ticket submit(runtime::job j);
 
   // Stop admitting (idempotent).  Outstanding jobs still complete and
   // their tickets stay valid; the tenant's stream returns to the pool once
@@ -241,9 +236,9 @@ class service {
     return ctx_.metrics();
   }
   // Chrome-trace export of the wrapped context's recorder; throws
-  // std::logic_error unless the runtime_options carried with_tracing().
-  // Quiescent-only: call after drain().
-  void export_trace(const std::string& path) const { ctx_.export_trace(path); }
+  // std::logic_error unless the runtime_options carried with_tracing(),
+  // and while any admitted job is still outstanding — call after drain().
+  void export_trace(const std::string& path) const;
   [[nodiscard]] runtime::context::trace_probe trace_stats() const noexcept {
     return ctx_.trace_stats();
   }
@@ -260,16 +255,12 @@ class service {
  private:
   friend class session;
 
-  using service_job =
-      std::variant<runtime::ntt_job, runtime::polymul_job, runtime::rlwe_encrypt_job,
-                   runtime::rns_rescale_job, runtime::rns_base_extend_job>;
-
   struct session_state;
 
   struct submission {
     std::shared_ptr<session_state> sess;
     std::shared_ptr<ticket::state> st;
-    service_job job;
+    runtime::job job;
     std::chrono::steady_clock::time_point t_submit;
   };
 
@@ -310,7 +301,7 @@ class service {
     runtime::stream stream;
   };
 
-  ticket admit(unsigned sid, service_job j);
+  ticket admit(unsigned sid, runtime::job j);
   void register_metrics();
   [[nodiscard]] std::shared_ptr<session_state> session_of(unsigned sid) const;
   void close_session(unsigned sid);

@@ -10,7 +10,6 @@ const char* to_string(trace_op op) noexcept {
     case trace_op::ntt_forward: return "ntt_forward";
     case trace_op::ntt_inverse: return "ntt_inverse";
     case trace_op::polymul: return "polymul";
-    case trace_op::rlwe_stage: return "rlwe_stage";
     case trace_op::rescale: return "rescale";
     case trace_op::base_extend: return "base_extend";
     case trace_op::group_enqueue: return "group_enqueue";

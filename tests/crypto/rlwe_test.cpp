@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "bpntt/engine.h"
+#include "runtime/context.h"
+#include "service/service.h"
 
 namespace bpntt::crypto {
 namespace {
@@ -104,6 +106,98 @@ TEST(Rlwe, PluggableMultiplierOnBpNttEngine) {
   EXPECT_EQ(scheme.decrypt(keys.sk, ct), msg);
   EXPECT_GT(engine->cumulative_stats().cycles, 0u);
   EXPECT_EQ(engine->cumulative_stats().lossless_shift_violations, 0u);
+}
+
+// ---- batched client ---------------------------------------------------------
+
+std::vector<rlwe_request> three_requests(std::uint64_t n) {
+  common::xoshiro256ss rng(404);
+  std::vector<rlwe_request> reqs;
+  for (std::uint64_t seed : {11, 12, 13}) {
+    reqs.push_back({.message = sample_message(n, rng), .eta = 2, .seed = seed});
+  }
+  return reqs;
+}
+
+// The golden batch multiplier: one call per stage, counted.
+batch_polymul_fn golden_batches(const param_set& p, int& calls) {
+  auto tables = std::make_shared<math::ntt_tables>(p.n, p.q, true);
+  return [tables, &calls](std::vector<std::pair<poly, poly>> pairs) {
+    ++calls;
+    std::vector<poly> out;
+    for (const auto& [a, b] : pairs) out.push_back(math::polymul_ntt(a, b, *tables));
+    return out;
+  };
+}
+
+TEST(RlweClient, MatchesTheSerialSchemeRequestByRequest) {
+  // Each request's randomness is its own seeded stream in the serial draw
+  // order, so the batched client equals keygen + encrypt + decrypt run on
+  // that request alone.
+  const param_set p = demo_ring();
+  const auto reqs = three_requests(p.n);
+  int calls = 0;
+  const auto got = rlwe_client(p, golden_batches(p, calls)).run(reqs);
+  EXPECT_EQ(calls, 3) << "one batch per stage";
+  ASSERT_EQ(got.size(), reqs.size());
+  const rlwe_scheme scheme(p, 2);
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    common::xoshiro256ss rng(reqs[i].seed);
+    const auto keys = scheme.keygen(rng);
+    const auto ct = scheme.encrypt(keys.pk, reqs[i].message, rng);
+    EXPECT_EQ(got[i].ct.u, ct.u) << "request " << i;
+    EXPECT_EQ(got[i].ct.v, ct.v) << "request " << i;
+    EXPECT_EQ(got[i].decrypted, reqs[i].message) << "request " << i;
+  }
+}
+
+TEST(RlweClient, RejectsBadRingsMessagesAndMultipliers) {
+  int calls = 0;
+  param_set kyber_ring = kyber();
+  EXPECT_THROW(rlwe_client(kyber_ring, golden_batches(demo_ring(), calls)),
+               std::invalid_argument);
+  EXPECT_THROW(rlwe_client(demo_ring(), nullptr), std::invalid_argument);
+  const rlwe_client client(demo_ring(), golden_batches(demo_ring(), calls));
+  EXPECT_THROW((void)client.run({{.message = poly(64, 0)}}), std::invalid_argument);
+  EXPECT_TRUE(client.run({}).empty());
+  EXPECT_EQ(calls, 0) << "nothing reaches the multiplier";
+}
+
+TEST(RlweClient, ThreeRequestsCostThreeBatchesOnEveryBackend) {
+  // The runtime stream path: the stage products of three requests ride one
+  // dispatch per stage on sram, cpu and reference alike, with bit-identical
+  // outputs equal to the golden client's.
+  const auto opts = runtime::runtime_options().with_ring(32, 193, 9).with_array(64, 36);
+  const param_set ring = runtime_ring(opts);
+  const auto reqs = three_requests(ring.n);
+  int calls = 0;
+  const auto want = rlwe_client(ring, golden_batches(ring, calls)).run(reqs);
+  for (const auto kind : {runtime::backend_kind::sram, runtime::backend_kind::cpu,
+                          runtime::backend_kind::reference}) {
+    runtime::context ctx(runtime::runtime_options(opts).with_backend(kind));
+    const auto got = rlwe_client(ring, batch_polymul_on(ctx, ctx.stream())).run(reqs);
+    EXPECT_EQ(ctx.stats().batches, 3u) << runtime::to_string(kind);
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      EXPECT_EQ(got[i].ct.u, want[i].ct.u) << runtime::to_string(kind) << " request " << i;
+      EXPECT_EQ(got[i].ct.v, want[i].ct.v) << runtime::to_string(kind) << " request " << i;
+      EXPECT_EQ(got[i].decrypted, want[i].decrypted) << runtime::to_string(kind);
+    }
+  }
+}
+
+TEST(RlweClient, SessionMultiplierMatchesTheGoldenClient) {
+  const auto opts = runtime::runtime_options().with_ring(32, 193, 9).with_array(64, 36);
+  const param_set ring = runtime_ring(opts);
+  const auto reqs = three_requests(ring.n);
+  int calls = 0;
+  const auto want = rlwe_client(ring, golden_batches(ring, calls)).run(reqs);
+  service::service svc(opts);
+  const auto got = rlwe_client(ring, batch_polymul_on(svc.open_session())).run(reqs);
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    EXPECT_EQ(got[i].ct.u, want[i].ct.u) << "request " << i;
+    EXPECT_EQ(got[i].decrypted, want[i].decrypted) << "request " << i;
+  }
+  EXPECT_EQ(svc.stats().completed, 12u) << "four ring products per request";
 }
 
 }  // namespace

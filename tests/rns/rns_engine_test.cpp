@@ -257,14 +257,6 @@ TEST(RnsSubmission, SamePrimeOverrideOnIncompleteRingStillRetargets) {
       << "same-prime override must retarget to the full negacyclic transform";
 }
 
-TEST(RnsSubmission, RlweJobsRejectedOnLimbStreams) {
-  runtime::context ctx(small_options(backend_kind::sram, 3137));
-  auto limb = ctx.rns_stream(2113);
-  runtime::rlwe_encrypt_job j;
-  j.message.assign(kOrder, 0);
-  EXPECT_THROW((void)limb.submit(std::move(j)), std::invalid_argument);
-}
-
 TEST(RnsSubmission, LimbCoefficientsValidateAgainstTheLimbModulus) {
   runtime::context ctx(small_options(backend_kind::sram, 3137));
   auto limb = ctx.rns_stream(2113);

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/xoshiro.h"
+#include "crypto/rlwe.h"
 #include "nttmath/ntt.h"
 #include "nttmath/poly.h"
 
@@ -123,23 +124,24 @@ TEST(RuntimeContext, PolymulMatchesSchoolbook) {
 
 TEST(RuntimeContext, RlweJobDecryptsAndIsSeedDeterministic) {
   context ctx(small_sram());
+  const crypto::rlwe_client client(crypto::runtime_ring(ctx.options()),
+                                   crypto::batch_polymul_on(ctx, ctx.stream()));
   const auto& p = ctx.options().params;
   common::xoshiro256ss rng(6);
   std::vector<u64> message(p.n);
   for (auto& m : message) m = rng.below(2);
 
-  const auto r1 = ctx.wait(ctx.submit(rlwe_encrypt_job{.message = message, .seed = 77}));
-  ASSERT_EQ(r1.outputs.size(), 3u);
-  EXPECT_EQ(r1.outputs[2], message);  // decrypt round-trip
-  EXPECT_GT(r1.wall_cycles, 0u);
+  const auto r1 = client.run({{.message = message, .seed = 77}}).front();
+  EXPECT_EQ(r1.decrypted, message);  // decrypt round-trip
+  EXPECT_GT(ctx.stats().wall_cycles, 0u);
 
   // Same seed, same backend: bit-identical ciphertext.  Different seed:
   // fresh randomness.
-  const auto r2 = ctx.wait(ctx.submit(rlwe_encrypt_job{.message = message, .seed = 77}));
-  EXPECT_EQ(r1.outputs[0], r2.outputs[0]);
-  EXPECT_EQ(r1.outputs[1], r2.outputs[1]);
-  const auto r3 = ctx.wait(ctx.submit(rlwe_encrypt_job{.message = message, .seed = 78}));
-  EXPECT_NE(r1.outputs[0], r3.outputs[0]);
+  const auto r2 = client.run({{.message = message, .seed = 77}}).front();
+  EXPECT_EQ(r1.ct.u, r2.ct.u);
+  EXPECT_EQ(r1.ct.v, r2.ct.v);
+  const auto r3 = client.run({{.message = message, .seed = 78}}).front();
+  EXPECT_NE(r1.ct.u, r3.ct.u);
 }
 
 TEST(RuntimeContext, SubmitValidatesJobsAgainstRingAndBackend) {
@@ -159,7 +161,8 @@ TEST(RuntimeContext, SubmitValidatesJobsAgainstRingAndBackend) {
   context kyber(runtime_options()
                     .with_ring(256, 3329, 13, /*incomplete=*/true)
                     .with_backend(backend_kind::reference));
-  EXPECT_THROW((void)kyber.submit(rlwe_encrypt_job{.message = std::vector<u64>(256, 0)}),
+  EXPECT_THROW(crypto::rlwe_client(crypto::runtime_ring(kyber.options()),
+                                   crypto::batch_polymul_on(kyber, kyber.stream())),
                std::invalid_argument);
 }
 
@@ -376,36 +379,32 @@ TEST(RuntimeContext, OversizedPoolIsRejectedBeforeAnyThreadSpawns) {
 }
 
 TEST(RuntimeContext, RlweJobsShareStagedProductBatches) {
-  // Three concurrent R-LWE flows: the keygen products run as one dispatch,
-  // the encrypt products as one, the decrypt products as one — 3 batches,
-  // not 4 per job — and outputs stay bit-identical to isolated runs.
+  // Three R-LWE requests run together: the keygen products run as one
+  // dispatch, the encrypt products as one, the decrypt products as one — 3
+  // batches, not 4 per request — and outputs stay bit-identical to
+  // isolated runs.
   context batched(small_sram());
-  const auto& p = batched.options().params;
+  const auto ring = crypto::runtime_ring(batched.options());
   common::xoshiro256ss rng(16);
-  std::vector<std::vector<u64>> messages;
-  std::vector<job_id> ids;
+  std::vector<crypto::rlwe_request> requests;
   for (int t = 0; t < 3; ++t) {
-    std::vector<u64> msg(p.n);
+    std::vector<u64> msg(ring.n);
     for (auto& m : msg) m = rng.below(2);
-    messages.push_back(msg);
-    ids.push_back(batched.submit(
-        rlwe_encrypt_job{.message = msg, .seed = 400 + static_cast<u64>(t)}));
+    requests.push_back({.message = msg, .seed = 400 + static_cast<u64>(t)});
   }
-  batched.sync();
+  const auto got =
+      crypto::rlwe_client(ring, crypto::batch_polymul_on(batched, batched.stream())).run(requests);
   EXPECT_EQ(batched.stats().batches, 3u);
-  EXPECT_EQ(batched.stats().jobs_completed, 3u);
+  EXPECT_EQ(batched.stats().jobs_completed, 12u);  // four ring products per request
 
-  for (std::size_t t = 0; t < ids.size(); ++t) {
-    const auto got = batched.wait(ids[t]);
-    ASSERT_EQ(got.outputs.size(), 3u);
-    EXPECT_EQ(got.outputs[2], messages[t]) << "round-trip, job " << t;
-    EXPECT_EQ(got.jobs_in_batch, 3u);
-    // One job per context: the serial path the staged flow must match.
+  for (std::size_t t = 0; t < requests.size(); ++t) {
+    EXPECT_EQ(got[t].decrypted, requests[t].message) << "round-trip, request " << t;
+    // One request per context: the serial path the staged flow must match.
     context solo(small_sram());
-    const auto want = solo.wait(solo.submit(
-        rlwe_encrypt_job{.message = messages[t], .seed = 400 + static_cast<u64>(t)}));
-    EXPECT_EQ(got.outputs[0], want.outputs[0]) << "ciphertext u, job " << t;
-    EXPECT_EQ(got.outputs[1], want.outputs[1]) << "ciphertext v, job " << t;
+    const crypto::rlwe_client serial(ring, crypto::batch_polymul_on(solo, solo.stream()));
+    const auto want = serial.run({requests[t]}).front();
+    EXPECT_EQ(got[t].ct.u, want.ct.u) << "ciphertext u, request " << t;
+    EXPECT_EQ(got[t].ct.v, want.ct.v) << "ciphertext v, request " << t;
   }
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/xoshiro.h"
+#include "crypto/rlwe.h"
 #include "runtime/context.h"
 
 namespace bpntt::runtime {
@@ -194,16 +195,18 @@ TEST(CrossBackendDifferential, RlweCiphertextsAgreeAcrossBackends) {
   std::vector<u64> message(64);
   for (auto& m : message) m = rng.below(2);
 
-  std::vector<job_result> results;
+  std::vector<crypto::rlwe_response> results;
   for (const auto kind : {backend_kind::sram, backend_kind::cpu, backend_kind::reference}) {
     context ctx(runtime_options(opts).with_backend(kind));
-    results.push_back(ctx.wait(ctx.submit(rlwe_encrypt_job{.message = message, .seed = 55})));
+    const crypto::rlwe_client client(crypto::runtime_ring(ctx.options()),
+                                     crypto::batch_polymul_on(ctx, ctx.stream()));
+    results.push_back(client.run({{.message = message, .seed = 55}}).front());
   }
   for (std::size_t b = 1; b < results.size(); ++b) {
-    EXPECT_EQ(results[b].outputs[0], results[0].outputs[0]) << "ciphertext u, backend " << b;
-    EXPECT_EQ(results[b].outputs[1], results[0].outputs[1]) << "ciphertext v, backend " << b;
+    EXPECT_EQ(results[b].ct.u, results[0].ct.u) << "ciphertext u, backend " << b;
+    EXPECT_EQ(results[b].ct.v, results[0].ct.v) << "ciphertext v, backend " << b;
   }
-  for (const auto& r : results) EXPECT_EQ(r.outputs[2], message);
+  for (const auto& r : results) EXPECT_EQ(r.decrypted, message);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/xoshiro.h"
+#include "crypto/rlwe.h"
 #include "runtime/context.h"
 
 namespace bpntt::runtime {
@@ -30,30 +31,40 @@ std::vector<u64> random_poly(u64 n, u64 q, common::xoshiro256ss& rng) {
   return p;
 }
 
-// The legacy single-queue workload: mixed forward/inverse transforms, ring
-// products and an R-LWE flow through ctx.submit()/flush()/wait(), outputs
-// concatenated in submission order.  The same seed builds the same jobs in
-// every run.
+// The legacy single-queue workload: mixed forward/inverse transforms and
+// ring products through ctx.submit()/flush()/wait(), plus an R-LWE request
+// per round whose staged products ride a stream of their own; outputs
+// concatenated in submission order, then the R-LWE responses.  The same
+// seed builds the same jobs in every run.
 std::vector<std::vector<u64>> run_legacy_workload(runtime_options opts) {
   context ctx(std::move(opts));
+  const crypto::rlwe_client client(crypto::runtime_ring(ctx.options()),
+                                   crypto::batch_polymul_on(ctx, ctx.stream()));
   common::xoshiro256ss rng(1234);
   std::vector<job_id> ids;
+  std::vector<crypto::rlwe_response> rlwe;
   for (int round = 0; round < 3; ++round) {
     ids.push_back(ctx.submit(ntt_job{.coeffs = random_poly(32, 193, rng)}));
     ids.push_back(ctx.submit(
         ntt_job{.dir = transform_dir::inverse, .coeffs = random_poly(32, 193, rng)}));
     ids.push_back(
         ctx.submit(polymul_job{random_poly(32, 193, rng), random_poly(32, 193, rng)}));
-    ids.push_back(ctx.submit(rlwe_encrypt_job{
-        .message = std::vector<u64>(32, static_cast<u64>(round & 1)),
-        .eta = 2,
-        .seed = static_cast<u64>(round + 1)}));
     ctx.flush();
+    rlwe.push_back(client
+                       .run({{.message = std::vector<u64>(32, static_cast<u64>(round & 1)),
+                              .eta = 2,
+                              .seed = static_cast<u64>(round + 1)}})
+                       .front());
   }
   std::vector<std::vector<u64>> outputs;
   for (const job_id id : ids) {
     job_result r = ctx.wait(id);
     for (auto& o : r.outputs) outputs.push_back(std::move(o));
+  }
+  for (auto& r : rlwe) {
+    outputs.push_back(std::move(r.ct.u));
+    outputs.push_back(std::move(r.ct.v));
+    outputs.push_back(std::move(r.decrypted));
   }
   return outputs;
 }

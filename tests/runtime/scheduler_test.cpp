@@ -277,25 +277,6 @@ TEST(CrossStreamBatching, OptedOutStreamsNeverShareADispatch) {
   EXPECT_EQ(rec->dispatches().size(), 3u) << "the opted-out group keeps its own dispatch";
 }
 
-TEST(CrossStreamBatching, RlweGroupsAreNeverMergeEligible) {
-  // R-LWE plans run a staged multi-dispatch flow over shared intermediates;
-  // even with merging on they must neither absorb nor be absorbed.
-  auto opts = small_sram().with_threads(2);
-  opts.merge_streams = true;
-  context ctx(std::move(opts));
-  common::xoshiro256ss rng(94);
-
-  auto s1 = ctx.stream({});
-  auto s2 = ctx.stream({});
-  const job_id rlwe_id = s1.submit(rlwe_encrypt_job{
-      .message = std::vector<u64>(32, 1), .eta = 2, .seed = 7});
-  const job_id ntt_id = s2.submit(ntt_job{.coeffs = random_poly(32, 193, rng)});
-  ctx.flush();
-  EXPECT_EQ(ctx.wait(rlwe_id).status, job_status::ok);
-  EXPECT_EQ(ctx.wait(ntt_id).status, job_status::ok);
-  EXPECT_EQ(ctx.stats().groups_merged, 0u);
-}
-
 // ---- budget-based preemptive yielding ---------------------------------------
 
 // The acceptance trace: a no-deadline bulk tenant (8 jobs, 1000 cycles
@@ -400,29 +381,6 @@ TEST(PreemptiveYield, ChunkBudgetAloneDoesNotChangeResultsOrMissAccounting) {
   EXPECT_EQ(chunked_stats.deadline_misses, 0u);
   EXPECT_GT(chunked_stats.batches, whole_stats.batches)
       << "the budget must actually split the dispatch";
-}
-
-TEST(PreemptiveYield, BackendsHonorChunkBudgetDefensively) {
-  // The backend-side guard: an oversized batch handed down with a budget
-  // splits into sub-dispatches even without the scheduler's chunk loop.
-  for (const backend_kind kind :
-       {backend_kind::sram, backend_kind::cpu, backend_kind::reference}) {
-    auto opts = small_sram().with_backend(kind);
-    opts.validate();
-    auto be = make_backend(opts);
-    common::xoshiro256ss rng(97);
-    std::vector<std::vector<u64>> polys;
-    for (int j = 0; j < 5; ++j) polys.push_back(random_poly(32, 193, rng));
-
-    dispatch_hints plain;
-    batch_result whole = be->run_ntt(polys, transform_dir::forward, plain);
-    dispatch_hints budgeted;
-    budgeted.chunk_budget = 2;
-    batch_result split = be->run_ntt(polys, transform_dir::forward, budgeted);
-
-    EXPECT_EQ(whole.outputs, split.outputs) << to_string(kind);
-    EXPECT_GE(split.waves, whole.waves) << to_string(kind);
-  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/xoshiro.h"
+#include "crypto/rlwe.h"
 #include "runtime/context.h"
 
 namespace bpntt::runtime {
@@ -158,8 +159,8 @@ TEST(RuntimeStreams, ContextRejectsRingsOutsideTheBackendEnvelope) {
 }
 
 TEST(RuntimeStreams, SubmitValidatesAgainstCapabilityBits) {
-  // A backend whose capabilities exclude ring products: polymul and rlwe
-  // submissions are rejected up front.
+  // A backend whose capabilities exclude ring products: polymul
+  // submissions — an R-LWE client's among them — are rejected up front.
   class no_polymul final : public backend {
     [[nodiscard]] std::string_view name() const noexcept override { return "no-polymul"; }
     [[nodiscard]] backend_caps capabilities() const override { return {}; }
@@ -180,8 +181,9 @@ TEST(RuntimeStreams, SubmitValidatesAgainstCapabilityBits) {
   EXPECT_THROW((void)ctx.submit(polymul_job{.a = random_poly(32, 193, rng),
                                             .b = random_poly(32, 193, rng)}),
                std::invalid_argument);
-  EXPECT_THROW((void)ctx.submit(rlwe_encrypt_job{.message = std::vector<u64>(32, 0)}),
-               std::invalid_argument);
+  const crypto::rlwe_client client(crypto::runtime_ring(ctx.options()),
+                                   crypto::batch_polymul_on(ctx, ctx.stream()));
+  EXPECT_THROW((void)client.run({{.message = std::vector<u64>(32, 0)}}), std::invalid_argument);
 }
 
 // ---- placement -------------------------------------------------------------
@@ -473,29 +475,6 @@ TEST(RuntimeStreams, FinishingExactlyAtTheDeadlineIsAMeetNotAMiss) {
   const auto r_missed = ctx.wait(missed);
   EXPECT_TRUE(r_missed.deadline_missed);
   EXPECT_EQ(ctx.stats().deadline_misses, 1u);
-}
-
-TEST(RuntimeStreams, RlwePathSharesTheExactDeadlineBoundary) {
-  // The staged R-LWE flow accounts its deadline at its last product stage
-  // through the same helper as plain dispatches: three 1000-cycle product
-  // stages finish at exactly 3000 — a meet at 3000, a miss at 2999.
-  common::xoshiro256ss rng(32);
-  std::vector<u64> message(32, 0);
-  for (auto& b : message) b = rng() & 1ULL;
-
-  const auto run_with_deadline = [&](u64 deadline) {
-    recording_backend::config cfg;
-    cfg.ntt_cost = 1000;
-    auto owned = std::make_unique<recording_backend>(cfg);
-    context ctx(small_sram().with_threads(1), std::move(owned));
-    auto s = ctx.stream({.deadline_cycles = deadline});
-    const auto id = s.submit(rlwe_encrypt_job{.message = message});
-    s.flush();
-    ctx.sync();
-    return ctx.wait(id).deadline_missed;
-  };
-  EXPECT_FALSE(run_with_deadline(3000)) << "exactly at the deadline is a meet";
-  EXPECT_TRUE(run_with_deadline(2999));
 }
 
 // ---- limb-stream lifecycle -------------------------------------------------

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/xoshiro.h"
+#include "crypto/rlwe.h"
 #include "nttmath/primes.h"
 #include "service/service.h"
 
@@ -27,7 +28,6 @@ using runtime::dispatch_hints;
 using runtime::job_status;
 using runtime::ntt_job;
 using runtime::polymul_job;
-using runtime::rlwe_encrypt_job;
 using runtime::transform_dir;
 
 runtime::runtime_options small_sram() {
@@ -157,7 +157,7 @@ TEST(Service, ConcurrentProducersGetBitIdenticalResultsToSerial) {
     unsigned kind;  // 0 = fwd ntt, 1 = inv ntt, 2 = polymul, 3 = rlwe
     ntt_job ntt;
     polymul_job mul;
-    rlwe_encrypt_job rlwe;
+    crypto::rlwe_request rlwe;
   };
   std::vector<std::vector<planned_job>> plan(kProducers);
   for (unsigned p = 0; p < kProducers; ++p) {
@@ -180,7 +180,7 @@ TEST(Service, ConcurrentProducersGetBitIdenticalResultsToSerial) {
         default: {
           std::vector<u64> msg(32);
           for (auto& b : msg) b = rng() & 1ULL;
-          j.rlwe = rlwe_encrypt_job{.message = msg, .seed = rng()};
+          j.rlwe = crypto::rlwe_request{.message = msg, .seed = rng()};
           break;
         }
       }
@@ -188,30 +188,43 @@ TEST(Service, ConcurrentProducersGetBitIdenticalResultsToSerial) {
     }
   }
 
+  // An R-LWE request's outputs: ciphertext u, v and the decryption.
+  const auto rlwe_outputs = [](crypto::rlwe_response&& r) {
+    return std::vector<std::vector<u64>>{std::move(r.ct.u), std::move(r.ct.v),
+                                         std::move(r.decrypted)};
+  };
+  const auto ring = crypto::runtime_ring(small_sram());
+
   // The serial ground truth.
   runtime::context direct(small_sram());
+  const crypto::rlwe_client direct_client(ring, crypto::batch_polymul_on(direct, direct.stream()));
   std::vector<std::vector<std::vector<std::vector<u64>>>> expected(kProducers);
+  u64 rlwe_requests = 0;
   for (unsigned p = 0; p < kProducers; ++p) {
     for (const auto& j : plan[p]) {
-      runtime::job_id id = 0;
       if (j.kind <= 1) {
-        id = direct.submit(j.ntt);
+        expected[p].push_back(direct.wait(direct.submit(j.ntt)).outputs);
       } else if (j.kind == 2) {
-        id = direct.submit(j.mul);
+        expected[p].push_back(direct.wait(direct.submit(j.mul)).outputs);
       } else {
-        id = direct.submit(j.rlwe);
+        expected[p].push_back(rlwe_outputs(std::move(direct_client.run({j.rlwe}).front())));
+        ++rlwe_requests;
       }
-      expected[p].push_back(direct.wait(id).outputs);
     }
   }
 
+  // R-LWE requests run through the session as their four staged products,
+  // synchronously on the producer thread.
   service svc(small_sram());
   std::vector<std::vector<ticket>> tickets(kProducers);
+  std::vector<std::vector<std::vector<std::vector<u64>>>> rlwe_got(kProducers);
   std::vector<std::thread> threads;
   for (unsigned p = 0; p < kProducers; ++p) {
     tickets[p].resize(kJobsEach);
+    rlwe_got[p].resize(kJobsEach);
     threads.emplace_back([&, p] {
       auto sess = svc.open_session();
+      const crypto::rlwe_client client(ring, crypto::batch_polymul_on(sess));
       for (unsigned i = 0; i < kJobsEach; ++i) {
         const auto& j = plan[p][i];
         if (j.kind <= 1) {
@@ -219,7 +232,7 @@ TEST(Service, ConcurrentProducersGetBitIdenticalResultsToSerial) {
         } else if (j.kind == 2) {
           tickets[p][i] = sess.submit(j.mul);
         } else {
-          tickets[p][i] = sess.submit(j.rlwe);
+          rlwe_got[p][i] = rlwe_outputs(std::move(client.run({j.rlwe}).front()));
         }
       }
     });
@@ -228,17 +241,22 @@ TEST(Service, ConcurrentProducersGetBitIdenticalResultsToSerial) {
 
   for (unsigned p = 0; p < kProducers; ++p) {
     for (unsigned i = 0; i < kJobsEach; ++i) {
+      if (plan[p][i].kind == 3) {
+        EXPECT_EQ(rlwe_got[p][i], expected[p][i]) << "producer " << p << " request " << i;
+        continue;
+      }
       const auto r = tickets[p][i].get();
       ASSERT_EQ(r.status, job_status::ok) << "producer " << p << " job " << i
                                           << ": " << r.error;
       EXPECT_EQ(r.outputs, expected[p][i]) << "producer " << p << " job " << i;
     }
   }
+  const u64 jobs = u64{kProducers} * kJobsEach + 3 * rlwe_requests;  // 4 products per request
   const auto s = svc.stats();
-  EXPECT_EQ(s.submitted, u64{kProducers} * kJobsEach);
-  EXPECT_EQ(s.admitted, u64{kProducers} * kJobsEach);
-  EXPECT_EQ(s.completed, u64{kProducers} * kJobsEach);
-  EXPECT_EQ(s.latency_samples, u64{kProducers} * kJobsEach);
+  EXPECT_EQ(s.submitted, jobs);
+  EXPECT_EQ(s.admitted, jobs);
+  EXPECT_EQ(s.completed, jobs);
+  EXPECT_EQ(s.latency_samples, jobs);
   EXPECT_EQ(s.rejected, 0u);
   EXPECT_EQ(s.failed, 0u);
   EXPECT_EQ(s.queued, 0u);
@@ -497,6 +515,21 @@ TEST(Service, RnsRlweJobsRoundTripThroughALimbSession) {
 }
 
 // ---- deadlines and stats ---------------------------------------------------
+
+TEST(Service, ExportTraceRefusesUntilDrained) {
+  auto owned = std::make_unique<gated_backend>();
+  auto* gate = owned.get();
+  service svc(small_sram().with_threads(2).with_tracing(), std::move(owned));
+  auto sess = svc.open_session();
+  common::xoshiro256ss rng(58);
+  auto t = sess.submit(ntt_job{.coeffs = random_poly(32, 193, rng)});
+  const std::string path = testing::TempDir() + "bpntt_service_trace.json";
+  EXPECT_THROW(svc.export_trace(path), std::logic_error) << "an admitted job is outstanding";
+  gate->release();
+  svc.drain();
+  EXPECT_NO_THROW(svc.export_trace(path));
+  EXPECT_EQ(t.get().status, job_status::ok);
+}
 
 TEST(Service, DeadlineMissesLandInServiceStats) {
   service svc(small_sram());

@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstddef>
 #include <fstream>
+#include <memory>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -41,7 +44,6 @@ bool is_span(telemetry::trace_op op) {
     case telemetry::trace_op::ntt_forward:
     case telemetry::trace_op::ntt_inverse:
     case telemetry::trace_op::polymul:
-    case telemetry::trace_op::rlwe_stage:
     case telemetry::trace_op::rescale:
     case telemetry::trace_op::base_extend:
       return true;
@@ -227,6 +229,55 @@ TEST(TraceExport, ExportToPathMatchesStreamExport) {
   file_contents << in.rdbuf();
   EXPECT_EQ(file_contents.str(), os.str());
   EXPECT_THROW(ctx.export_trace("/nonexistent-dir/trace.json"), std::runtime_error);
+}
+
+// A backend whose transforms wait at a gate until released, so a test can
+// hold a job in flight.
+class gated_backend final : public backend {
+ public:
+  [[nodiscard]] std::string_view name() const noexcept override { return "gated"; }
+  [[nodiscard]] backend_caps capabilities() const override { return {}; }
+  batch_result run_ntt(const std::vector<std::vector<u64>>& polys, transform_dir,
+                       const dispatch_hints&) override {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [&] { return released_; });
+    return {.outputs = polys, .waves = 1};
+  }
+  batch_result run_polymul(const std::vector<core::polymul_pair>&,
+                           const dispatch_hints&) override {
+    throw std::logic_error("unreachable");
+  }
+  void release() {
+    std::lock_guard<std::mutex> lk(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool released_ = false;
+};
+
+TEST(TraceExport, ExportRefusesWhileJobsAreQueuedOrInFlight) {
+  auto owned = std::make_unique<gated_backend>();
+  auto* gate = owned.get();
+  context ctx(small_sram().with_tracing(), std::move(owned));
+  common::xoshiro256ss rng(5);
+  const auto id = ctx.submit(ntt_job{.coeffs = random_poly(32, 3137, rng)});
+  std::ostringstream os;
+  EXPECT_THROW(ctx.export_trace(os), std::logic_error) << "a queued job";
+
+  ctx.flush();
+  EXPECT_THROW(ctx.export_trace(os), std::logic_error) << "a job in flight";
+  const std::string path = testing::TempDir() + "bpntt_trace_export_refused.json";
+  EXPECT_THROW(ctx.export_trace(path), std::logic_error);
+  EXPECT_FALSE(std::ifstream(path).good()) << "a refused export creates no file";
+
+  gate->release();
+  ctx.sync();
+  EXPECT_NO_THROW(ctx.export_trace(os));
+  EXPECT_EQ(ctx.wait(id).status, job_status::ok);
 }
 
 }  // namespace
