@@ -149,7 +149,6 @@ class rlwe_client {
   // negacyclic with a full NTT (2n | q-1).
   rlwe_client(param_set ring, batch_polymul_fn mul);
 
-  [[nodiscard]] const param_set& ring() const noexcept { return ring_; }
   // Responses in request order.  Throws std::invalid_argument, before any
   // product runs, for a message that is not n long; a failing batch
   // propagates its exception.
