@@ -5,7 +5,6 @@
 
 #include "bpntt/engine.h"
 #include "common/xoshiro.h"
-#include "nttmath/barrett.h"
 #include "nttmath/bp_modmul_ref.h"
 #include "nttmath/montgomery.h"
 #include "nttmath/ntt.h"
@@ -53,16 +52,6 @@ void BM_ModmulMontgomery64(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ModmulMontgomery64);
-
-void BM_ModmulBarrett(benchmark::State& state) {
-  const bpntt::math::barrett bar(12289);
-  u64 x = 1234;
-  for (auto _ : state) {
-    x = bar.mul(x, 4321) | 1;
-    benchmark::DoNotOptimize(x);
-  }
-}
-BENCHMARK(BM_ModmulBarrett);
 
 void BM_ModmulBitParallelModel(benchmark::State& state) {
   // Software model of Algorithm 2 (per-bit loop) — the algorithmic cost the

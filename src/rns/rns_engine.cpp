@@ -28,18 +28,39 @@ void rns_engine::require_limbs(const rns_poly& p, const char* what) const {
                                 std::to_string(p.limbs()) + " limbs for a basis of " +
                                 std::to_string(basis_.limbs()));
   }
+  for (std::size_t i = 0; i < p.limbs(); ++i) {
+    const std::vector<u64>& r = p.residues[i];
+    if (r.size() != basis_.n()) {
+      throw std::invalid_argument(std::string("rns_engine: ") + what + " limb " +
+                                  std::to_string(i) + " carries " + std::to_string(r.size()) +
+                                  " coefficients, the ring order is n = " +
+                                  std::to_string(basis_.n()));
+    }
+    const u64 q = basis_.prime(i);
+    if (std::any_of(r.begin(), r.end(), [q](u64 c) { return c >= q; })) {
+      throw std::invalid_argument(std::string("rns_engine: ") + what + " limb " +
+                                  std::to_string(i) + " residues must be canonical (< " +
+                                  std::to_string(q) + ")");
+    }
+  }
 }
 
-std::vector<std::vector<u64>> rns_engine::collect(const std::vector<runtime::job_id>& ids) {
-  return collect_on(basis_.primes(), ids);
-}
-
-std::vector<std::vector<u64>> rns_engine::collect_on(const std::vector<u64>& flush_primes,
-                                                     const std::vector<runtime::job_id>& ids) {
+std::vector<std::vector<u64>> rns_engine::fan_out(const std::vector<u64>& primes,
+                                                  std::vector<runtime::job> jobs) {
+  // Open every limb stream before enqueueing anything, so an inadmissible
+  // prime rejects the whole fan-out instead of orphaning earlier limbs.
+  std::vector<runtime::stream> streams;
+  streams.reserve(primes.size());
+  for (const u64 q : primes) streams.push_back(ctx_.rns_stream(q));
+  std::vector<runtime::job_id> ids;
+  ids.reserve(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    ids.push_back(streams[i].submit(std::move(jobs[i])));
+  }
   // Flush the limb streams together so every limb group enters the ready
   // queue before scheduling starts — that is what lets disjoint-channel
   // groups overlap instead of trickling in one at a time.
-  for (const u64 q : flush_primes) ctx_.rns_stream(q).flush();
+  for (auto& s : streams) s.flush();
   last_ = fanout_stats{};
   std::vector<std::vector<u64>> outputs;
   outputs.reserve(ids.size());
@@ -62,29 +83,22 @@ std::vector<math::wide_uint> rns_engine::polymul(const std::vector<math::wide_ui
 rns_poly rns_engine::polymul(const rns_poly& a, const rns_poly& b) {
   require_limbs(a, "polymul operand a");
   require_limbs(b, "polymul operand b");
-  runtime::rns_polymul_job job;
-  job.primes = basis_.primes();
-  job.a = a.residues;
-  job.b = b.residues;
-  const runtime::rns_submission sub = ctx_.submit_rns(std::move(job));
-  rns_poly out;
-  out.residues = collect(sub.limb_ids);
-  return out;
+  std::vector<runtime::job> jobs;
+  jobs.reserve(basis_.limbs());
+  for (std::size_t i = 0; i < basis_.limbs(); ++i) {
+    jobs.emplace_back(runtime::polymul_job{a.residues[i], b.residues[i]});
+  }
+  return {fan_out(basis_.primes(), std::move(jobs))};
 }
 
 rns_poly rns_engine::transform(const rns_poly& p, core::transform_dir dir, const char* what) {
   require_limbs(p, what);
-  std::vector<runtime::job_id> ids;
-  ids.reserve(basis_.limbs());
+  std::vector<runtime::job> jobs;
+  jobs.reserve(basis_.limbs());
   for (std::size_t i = 0; i < basis_.limbs(); ++i) {
-    runtime::ntt_job j;
-    j.dir = dir;
-    j.coeffs = p.residues[i];
-    ids.push_back(ctx_.rns_stream(basis_.prime(i)).submit(std::move(j)));
+    jobs.emplace_back(runtime::ntt_job{dir, p.residues[i]});
   }
-  rns_poly out;
-  out.residues = collect(ids);
-  return out;
+  return {fan_out(basis_.primes(), std::move(jobs))};
 }
 
 const rns_basis& rns_engine::dropped_basis() {
@@ -100,21 +114,17 @@ rns_poly rns_engine::rescale(const rns_poly& p, u64 congruence) {
   }
   const std::size_t kept = basis_.limbs() - 1;
   const u64 q_drop = basis_.prime(kept);
-  const std::vector<u64>& dropped_residues = p.residues[kept];
-  std::vector<runtime::job_id> ids;
-  ids.reserve(kept);
+  std::vector<u64> primes(basis_.primes().begin(), basis_.primes().begin() + kept);
+  std::vector<runtime::job> jobs;
+  jobs.reserve(kept);
   for (std::size_t i = 0; i < kept; ++i) {
-    runtime::rns_rescale_job j;
-    j.prime = basis_.prime(i);
-    j.drop_prime = q_drop;
-    j.x = p.residues[i];
-    j.dropped = dropped_residues;
-    j.congruence = congruence;
-    ids.push_back(ctx_.rns_stream(basis_.prime(i)).submit(std::move(j)));
+    jobs.emplace_back(runtime::rns_rescale_job{.prime = primes[i],
+                                               .drop_prime = q_drop,
+                                               .x = p.residues[i],
+                                               .dropped = p.residues[kept],
+                                               .congruence = congruence});
   }
-  rns_poly out;
-  out.residues = collect(ids);
-  return out;
+  return {fan_out(primes, std::move(jobs))};
 }
 
 rns_poly rns_engine::base_extend(const rns_poly& p, const rns_basis& target) {
@@ -143,20 +153,17 @@ rns_poly rns_engine::base_extend(const rns_poly& p, const rns_basis& target) {
 
   // One job per NEW limb, on that limb's dedicated stream; the source
   // residues travel with each job so the exact lift is self-contained.
-  std::vector<u64> new_primes;
-  std::vector<runtime::job_id> ids;
-  for (std::size_t i = basis_.limbs(); i < target.limbs(); ++i) {
-    runtime::rns_base_extend_job j;
-    j.prime = target.prime(i);
-    j.source_primes = basis_.primes();
-    j.residues = p.residues;
-    new_primes.push_back(target.prime(i));
-    ids.push_back(ctx_.rns_stream(target.prime(i)).submit(std::move(j)));
+  std::vector<u64> new_primes(target.primes().begin() + basis_.limbs(), target.primes().end());
+  std::vector<runtime::job> jobs;
+  jobs.reserve(new_primes.size());
+  for (const u64 q : new_primes) {
+    jobs.emplace_back(runtime::rns_base_extend_job{
+        .prime = q, .source_primes = basis_.primes(), .residues = p.residues});
   }
   rns_poly out;
   out.residues = p.residues;
   out.residues.reserve(target.limbs());
-  for (auto& limb : collect_on(new_primes, ids)) out.residues.push_back(std::move(limb));
+  for (auto& limb : fan_out(new_primes, std::move(jobs))) out.residues.push_back(std::move(limb));
   return out;
 }
 

@@ -110,17 +110,17 @@ class rns_engine {
   [[nodiscard]] std::vector<math::wide_uint> lift(const rns_poly& p) const;
 
  private:
-  // Flush every limb stream (so the limb groups enter the scheduler
-  // together and can overlap), wait on the per-limb ids in chain order,
-  // and collect outputs + fan-out stats.
-  [[nodiscard]] std::vector<std::vector<u64>> collect(const std::vector<runtime::job_id>& ids);
-  // Same, flushing an explicit prime set (base extension flushes the new
-  // limbs' streams, which are outside this engine's basis).
-  [[nodiscard]] std::vector<std::vector<u64>> collect_on(
-      const std::vector<u64>& flush_primes, const std::vector<runtime::job_id>& ids);
+  // The one per-limb loop every fan-out shares: submit jobs[i] on the
+  // dedicated stream of primes[i], flush those streams together (so the
+  // limb groups enter the scheduler together and can overlap), wait on
+  // the ids in order, and collect outputs + fan-out stats.
+  [[nodiscard]] std::vector<std::vector<u64>> fan_out(const std::vector<u64>& primes,
+                                                      std::vector<runtime::job> jobs);
   // One per-limb ntt_job fan-out in the given direction.
   [[nodiscard]] rns_poly transform(const rns_poly& p, core::transform_dir dir,
                                    const char* what);
+  // Every limb of `p` before any is enqueued: the basis' limb count, order
+  // n, and residues canonical mod their limb prime.
   void require_limbs(const rns_poly& p, const char* what) const;
 
   runtime::context& ctx_;

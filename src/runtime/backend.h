@@ -135,12 +135,13 @@ class backend {
   // run serially.  Outputs must be bit-identical either way.
   void attach_executor(executor* pool) noexcept { pool_ = pool; }
 
-  // Installed once by the owning context (nullptr = residency disabled).
-  // Backends consult it on ring-overridden dispatches to serve resident
-  // operands instead of re-transforming: a warm operand on an executing
-  // bank costs zero array cycles, a warm operand on a foreign bank costs an
-  // on-chip row move, a miss transforms and takes up residence.  Residency
-  // may only change cycles, never outputs.
+  // Installed once by the owning context on banked backends only (nullptr =
+  // no device rows, or residency disabled).  The sram backend consults it
+  // on ring-overridden dispatches to serve resident operands instead of
+  // re-transforming: a warm operand on an executing bank costs zero array
+  // cycles, a warm operand on a foreign bank costs an on-chip row move, a
+  // miss transforms and takes up residence.  Residency may only change
+  // cycles, never outputs.
   void attach_residency(residency_manager* resman) noexcept { resman_ = resman; }
 
   // Installed once by the owning context when tracing is enabled (nullptr =

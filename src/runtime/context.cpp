@@ -49,27 +49,23 @@ void context::finish_construction() {
   backend_->attach_executor(&pool_);
   caps_ = backend_->capabilities();
 
-  // On-array residency: the manager's placement domains come from the
-  // backend's capabilities (banks and channels), its per-bank subarray
-  // count from the configured topology (minus the CTRL/CMD subarray), and
-  // its row budget either directly (residency_rows) or via the legacy
-  // entries knob — entries x n rows spread evenly over the device's data
-  // subarrays, so "room for k operands" means the same thing it used to.
-  // Host backends (no banks) collapse to one single-subarray pseudo-bank,
-  // which makes the entries shim exact: entries x n rows = entries slots.
-  if (opts_.operand_cache_entries != 0 || opts_.residency_rows != 0) {
+  // On-array residency exists only where device rows do: banked backends
+  // get a manager whose placement domains are their banks and channels,
+  // with the configured subarrays minus the CTRL/CMD one per bank.  The row
+  // budget is residency_rows per subarray, or the legacy entries knob —
+  // entries x n rows spread evenly over the data subarrays, so "room for k
+  // operands" keeps its meaning.  Host backends ignore both options.
+  if (caps_.banks() != 0 && (opts_.operand_cache_entries != 0 || opts_.residency_rows != 0)) {
     residency_manager::config rc;
-    rc.banks = std::max(1u, caps_.banks());
+    rc.banks = caps_.banks();
     rc.channels = std::min(rc.banks, std::max(1u, caps_.channels));
-    rc.data_subarrays = caps_.banks() != 0 ? std::max(1u, opts_.topo.subarrays - 1) : 1;
+    rc.data_subarrays = std::max(1u, opts_.topo.subarrays - 1);
     rc.rows_per_operand = static_cast<unsigned>(opts_.params.n);
-    if (opts_.residency_rows != 0) {
-      rc.rows_per_subarray = opts_.residency_rows;
-    } else {
-      const u64 total_rows = static_cast<u64>(opts_.operand_cache_entries) * opts_.params.n;
-      const u64 regions = static_cast<u64>(rc.banks) * rc.data_subarrays;
-      rc.rows_per_subarray = static_cast<unsigned>((total_rows + regions - 1) / regions);
-    }
+    const u64 regions = static_cast<u64>(rc.banks) * rc.data_subarrays;
+    const u64 entry_rows = static_cast<u64>(opts_.operand_cache_entries) * opts_.params.n;
+    rc.rows_per_subarray = opts_.residency_rows != 0
+                               ? opts_.residency_rows
+                               : static_cast<unsigned>((entry_rows + regions - 1) / regions);
     resman_ = std::make_unique<residency_manager>(rc);
     backend_->attach_residency(resman_.get());
   }
@@ -412,47 +408,6 @@ stream context::rns_stream(u64 prime) {
   return s;
 }
 
-rns_submission context::submit_rns(rns_polymul_job j) {
-  const std::size_t limbs = j.primes.size();
-  if (limbs == 0) {
-    throw std::invalid_argument("runtime: rns_polymul_job needs at least one limb prime");
-  }
-  if (j.a.size() != limbs || j.b.size() != limbs) {
-    throw std::invalid_argument(
-        "runtime: rns_polymul_job carries " + std::to_string(j.a.size()) + "/" +
-        std::to_string(j.b.size()) + " residue polynomials for a chain of " +
-        std::to_string(limbs) + " primes");
-  }
-  for (std::size_t i = 0; i < limbs; ++i) {
-    for (std::size_t k = i + 1; k < limbs; ++k) {
-      if (j.primes[i] == j.primes[k]) {
-        throw std::invalid_argument("runtime: rns_polymul_job repeats limb prime " +
-                                    std::to_string(j.primes[i]) +
-                                    " (an RNS basis needs pairwise-coprime moduli)");
-      }
-    }
-  }
-  // Open (or reuse) every limb stream and validate every residue
-  // polynomial before enqueueing anything, so an invalid limb rejects the
-  // whole job instead of half of it.
-  std::vector<unsigned> sids(limbs);
-  for (std::size_t i = 0; i < limbs; ++i) {
-    sids[i] = rns_stream(j.primes[i]).id();
-    const std::string what = "rns_polymul_job limb " + std::to_string(i);
-    require_ring_poly(j.a[i], opts_.params.n, j.primes[i], (what + ".a").c_str());
-    require_ring_poly(j.b[i], opts_.params.n, j.primes[i], (what + ".b").c_str());
-  }
-
-  rns_submission sub;
-  sub.primes = std::move(j.primes);
-  sub.limb_ids.reserve(limbs);
-  for (std::size_t i = 0; i < limbs; ++i) {
-    sub.limb_ids.push_back(
-        submit_on(sids[i], polymul_job{std::move(j.a[i]), std::move(j.b[i])}));
-  }
-  return sub;
-}
-
 std::size_t context::pending() const noexcept {
   std::lock_guard<std::mutex> lk(smu_);
   std::size_t n = 0;
@@ -613,7 +568,7 @@ std::shared_ptr<dispatch_group> context::build_group(unsigned sid) {
   g->resources = ss.resources;
   // Residency affinity hint: the banks currently holding images for this
   // stream's ring — the scheduler counts a hit when the claim lands on one.
-  if (resman_ && ss.sopts.ring_q != 0 && caps_.banks() != 0) {
+  if (resman_ && ss.sopts.ring_q != 0) {
     g->affinity_banks = resman_->banks_holding(ss.sopts.ring_q);
   }
   g->mergeable = !ss.sopts.no_merge;

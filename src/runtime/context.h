@@ -115,8 +115,8 @@ struct scheduler_stats {
   double energy_nj = 0.0;
   // On-array residency counters (cumulative): transforms served resident
   // vs computed fresh on ring-overridden (RNS limb) dispatches.  All stay
-  // 0 when residency is disabled (operand_cache_entries == 0 and
-  // residency_rows == 0).
+  // 0 on host backends (no device rows) and when residency is disabled
+  // (operand_cache_entries == 0 and residency_rows == 0).
   u64 operand_cache_hits = 0;
   u64 operand_cache_misses = 0;
   // Residents dropped under capacity pressure (LRU within the unpinned
@@ -207,7 +207,7 @@ class context {
   [[nodiscard]] std::size_t open_streams() const noexcept;
 
   // On-array residency surface.  Operands currently resident (0 when
-  // residency is disabled).
+  // residency is disabled or the backend has no device rows).
   [[nodiscard]] std::size_t operand_cache_size() const noexcept;
   // Device rows currently reserved by resident operands, and the total row
   // budget (banks x data subarrays x rows per subarray).  Safe from any
@@ -228,7 +228,8 @@ class context {
   // Pin/unpin an operand's residency: pinned entries (current and future
   // inserts of the same coefficients) are exempt from capacity eviction —
   // for long-lived operands like evaluation keys that every multiply
-  // touches.  No-ops when residency is disabled.
+  // touches.  No-ops when residency is disabled or the backend has no
+  // device rows.
   void pin_operand(const std::vector<u64>& coeffs) noexcept;
   void unpin_operand(const std::vector<u64>& coeffs) noexcept;
   // The backend's lazy per-modulus retarget cache occupancy (LRU-bounded
@@ -251,14 +252,6 @@ class context {
   // topology-aware placement spreads limbs across channels).  Same
   // validation as stream() with an explicit ring_q.
   [[nodiscard]] runtime::stream rns_stream(u64 prime);
-
-  // Fan one decomposed big-modulus ring product out as one polymul job per
-  // limb, each on its limb's dedicated stream (rns_stream).  Validates the
-  // chain (>= 1 distinct odd primes, per-limb residues canonical) and
-  // returns the per-limb job ids in chain order.  Like submit(), nothing
-  // executes until a flush; flushing the limb streams together is what
-  // lets a multi-channel topology overlap the limb dispatch groups.
-  rns_submission submit_rns(rns_polymul_job j);
 
   // Legacy single-queue surface: validate and enqueue on the default
   // stream; throws std::invalid_argument on jobs the configured ring or
@@ -350,10 +343,10 @@ class context {
   runtime_options opts_;
   std::unique_ptr<backend> backend_;
   backend_caps caps_;
-  // The on-array residency manager backends consult on ring-overridden
-  // dispatches; null when disabled (operand_cache_entries == 0 and
-  // residency_rows == 0).  Built after caps_ — its bank/channel/subarray
-  // shape comes from the backend's capabilities.
+  // The on-array residency manager a banked backend consults on
+  // ring-overridden dispatches; null for host backends (no banks) and when
+  // disabled (operand_cache_entries == 0 and residency_rows == 0).  Built
+  // after caps_ — its bank/channel shape comes from the capabilities.
   std::unique_ptr<residency_manager> resman_;
   // Client-thread state: per-stream queues and the id counters.  Only the
   // client thread mutates streams_ (always under smu_); smu_ exists so a

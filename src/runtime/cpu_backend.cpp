@@ -6,7 +6,6 @@
 
 #include "nttmath/poly.h"
 #include "runtime/executor.h"
-#include "runtime/residency_manager.h"
 
 namespace bpntt::runtime {
 
@@ -49,29 +48,9 @@ void cpu_backend::transform(std::vector<u64>& a, transform_dir dir,
   }
 }
 
-std::vector<u64> cpu_backend::multiply(const core::polymul_pair& pair, u64 ring_q,
+std::vector<u64> cpu_backend::multiply(const core::polymul_pair& pair,
                                        const limb_ring* limb) const {
-  if (limb != nullptr) {
-    // Operand transforms come from (or feed) the NTT-domain cache: a
-    // repeated multiplicand skips its forward Montgomery NTT entirely.
-    const auto fresh = [&](const std::vector<u64>& p) {
-      std::vector<u64> f = p;
-      limb->fast->forward(f);
-      return f;
-    };
-    const auto forward_of = [&](const std::vector<u64>& p) {
-      return resman_ != nullptr
-                 ? resman_->transformed_or(ring_q, transform_dir::forward, p, fresh)
-                 : fresh(p);
-    };
-    const std::vector<u64> a = forward_of(pair.a);
-    const std::vector<u64> b = forward_of(pair.b);
-    std::vector<u64> c(a.size());
-    math::ntt_pointwise(a, b, c, limb->tables->q());
-    limb->fast->inverse(c);
-    return c;
-  }
-  if (itables_) {
+  if (limb == nullptr && itables_) {
     std::vector<u64> a = pair.a;
     std::vector<u64> b = pair.b;
     math::incomplete_ntt_forward(a, *itables_);
@@ -81,17 +60,16 @@ std::vector<u64> cpu_backend::multiply(const core::polymul_pair& pair, u64 ring_
     math::incomplete_ntt_inverse(c, *itables_);
     return c;
   }
-  if (fast_) {
-    std::vector<u64> a = pair.a;
-    std::vector<u64> b = pair.b;
-    fast_->forward(a);
-    fast_->forward(b);
-    std::vector<u64> c(a.size());
-    math::ntt_pointwise(a, b, c, params_.q);
-    fast_->inverse(c);
-    return c;
-  }
-  return math::polymul_ntt(pair.a, pair.b, *tables_);
+  if (limb == nullptr && !fast_) return math::polymul_ntt(pair.a, pair.b, *tables_);
+  // Montgomery fast path, at the limb modulus or the primary one.
+  std::vector<u64> a = pair.a;
+  std::vector<u64> b = pair.b;
+  transform(a, transform_dir::forward, limb);
+  transform(b, transform_dir::forward, limb);
+  std::vector<u64> c(a.size());
+  math::ntt_pointwise(a, b, c, limb != nullptr ? limb->tables->q() : params_.q);
+  transform(c, transform_dir::inverse, limb);
+  return c;
 }
 
 batch_result cpu_backend::finish(std::vector<std::vector<u64>> outputs, double seconds) const {
@@ -120,18 +98,8 @@ batch_result cpu_backend::run_ntt(const std::vector<std::vector<u64>>& polys,
   const auto start = std::chrono::steady_clock::now();
   // Tables are immutable after construction, so jobs chunk freely across
   // the pool; each task owns its output slot.
-  parallel_for(pool_, outputs.size(), [&](std::size_t i) {
-    auto& a = outputs[i];
-    if (limb != nullptr && resman_ != nullptr) {
-      a = resman_->transformed_or(hints.ring_q, dir, a, [&](const std::vector<u64>& p) {
-        std::vector<u64> t = p;
-        transform(t, dir, limb.get());
-        return t;
-      });
-      return;
-    }
-    transform(a, dir, limb.get());
-  });
+  parallel_for(pool_, outputs.size(),
+               [&](std::size_t i) { transform(outputs[i], dir, limb.get()); });
   const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
   batch_result out = finish(std::move(outputs), elapsed.count());
   note_batch(polys.size(), out.wall_cycles);
@@ -145,7 +113,7 @@ batch_result cpu_backend::run_polymul(const std::vector<core::polymul_pair>& pai
   std::vector<std::vector<u64>> outputs(pairs.size());
   const auto start = std::chrono::steady_clock::now();
   parallel_for(pool_, pairs.size(),
-               [&](std::size_t i) { outputs[i] = multiply(pairs[i], hints.ring_q, limb.get()); });
+               [&](std::size_t i) { outputs[i] = multiply(pairs[i], limb.get()); });
   const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
   batch_result out = finish(std::move(outputs), elapsed.count());
   note_batch(pairs.size(), out.wall_cycles);

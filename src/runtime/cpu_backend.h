@@ -53,7 +53,7 @@ class cpu_backend final : public backend {
 
   // `limb` selects a retargeted ring; nullptr = the primary configured ring.
   void transform(std::vector<u64>& a, transform_dir dir, const limb_ring* limb) const;
-  [[nodiscard]] std::vector<u64> multiply(const core::polymul_pair& pair, u64 ring_q,
+  [[nodiscard]] std::vector<u64> multiply(const core::polymul_pair& pair,
                                           const limb_ring* limb) const;
   [[nodiscard]] batch_result finish(std::vector<std::vector<u64>> outputs,
                                     double seconds) const;

@@ -43,27 +43,6 @@ struct polymul_job {
   std::vector<u64> b;
 };
 
-// One big-modulus negacyclic ring product, already decomposed into residue
-// polynomials over a chain of pairwise-coprime NTT-friendly limb primes
-// (an RNS basis; see src/rns/).  Limb i is an independent word-sized
-// product a[i] * b[i] mod (x^n + 1, primes[i]): submit_rns() fans the
-// limbs out one stream per limb, so on a multi-channel topology the limb
-// dispatch groups genuinely overlap.  CRT recombination of the per-limb
-// results into big coefficients is the caller's (rns_engine's) job.
-struct rns_polymul_job {
-  std::vector<u64> primes;            // the limb moduli, ascending, distinct
-  std::vector<std::vector<u64>> a;    // a[i]: n residues, canonical mod primes[i]
-  std::vector<std::vector<u64>> b;    // b[i]: likewise
-};
-
-// Receipt of one submit_rns(): the per-limb polymul job ids, in the same
-// order as the job's prime chain.  Wait on each id (its result is that
-// limb's residue product) and recombine via CRT.
-struct rns_submission {
-  std::vector<u64> primes;
-  std::vector<job_id> limb_ids;
-};
-
 // One limb's share of an RNS modulus switch (rescale): given this limb's
 // residues x_i of a big coefficient vector x and the dropped limb's
 // residues r = x mod q_drop, produce the residues of round(x / q_drop) in

@@ -87,16 +87,18 @@ struct runtime_options {
   // dispatched moduli are evicted and rebuilt on next use; must be >= 1.
   unsigned retarget_cache_limit = 16;
 
-  // Compat shim over the on-array residency budget: the historical "cache
-  // capacity in entries" knob, now translated into a per-subarray row
-  // budget at context construction (entries x ring order n rows, spread
-  // over the device's data subarrays — see context::finish_construction).
-  // 0 disables residency entirely.  Prefer with_residency_rows() for new
-  // code: it states the budget in the device's own currency.
+  // Compat shim over the sram backend's residency budget: the historical
+  // "cache capacity in entries" knob, now translated into a per-subarray
+  // row budget at context construction (entries x ring order n rows,
+  // spread over the device's data subarrays — see
+  // context::finish_construction).  0 disables residency entirely.  Host
+  // backends have no device rows and ignore it.  Prefer
+  // with_residency_rows() for new code: it states the budget in the
+  // device's own currency.
   unsigned operand_cache_entries = 64;
 
-  // Direct residency budget: reservable rows per data subarray for
-  // device-resident operands.  0 = derive from operand_cache_entries (the
+  // Direct residency budget (sram only): reservable rows per data subarray
+  // for device-resident operands.  0 = derive from operand_cache_entries (the
   // compat path); nonzero overrides the shim.  An operand occupies n rows,
   // so a subarray holds floor(rows / n) resident operands.
   unsigned residency_rows = 0;

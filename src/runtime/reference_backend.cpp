@@ -2,7 +2,6 @@
 
 #include "nttmath/poly.h"
 #include "runtime/executor.h"
-#include "runtime/residency_manager.h"
 
 namespace bpntt::runtime {
 
@@ -31,29 +30,18 @@ batch_result reference_backend::run_ntt(const std::vector<std::vector<u64>>& pol
   // entry alive across a concurrent eviction).
   const std::shared_ptr<const math::ntt_tables> limb =
       hints.ring_q != 0 ? tables_for(hints.ring_q) : nullptr;
+  const math::ntt_tables* t = limb != nullptr ? limb.get() : tables_.get();
+  const bool fwd = dir == transform_dir::forward;
   // The golden tables are read-only; jobs chunk freely across the pool.
   parallel_for(pool_, out.outputs.size(), [&](std::size_t i) {
     auto& a = out.outputs[i];
-    if (limb != nullptr) {
-      // Limb transforms are where operands repeat (fixed keys, reused
-      // multiplicands); serve them from the NTT-domain cache when possible.
-      const auto fresh = [&](const std::vector<u64>& p) {
-        std::vector<u64> t = p;
-        dir == transform_dir::forward ? math::ntt_forward(t, *limb)
-                                      : math::ntt_inverse(t, *limb);
-        return t;
-      };
-      a = resman_ != nullptr ? resman_->transformed_or(hints.ring_q, dir, a, fresh)
-                             : fresh(a);
-    } else if (itables_) {
-      dir == transform_dir::forward ? math::incomplete_ntt_forward(a, *itables_)
-                                    : math::incomplete_ntt_inverse(a, *itables_);
-    } else if (params_.negacyclic) {
-      dir == transform_dir::forward ? math::ntt_forward(a, *tables_)
-                                    : math::ntt_inverse(a, *tables_);
+    if (t == nullptr) {
+      fwd ? math::incomplete_ntt_forward(a, *itables_)
+          : math::incomplete_ntt_inverse(a, *itables_);
+    } else if (t->negacyclic()) {
+      fwd ? math::ntt_forward(a, *t) : math::ntt_inverse(a, *t);
     } else {
-      dir == transform_dir::forward ? math::cyclic_ntt_forward(a, *tables_)
-                                    : math::cyclic_ntt_inverse(a, *tables_);
+      fwd ? math::cyclic_ntt_forward(a, *t) : math::cyclic_ntt_inverse(a, *t);
     }
   });
   note_batch(polys.size(), out.wall_cycles);
@@ -67,31 +55,10 @@ batch_result reference_backend::run_polymul(const std::vector<core::polymul_pair
   out.waves = pairs.empty() ? 0 : 1;
   const std::shared_ptr<const math::ntt_tables> limb =
       hints.ring_q != 0 ? tables_for(hints.ring_q) : nullptr;
+  const math::ntt_tables* t = limb != nullptr ? limb.get() : tables_.get();
   parallel_for(pool_, pairs.size(), [&](std::size_t i) {
-    if (limb != nullptr) {
-      // The cached-operand decomposition of polymul_ntt's negacyclic path:
-      // forward images of a and b come from (or feed) the operand cache —
-      // bit-identical to transforming in place, only the work moves.
-      const auto fresh = [&](const std::vector<u64>& p) {
-        std::vector<u64> f = p;
-        math::ntt_forward(f, *limb);
-        return f;
-      };
-      const auto forward_of = [&](const std::vector<u64>& p) {
-        return resman_ != nullptr
-                   ? resman_->transformed_or(hints.ring_q, transform_dir::forward, p, fresh)
-                   : fresh(p);
-      };
-      const std::vector<u64> fa = forward_of(pairs[i].a);
-      const std::vector<u64> fb = forward_of(pairs[i].b);
-      std::vector<u64> c(fa.size());
-      math::ntt_pointwise(fa, fb, c, limb->q());
-      math::ntt_inverse(c, *limb);
-      out.outputs[i] = std::move(c);
-    } else {
-      out.outputs[i] = itables_ ? math::polymul_incomplete(pairs[i].a, pairs[i].b, *itables_)
-                                : math::polymul_ntt(pairs[i].a, pairs[i].b, *tables_);
-    }
+    out.outputs[i] = t != nullptr ? math::polymul_ntt(pairs[i].a, pairs[i].b, *t)
+                                  : math::polymul_incomplete(pairs[i].a, pairs[i].b, *itables_);
   });
   note_batch(pairs.size(), out.wall_cycles);
   return out;

@@ -18,9 +18,9 @@
 // piling onto one bank, and a fixed evaluation key's per-limb images stay
 // warm on the bank their limb stream dispatches to.  The sram backend
 // overrides the home with the executing dispatch's bank (the rows are
-// written where the transform ran); host backends (cpu/reference) model a
-// single one-subarray pseudo-bank and keep exact semantic parity through
-// the same transformed_or() seam.
+// written where the transform ran).  Only a backend with device rows has
+// residency: the context builds a manager for banked backends alone, and
+// the host backends (cpu/reference) transform every operand.
 //
 // Correctness contract is unchanged from the operand cache it replaces:
 // a 64-bit FNV-1a digest qualified by modulus and direction, exact-match
@@ -63,7 +63,7 @@ namespace bpntt::runtime {
 class residency_manager {
  public:
   struct config {
-    unsigned banks = 1;             // placement domains (sram banks, or 1 host region)
+    unsigned banks = 1;             // placement domains (the device's banks)
     unsigned channels = 1;          // limb spreading domains (home banks round-robin)
     unsigned data_subarrays = 1;    // reservable subarrays per bank (CTRL/CMD excluded)
     unsigned rows_per_subarray = 0; // row budget per subarray; 0 disables residency
@@ -98,21 +98,6 @@ class residency_manager {
   void insert(core::u64 ring_q, core::transform_dir dir, const std::vector<core::u64>& coeffs,
               std::vector<core::u64> transformed,
               std::optional<unsigned> bank_hint = std::nullopt);
-
-  // The lookup-or-compute-and-insert step host backends share: the
-  // resident image of `coeffs` under (ring_q, dir), or `compute(coeffs)`
-  // made resident and returned.  One definition keeps miss counting and
-  // insert ordering identical across every consult site.
-  template <typename Compute>
-  [[nodiscard]] std::vector<core::u64> transformed_or(core::u64 ring_q,
-                                                      core::transform_dir dir,
-                                                      const std::vector<core::u64>& coeffs,
-                                                      Compute&& compute) {
-    if (auto cached = lookup(ring_q, dir, coeffs)) return std::move(cached->transformed);
-    std::vector<core::u64> t = compute(coeffs);
-    insert(ring_q, dir, coeffs, t);
-    return t;
-  }
 
   // Drop every entry derived from `coeffs` (all rings and directions),
   // releasing their rows, pinned entries included, and forget any pin

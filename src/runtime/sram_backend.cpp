@@ -84,26 +84,32 @@ std::vector<unsigned> sram_backend::resolve_bank_set(const dispatch_hints& hints
   return hints.bank_set;
 }
 
-template <typename RunSlice>
-batch_result sram_backend::shard(std::vector<core::bp_ntt_bank>& banks, std::size_t njobs,
-                                 const dispatch_hints& hints, RunSlice&& run_slice) {
-  batch_result out;
-  out.outputs.resize(njobs);
-  if (njobs == 0 || banks.empty()) return out;
 
-  // Wave-width blocks round-robin over the subset: block b -> subset bank
-  // b mod |subset|.  The assignment depends only on the subset, so a given
-  // (jobs, bank_set) dispatch is deterministic at any pool size.
+namespace {
+
+// The subset slot shard() hands job j to: wave-width blocks round-robin,
+// block b -> subset bank b mod |subset|.  The assignment depends only on
+// the subset, so a given (jobs, bank_set) dispatch is deterministic at any
+// pool size — and a missed operand can be made resident on the bank whose
+// wave actually transformed it.
+std::size_t block_slot(std::size_t j, const std::vector<unsigned>& set,
+                       const std::vector<core::bp_ntt_bank>& banks) {
+  return (j / std::max(1u, banks[set.front()].lanes_per_wave())) % set.size();
+}
+
+}  // namespace
+
+template <typename Job, typename RunSlice>
+batch_result sram_backend::shard(std::vector<core::bp_ntt_bank>& banks,
+                                 const std::vector<Job>& jobs, const dispatch_hints& hints,
+                                 RunSlice&& run_slice) {
+  batch_result out;
+  out.outputs.resize(jobs.size());
+  if (jobs.empty() || banks.empty()) return out;
+
   const std::vector<unsigned> set = resolve_bank_set(hints);
-  const unsigned block_width = std::max(1u, banks[set.front()].lanes_per_wave());
   std::vector<std::vector<std::size_t>> assigned(set.size());
-  std::size_t block = 0;
-  for (std::size_t i = 0; i < njobs; i += block_width, ++block) {
-    auto& dst = assigned[block % set.size()];
-    for (std::size_t j = i; j < std::min<std::size_t>(njobs, i + block_width); ++j) {
-      dst.push_back(j);
-    }
-  }
+  for (std::size_t j = 0; j < jobs.size(); ++j) assigned[block_slot(j, set, banks)].push_back(j);
 
   // Banks are independent models executing a broadcast command stream
   // (§IV-A), so their slices really do run concurrently: one pool task per
@@ -112,7 +118,11 @@ batch_result sram_backend::shard(std::vector<core::bp_ntt_bank>& banks, std::siz
   // stat) deterministic regardless of pool size.
   std::vector<core::bank_run_result> per_bank(set.size());
   parallel_for(pool_, set.size(), [&](std::size_t s) {
-    if (!assigned[s].empty()) per_bank[s] = run_slice(banks[set[s]], assigned[s]);
+    if (assigned[s].empty()) return;
+    std::vector<Job> slice;
+    slice.reserve(assigned[s].size());
+    for (const auto j : assigned[s]) slice.push_back(jobs[j]);
+    per_bank[s] = run_slice(banks[set[s]], slice);
   });
 
   for (std::size_t s = 0; s < set.size(); ++s) {
@@ -130,179 +140,121 @@ batch_result sram_backend::shard(std::vector<core::bp_ntt_bank>& banks, std::siz
   return out;
 }
 
+sram_backend::resident_images sram_backend::resident_or_transform(
+    const std::vector<const std::vector<u64>*>& operands, transform_dir dir,
+    const dispatch_hints& hints, std::vector<core::bp_ntt_bank>& banks) {
+  resident_images r;
+  r.images.resize(operands.size());
+  const std::vector<unsigned> set = resolve_bank_set(hints);
+  const auto& tech = bank_cfg_.array.tech;
+  std::vector<std::size_t> miss;
+  std::vector<std::vector<u64>> pending;
+  for (std::size_t i = 0; i < operands.size(); ++i) {
+    auto cached = resman_->lookup(hints.ring_q, dir, *operands[i]);
+    if (!cached) {
+      miss.push_back(i);
+      pending.push_back(*operands[i]);
+      continue;
+    }
+    if (std::find(set.begin(), set.end(), cached->home_bank) == set.end()) {
+      // Resident, but on a bank this dispatch does not hold: serve it over
+      // the shared data bus — one on-chip row move per operand row,
+      // serialized (the bus is one resource), still far below a cold
+      // re-transform.
+      const auto rows = static_cast<unsigned>(operands[i]->size());
+      r.move_stats.energy_pj += sram::energy_row_move_pj(tech, bank_cfg_.array.cols, rows);
+      resman_->note_move(hints.ring_q, cached->home_bank);
+      r.move_cycles += sram::row_move_cycles(tech, rows);
+    }
+    r.images[i] = std::move(cached->transformed);
+  }
+  r.misses = shard(banks, pending, hints,
+                   [&](core::bp_ntt_bank& bank, const std::vector<std::vector<u64>>& slice) {
+                     return bank.run_ntt_batch(slice, dir);
+                   });
+  for (std::size_t k = 0; k < miss.size(); ++k) {
+    resman_->insert(hints.ring_q, dir, pending[k], r.misses.outputs[k],
+                    set[block_slot(k, set, banks)]);
+    r.images[miss[k]] = std::move(r.misses.outputs[k]);
+  }
+  return r;
+}
+
 batch_result sram_backend::run_ntt(const std::vector<std::vector<u64>>& polys,
                                    transform_dir dir, const dispatch_hints& hints) {
   const auto banks = banks_for(hints.ring_q);
-  batch_result out =
-      hints.ring_q != 0 && resman_ != nullptr
-          ? run_ntt_cached(polys, dir, hints, *banks)
-          : shard(*banks, polys.size(), hints,
-                  [&](core::bp_ntt_bank& bank, const std::vector<std::size_t>& idx) {
-                    std::vector<std::vector<u64>> slice;
-                    slice.reserve(idx.size());
-                    for (const auto i : idx) slice.push_back(polys[i]);
-                    return bank.run_ntt_batch(slice, dir);
-                  });
-  note_batch(polys.size(), out.wall_cycles);
-  return out;
-}
-
-u64 sram_backend::warm_serve_cycles(const std::vector<unsigned>& set, unsigned home_bank,
-                                    std::size_t rows, u64 ring_q, sram::op_stats& stats) {
-  if (std::find(set.begin(), set.end(), home_bank) != set.end()) return 0;
-  // Resident, but on a bank this dispatch does not hold: serve it over the
-  // shared data bus — one on-chip row move per operand row, serialized
-  // (the bus is one resource), still far below a cold re-transform.
-  const auto r = static_cast<unsigned>(rows);
-  stats.energy_pj += sram::energy_row_move_pj(bank_cfg_.array.tech, bank_cfg_.array.cols, r);
-  resman_->note_move(ring_q, home_bank);
-  return sram::row_move_cycles(bank_cfg_.array.tech, r);
-}
-
-unsigned sram_backend::insert_bank(const std::vector<unsigned>& set,
-                                   const std::vector<core::bp_ntt_bank>& banks,
-                                   std::size_t k) const {
-  const unsigned block_width = std::max(1u, banks[set.front()].lanes_per_wave());
-  return set[(k / block_width) % set.size()];
-}
-
-batch_result sram_backend::run_ntt_cached(const std::vector<std::vector<u64>>& polys,
-                                          transform_dir dir, const dispatch_hints& hints,
-                                          std::vector<core::bp_ntt_bank>& banks) {
-  // Resident transforms skip the array: same-bank serves are free,
-  // foreign-bank serves pay a row move; only the misses ride a bank batch,
-  // so a fully-warm same-bank dispatch costs zero array cycles.
   batch_result out;
-  out.outputs.resize(polys.size());
-  const std::vector<unsigned> set = resolve_bank_set(hints);
-  std::vector<std::size_t> miss;
-  for (std::size_t i = 0; i < polys.size(); ++i) {
-    if (auto cached = resman_->lookup(hints.ring_q, dir, polys[i])) {
-      out.wall_cycles +=
-          warm_serve_cycles(set, cached->home_bank, polys[i].size(), hints.ring_q, out.stats);
-      out.outputs[i] = std::move(cached->transformed);
-    } else {
-      miss.push_back(i);
-    }
-  }
-  if (miss.empty()) {
+  if (hints.ring_q != 0 && resman_ != nullptr) {
+    // Equal polys in one batch are looked up (and miss) independently.
+    std::vector<const std::vector<u64>*> operands;
+    operands.reserve(polys.size());
+    for (const auto& p : polys) operands.push_back(&p);
+    resident_images r = resident_or_transform(operands, dir, hints, *banks);
+    out.outputs = std::move(r.images);
+    out.wall_cycles = r.move_cycles + r.misses.wall_cycles;
+    out.waves = r.misses.waves;
+    out.stats = r.move_stats;
+    out.stats += r.misses.stats;
     out.stats.cycles = out.wall_cycles;
-    return out;
+  } else {
+    out = shard(*banks, polys, hints,
+                [&](core::bp_ntt_bank& bank, const std::vector<std::vector<u64>>& slice) {
+                  return bank.run_ntt_batch(slice, dir);
+                });
   }
-  std::vector<std::vector<u64>> pending;
-  pending.reserve(miss.size());
-  for (const auto i : miss) pending.push_back(polys[i]);
-  batch_result fresh = shard(banks, pending.size(), hints,
-                             [&](core::bp_ntt_bank& bank, const std::vector<std::size_t>& idx) {
-                               std::vector<std::vector<u64>> slice;
-                               slice.reserve(idx.size());
-                               for (const auto i : idx) slice.push_back(pending[i]);
-                               return bank.run_ntt_batch(slice, dir);
-                             });
-  for (std::size_t k = 0; k < miss.size(); ++k) {
-    // Residency lands on the bank whose wave actually computed the image
-    // (mirrors shard()'s block round-robin), so the next same-stream
-    // dispatch finds its operands on banks it already holds.
-    resman_->insert(hints.ring_q, dir, pending[k], fresh.outputs[k],
-                    insert_bank(set, banks, k));
-    out.outputs[miss[k]] = std::move(fresh.outputs[k]);
-  }
-  out.wall_cycles += fresh.wall_cycles;
-  out.waves = fresh.waves;
-  out.stats += fresh.stats;
-  out.stats.cycles = out.wall_cycles;
+  note_batch(polys.size(), out.wall_cycles);
   return out;
 }
 
 batch_result sram_backend::run_polymul(const std::vector<core::polymul_pair>& pairs,
                                        const dispatch_hints& hints) {
   const auto banks = banks_for(hints.ring_q);
-  batch_result out =
-      hints.ring_q != 0 && resman_ != nullptr
-          ? run_polymul_cached(pairs, hints, *banks)
-          : shard(*banks, pairs.size(), hints,
-                  [&](core::bp_ntt_bank& bank, const std::vector<std::size_t>& idx) {
-                    std::vector<core::polymul_pair> slice;
-                    slice.reserve(idx.size());
-                    for (const auto i : idx) slice.push_back(pairs[i]);
-                    return bank.run_polymul_batch(slice);
-                  });
-  note_batch(pairs.size(), out.wall_cycles);
-  return out;
-}
-
-batch_result sram_backend::run_polymul_cached(const std::vector<core::polymul_pair>& pairs,
-                                              const dispatch_hints& hints,
-                                              std::vector<core::bp_ntt_bank>& banks) {
+  if (hints.ring_q == 0 || resman_ == nullptr) {
+    batch_result out =
+        shard(*banks, pairs, hints,
+              [](core::bp_ntt_bank& bank, const std::vector<core::polymul_pair>& slice) {
+                return bank.run_polymul_batch(slice);
+              });
+    note_batch(pairs.size(), out.wall_cycles);
+    return out;
+  }
   // Split the in-array pipeline at its natural seam: (1) forward-transform
-  // exactly the distinct operands the cache does not hold, (2) run
+  // exactly the distinct operands the device does not hold, (2) run
   // pointwise + inverse on transformed operands.  Identical kernels to the
   // fused run_polymul_batch — only where the forward images come from
-  // changes — so outputs stay bit-identical whether the cache is cold,
-  // warm, or disabled.
-  // Dedup by operand *value* without copying operands into map keys: keys
-  // are pointers into `pairs` (stable for this call), ordered by the
-  // pointed-to coefficients, so equal-valued operands share one entry.
+  // changes — so outputs stay bit-identical whether residency is cold,
+  // warm, or disabled.  Operands dedup by *value* without copying them
+  // into map keys: keys point into `pairs` (stable for this call), ordered
+  // by the pointed-to coefficients.
   const auto by_value = [](const std::vector<u64>* a, const std::vector<u64>* b) {
     return *a < *b;
   };
-  std::map<const std::vector<u64>*, std::vector<u64>, decltype(by_value)> transformed(
-      by_value);  // operand -> forward image
-  const std::vector<unsigned> set = resolve_bank_set(hints);
-  u64 move_cycles = 0;
-  sram::op_stats move_stats;
-  std::vector<const std::vector<u64>*> miss;
+  std::map<const std::vector<u64>*, std::size_t, decltype(by_value)> slot(by_value);
+  std::vector<const std::vector<u64>*> operands;
   for (const auto& pr : pairs) {
     for (const auto* op : {&pr.a, &pr.b}) {
-      if (transformed.count(op) != 0) continue;
-      if (auto cached = resman_->lookup(hints.ring_q, transform_dir::forward, *op)) {
-        move_cycles +=
-            warm_serve_cycles(set, cached->home_bank, op->size(), hints.ring_q, move_stats);
-        transformed.emplace(op, std::move(cached->transformed));
-      } else {
-        transformed.emplace(op, std::vector<u64>{});  // placeholder, filled below
-        miss.push_back(op);
-      }
+      if (slot.emplace(op, operands.size()).second) operands.push_back(op);
     }
   }
-
-  batch_result fwd;
-  if (!miss.empty()) {
-    std::vector<std::vector<u64>> pending;
-    pending.reserve(miss.size());
-    for (const auto* op : miss) pending.push_back(*op);
-    fwd = shard(banks, pending.size(), hints,
-                [&](core::bp_ntt_bank& bank, const std::vector<std::size_t>& idx) {
-                  std::vector<std::vector<u64>> slice;
-                  slice.reserve(idx.size());
-                  for (const auto i : idx) slice.push_back(pending[i]);
-                  return bank.run_ntt_batch(slice, transform_dir::forward);
-                });
-    for (std::size_t k = 0; k < miss.size(); ++k) {
-      resman_->insert(hints.ring_q, transform_dir::forward, pending[k], fwd.outputs[k],
-                      insert_bank(set, banks, k));
-      transformed[miss[k]] = std::move(fwd.outputs[k]);
-    }
-  }
+  resident_images fwd = resident_or_transform(operands, transform_dir::forward, hints, *banks);
 
   std::vector<core::polymul_pair> staged(pairs.size());
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    staged[i] = {transformed.at(&pairs[i].a), transformed.at(&pairs[i].b)};
+    staged[i] = {fwd.images[slot.at(&pairs[i].a)], fwd.images[slot.at(&pairs[i].b)]};
   }
-  batch_result out = shard(banks, staged.size(), hints,
-                           [&](core::bp_ntt_bank& bank, const std::vector<std::size_t>& idx) {
-                             std::vector<core::polymul_pair> slice;
-                             slice.reserve(idx.size());
-                             for (const auto i : idx) slice.push_back(staged[i]);
-                             return bank.run_transformed_polymul_batch(slice);
-                           });
+  batch_result out =
+      shard(*banks, staged, hints,
+            [](core::bp_ntt_bank& bank, const std::vector<core::polymul_pair>& slice) {
+              return bank.run_transformed_polymul_batch(slice);
+            });
   // The two phases (plus any cross-bank serves) run back-to-back on the
   // same bank subset: cycles add, waves and op counts accumulate.
-  out.wall_cycles += fwd.wall_cycles + move_cycles;
-  out.waves += fwd.waves;
-  out.stats += fwd.stats;
-  out.stats += move_stats;
+  out.wall_cycles += fwd.misses.wall_cycles + fwd.move_cycles;
+  out.waves += fwd.misses.waves;
+  out.stats += fwd.misses.stats;
+  out.stats += fwd.move_stats;
   out.stats.cycles = out.wall_cycles;
+  note_batch(pairs.size(), out.wall_cycles);
   return out;
 }
 

@@ -49,11 +49,11 @@ class sram_backend final : public backend {
   [[nodiscard]] std::size_t retarget_cache_size() const override { return retarget_.size(); }
 
  private:
-  // Shard `njobs` into wave-width blocks round-robin over the dispatch's
-  // bank subset; `run_slice(bank, job_indices)` executes one bank's slice
-  // and the per-job outputs are stitched back into submission order.
-  template <typename RunSlice>
-  batch_result shard(std::vector<core::bp_ntt_bank>& banks, std::size_t njobs,
+  // Shard `jobs` into wave-width blocks round-robin over the dispatch's
+  // bank subset; `run_slice(bank, slice)` executes one bank's slice and
+  // the per-job outputs are stitched back into submission order.
+  template <typename Job, typename RunSlice>
+  batch_result shard(std::vector<core::bp_ntt_bank>& banks, const std::vector<Job>& jobs,
                      const dispatch_hints& hints, RunSlice&& run_slice);
 
   // The dispatch's bank subset: hints.bank_set when non-empty (validated),
@@ -71,27 +71,21 @@ class sram_backend final : public backend {
   // run concurrently with their primary twin.
   [[nodiscard]] std::shared_ptr<std::vector<core::bp_ntt_bank>> banks_for(u64 ring_q);
 
-  // The residency-aware limb paths (hints.ring_q != 0, manager attached).
-  batch_result run_ntt_cached(const std::vector<std::vector<u64>>& polys, transform_dir dir,
-                              const dispatch_hints& hints,
-                              std::vector<core::bp_ntt_bank>& banks);
-  batch_result run_polymul_cached(const std::vector<core::polymul_pair>& pairs,
-                                  const dispatch_hints& hints,
-                                  std::vector<core::bp_ntt_bank>& banks);
-
-  // Price one warm serve against the executing bank subset: zero when the
-  // operand is resident on a dispatch bank, an on-chip row move otherwise
-  // (cycles returned, move energy charged into `stats`, the move counted
-  // with the residency manager).
-  u64 warm_serve_cycles(const std::vector<unsigned>& set, unsigned home_bank,
-                        std::size_t rows, u64 ring_q, sram::op_stats& stats);
-
-  // The bank a missed operand is written back to: the shard assignment of
-  // miss block `k` over the dispatch subset (mirrors shard()'s round-robin,
-  // so residency lands where the transform actually ran).
-  [[nodiscard]] unsigned insert_bank(const std::vector<unsigned>& set,
-                                     const std::vector<core::bp_ntt_bank>& banks,
-                                     std::size_t k) const;
+  // The resident-or-transform step of a residency-aware limb dispatch
+  // (hints.ring_q != 0, manager attached): look up every operand's `dir`
+  // image, price the warm serves against the dispatch's bank subset (zero
+  // on a dispatch bank, an on-chip row move from a foreign one), transform
+  // the misses in one sharded bank batch and make each resident on the
+  // bank whose wave ran it.
+  struct resident_images {
+    std::vector<std::vector<u64>> images;  // one per operand, in operand order
+    batch_result misses;                   // the array batch that transformed the misses
+    u64 move_cycles = 0;                   // serialized cross-bank serves
+    sram::op_stats move_stats;             // their row-move energy
+  };
+  resident_images resident_or_transform(const std::vector<const std::vector<u64>*>& operands,
+                                        transform_dir dir, const dispatch_hints& hints,
+                                        std::vector<core::bp_ntt_bank>& banks);
 
   unsigned channels_ = 1;
   core::bank_config bank_cfg_;

@@ -1,7 +1,8 @@
 // RNS engine tests: the big-modulus differential against the wide_uint
 // schoolbook oracle across backends and limb counts, per-limb stream
 // fan-out and overlap on a multi-channel topology, transform round-trips,
-// and the submit_rns validation surface.
+// and the fan-out validation surface (no limb is enqueued unless every limb
+// is valid).
 #include "rns/rns_engine.h"
 
 #include <gtest/gtest.h>
@@ -165,7 +166,7 @@ TEST(RnsEngine, BasisOrderMustMatchContextRing) {
   EXPECT_THROW(rns_engine(ctx, basis), std::invalid_argument);
 }
 
-// ---- submit_rns / rns_stream surface ---------------------------------------
+// ---- fan-out validation / rns_stream surface -------------------------------
 
 TEST(RnsSubmission, LimbStreamsAreDedicatedAndReused) {
   const auto basis = rns_basis::with_limb_bits(kOrder, kLimbBits, 2);
@@ -184,29 +185,49 @@ TEST(RnsSubmission, LimbStreamsAreDedicatedAndReused) {
 TEST(RnsSubmission, ValidatesChainAndResidueShapes) {
   const auto basis = rns_basis::with_limb_bits(kOrder, kLimbBits, 2);
   runtime::context ctx(small_options(backend_kind::sram, basis.prime(0)));
+  rns_engine eng(ctx, basis);
   const std::vector<u64> zeros(kOrder, 0);
+  const rns_poly ok{{zeros, zeros}};
 
-  runtime::rns_polymul_job empty;
-  EXPECT_THROW((void)ctx.submit_rns(std::move(empty)), std::invalid_argument);
+  // The chain itself: non-empty, distinct primes.
+  EXPECT_THROW(rns_basis(kOrder, {}), std::invalid_argument);
+  EXPECT_THROW(rns_basis(kOrder, {basis.prime(0), basis.prime(0)}), std::invalid_argument);
 
-  runtime::rns_polymul_job mismatched;
-  mismatched.primes = basis.primes();
-  mismatched.a = {zeros};  // one residue poly for two primes
-  mismatched.b = {zeros, zeros};
-  EXPECT_THROW((void)ctx.submit_rns(std::move(mismatched)), std::invalid_argument);
+  const rns_poly mismatched{{zeros}};  // one residue poly for two primes
+  EXPECT_THROW((void)eng.polymul(mismatched, ok), std::invalid_argument);
+  const rns_poly short_limb{{zeros, std::vector<u64>(kOrder - 1, 0)}};  // limb 1 is not order n
+  EXPECT_THROW((void)eng.polymul(ok, short_limb), std::invalid_argument);
+  const rns_poly non_canonical{{std::vector<u64>(kOrder, basis.prime(0)), zeros}};  // == q_0
+  EXPECT_THROW((void)eng.polymul(non_canonical, ok), std::invalid_argument);
+  EXPECT_EQ(ctx.pending(), 0u) << "a rejected rns product must not half-enqueue";
+}
 
-  runtime::rns_polymul_job duplicated;
-  duplicated.primes = {basis.prime(0), basis.prime(0)};
-  duplicated.a = {zeros, zeros};
-  duplicated.b = {zeros, zeros};
-  EXPECT_THROW((void)ctx.submit_rns(std::move(duplicated)), std::invalid_argument);
+TEST(RnsSubmission, EveryFanOutRejectsABadLimbBeforeEnqueueingAny) {
+  // A non-canonical residue in the LAST limb: every fan-out must refuse
+  // before submitting the earlier, valid limbs, so nothing is left queued
+  // or orphaned in wait_all().
+  const auto basis = rns_basis::with_limb_bits(kOrder, kLimbBits, 3);
+  runtime::context ctx(small_options(backend_kind::reference, basis.prime(0)));
+  rns_engine eng(ctx, basis);
+  const auto target = rns_basis::with_limb_bits(kOrder, kLimbBits, 4);
+  const std::vector<u64> zeros(kOrder, 0);
+  const rns_poly ok{{zeros, zeros, zeros}};
+  rns_poly bad = ok;
+  bad.residues[2][0] = basis.prime(2);
+  rns_poly bad_middle = ok;  // rescale's first kept limb is valid, limb 1 is not
+  bad_middle.residues[1][0] = basis.prime(1);
 
-  runtime::rns_polymul_job non_canonical;
-  non_canonical.primes = basis.primes();
-  non_canonical.a = {std::vector<u64>(kOrder, basis.prime(0)), zeros};  // == q_0
-  non_canonical.b = {zeros, zeros};
-  EXPECT_THROW((void)ctx.submit_rns(std::move(non_canonical)), std::invalid_argument);
-  EXPECT_EQ(ctx.pending(), 0u) << "a rejected rns job must not half-enqueue";
+  EXPECT_THROW((void)eng.forward(bad), std::invalid_argument);
+  EXPECT_THROW((void)eng.inverse(bad), std::invalid_argument);
+  EXPECT_THROW((void)eng.polymul(ok, bad), std::invalid_argument);
+  EXPECT_THROW((void)eng.rescale(bad_middle), std::invalid_argument);
+  EXPECT_THROW((void)eng.base_extend(bad, target), std::invalid_argument);
+  EXPECT_EQ(ctx.pending(), 0u);
+  ctx.sync();
+  EXPECT_TRUE(ctx.wait_all().empty()) << "a rejected fan-out orphaned limb results";
+
+  // The engine still works afterwards.
+  EXPECT_EQ(eng.forward(ok).residues, ok.residues);
 }
 
 TEST(RnsSubmission, RingOverrideValidationIsPrecise) {

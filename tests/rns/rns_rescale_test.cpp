@@ -216,9 +216,8 @@ TEST_P(RnsOperandCache, RepeatedOperandPolymulHitsWithUnchangedResults) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, RnsOperandCache,
-                         ::testing::Values(backend_kind::sram, backend_kind::cpu,
-                                           backend_kind::reference),
+// Residency is a property of the device's rows: only sram has it.
+INSTANTIATE_TEST_SUITE_P(Backends, RnsOperandCache, ::testing::Values(backend_kind::sram),
                          [](const auto& info) { return std::string(to_string(info.param)); });
 
 TEST(RnsOperandCacheSurface, SramWarmTransformCostsZeroArrayCycles) {
@@ -243,7 +242,7 @@ TEST(RnsOperandCacheSurface, SramWarmTransformCostsZeroArrayCycles) {
 
 TEST(RnsOperandCacheSurface, InvalidationDropsOneOperandEverywhere) {
   const auto basis = rns_basis::with_limb_bits(kOrder, kLimbBits, 2);
-  runtime::context ctx(small_options(backend_kind::reference, basis.prime(0)));
+  runtime::context ctx(small_options(backend_kind::sram, basis.prime(0)));
   rns_engine eng(ctx, basis);
   common::xoshiro256ss rng(902);
   const auto x = random_big_poly(basis, rng);

@@ -17,9 +17,9 @@ namespace {
 
 constexpr u64 kOrder = 32;
 
-// A host-shaped manager (one single-subarray pseudo-bank) with room for
-// exactly `entries` operands of order kOrder — the residency equivalent of
-// the old operand_cache(entries).
+// A one-bank, one-subarray manager with room for exactly `entries`
+// operands of order kOrder — the residency equivalent of the old
+// operand_cache(entries).
 residency_manager::config slots(unsigned entries) {
   residency_manager::config cfg;
   cfg.banks = 1;

@@ -206,10 +206,15 @@ TEST(ResidencyPinning, PinnedOperandSurvivesPressureUntilUnpinnedOrInvalidated) 
 // ---- concurrent probes (TSan) ----------------------------------------------
 
 TEST(ResidencyConcurrency, ProbesStayConsistentUnderMultiStreamDispatch) {
+  // Three limb streams on a three-bank device: each limb's groups run on
+  // their own bank, so residency lookups and inserts genuinely race while
+  // an observer thread probes the occupancy.
   const auto primes = math::first_k_ntt_primes(12, kOrder, 3, true);
   auto opts = runtime_options()
                   .with_ring(kOrder, primes[0], 13)
-                  .with_backend(backend_kind::cpu)
+                  .with_backend(backend_kind::sram)
+                  .with_array(64, 39)
+                  .with_banks(3)
                   .with_threads(4);
   context ctx(opts);
 
@@ -226,15 +231,13 @@ TEST(ResidencyConcurrency, ProbesStayConsistentUnderMultiStreamDispatch) {
 
   common::xoshiro256ss rng(77);
   for (int round = 0; round < 30; ++round) {
-    rns_polymul_job j;
-    j.primes = primes;
+    std::vector<job_id> ids;
     for (const u64 p : primes) {
-      j.a.push_back(poly_below(p, 100 + static_cast<u64>(round % 3)));
-      j.b.push_back(poly_below(p, 200 + rng.below(4)));
+      ids.push_back(ctx.rns_stream(p).submit(polymul_job{
+          poly_below(p, 100 + static_cast<u64>(round % 3)), poly_below(p, 200 + rng.below(4))}));
     }
-    const auto sub = ctx.submit_rns(std::move(j));
     ctx.flush();
-    for (const auto id : sub.limb_ids) (void)ctx.wait(id);
+    for (const auto id : ids) (void)ctx.wait(id);
   }
   stop.store(true, std::memory_order_relaxed);
   observer.join();
