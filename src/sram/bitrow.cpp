@@ -42,77 +42,30 @@ unsigned bitrow::popcount() const noexcept {
   return n;
 }
 
-void bitrow::trim() noexcept {
-  const unsigned top = width_ % 64;
-  if (top != 0) limbs_.back() &= (1ULL << top) - 1;
-}
-
-bitrow bitrow::bit_and(const bitrow& a, const bitrow& b) {
-  if (a.width_ != b.width_) throw std::invalid_argument("bitrow: width mismatch");
-  bitrow r(a.width_);
-  for (std::size_t i = 0; i < r.limbs_.size(); ++i) r.limbs_[i] = a.limbs_[i] & b.limbs_[i];
-  return r;
-}
-
-bitrow bitrow::bit_or(const bitrow& a, const bitrow& b) {
-  if (a.width_ != b.width_) throw std::invalid_argument("bitrow: width mismatch");
-  bitrow r(a.width_);
-  for (std::size_t i = 0; i < r.limbs_.size(); ++i) r.limbs_[i] = a.limbs_[i] | b.limbs_[i];
-  return r;
-}
-
-bitrow bitrow::bit_xor(const bitrow& a, const bitrow& b) {
-  if (a.width_ != b.width_) throw std::invalid_argument("bitrow: width mismatch");
-  bitrow r(a.width_);
-  for (std::size_t i = 0; i < r.limbs_.size(); ++i) r.limbs_[i] = a.limbs_[i] ^ b.limbs_[i];
-  return r;
-}
-
-bitrow bitrow::bit_nor(const bitrow& a, const bitrow& b) {
-  bitrow r = bit_or(a, b);
-  return r.inverted();
-}
-
-bitrow bitrow::inverted() const {
-  bitrow r(width_);
-  for (std::size_t i = 0; i < limbs_.size(); ++i) r.limbs_[i] = ~limbs_[i];
-  r.trim();
-  return r;
-}
-
-bitrow bitrow::shifted_left() const {
-  bitrow r(width_);
-  std::uint64_t carry = 0;
-  for (std::size_t i = 0; i < limbs_.size(); ++i) {
-    r.limbs_[i] = (limbs_[i] << 1) | carry;
-    carry = limbs_[i] >> 63;
-  }
-  r.trim();
-  return r;
-}
-
-bitrow bitrow::shifted_right() const {
-  bitrow r(width_);
-  std::uint64_t carry = 0;
-  for (std::size_t i = limbs_.size(); i-- > 0;) {
-    r.limbs_[i] = (limbs_[i] >> 1) | (carry << 63);
-    carry = limbs_[i] & 1ULL;
-  }
-  return r;
-}
-
 std::uint64_t bitrow::extract(unsigned base, unsigned count) const noexcept {
   assert(count <= 64 && base + count <= width_);
-  std::uint64_t v = 0;
-  for (unsigned i = 0; i < count; ++i) {
-    if (get(base + i)) v |= 1ULL << i;
-  }
-  return v;
+  if (count == 0) return 0;
+  // The field spans at most two limbs: the low part of limb w and, when it
+  // crosses a limb boundary, the bottom of limb w + 1.
+  const unsigned w = base / 64;
+  const unsigned b = base % 64;
+  std::uint64_t v = limbs_[w] >> b;
+  if (b + count > 64) v |= limbs_[w + 1] << (64 - b);
+  return count == 64 ? v : v & ((1ULL << count) - 1);
 }
 
 void bitrow::deposit(unsigned base, unsigned count, std::uint64_t value) noexcept {
   assert(count <= 64 && base + count <= width_);
-  for (unsigned i = 0; i < count; ++i) set(base + i, (value >> i) & 1ULL);
+  if (count == 0) return;
+  const std::uint64_t field = count == 64 ? ~0ULL : (1ULL << count) - 1;
+  value &= field;
+  const unsigned w = base / 64;
+  const unsigned b = base % 64;
+  limbs_[w] = (limbs_[w] & ~(field << b)) | (value << b);
+  if (b + count > 64) {
+    const unsigned s = 64 - b;
+    limbs_[w + 1] = (limbs_[w + 1] & ~(field >> s)) | (value >> s);
+  }
 }
 
 std::string bitrow::to_string() const {

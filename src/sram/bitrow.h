@@ -1,12 +1,13 @@
 // A single SRAM row as a dynamic-width bit vector.
 //
-// The subarray model stores every wordline as a bitrow and implements the
-// bitline operations (multi-row AND/NOR and the derived XOR/OR) on top of
-// these word-parallel primitives.  Widths are small (<= a few thousand
-// columns) so the simple limb loop is plenty fast for cycle-level runs.
+// Column c lives in bit c % 64 of limb c / 64; bits at and above width()
+// are always zero.  The subarray runs its bitline operations as in-place
+// word kernels directly over these limbs (see `words()`), so a row-wide
+// micro-op costs a handful of 64-bit operations and no allocation.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,17 +25,10 @@ class bitrow {
   [[nodiscard]] bool any() const noexcept;
   [[nodiscard]] unsigned popcount() const noexcept;
 
-  // Element-wise logic (operands must share a width).
-  [[nodiscard]] static bitrow bit_and(const bitrow& a, const bitrow& b);
-  [[nodiscard]] static bitrow bit_or(const bitrow& a, const bitrow& b);
-  [[nodiscard]] static bitrow bit_xor(const bitrow& a, const bitrow& b);
-  [[nodiscard]] static bitrow bit_nor(const bitrow& a, const bitrow& b);
-  [[nodiscard]] bitrow inverted() const;
-
-  // Whole-row logical shifts by one column.  "left" moves bits toward
-  // higher column indices (toward the MSB end of every tile).
-  [[nodiscard]] bitrow shifted_left() const;
-  [[nodiscard]] bitrow shifted_right() const;
+  // Limb storage for word-level kernels.  Writers must keep the bits at
+  // and above width() zero.
+  [[nodiscard]] std::span<std::uint64_t> words() noexcept { return limbs_; }
+  [[nodiscard]] std::span<const std::uint64_t> words() const noexcept { return limbs_; }
 
   // Word accessors used by tile packing (bit `base+i` for i in [0,count)).
   [[nodiscard]] std::uint64_t extract(unsigned base, unsigned count) const noexcept;
@@ -45,8 +39,6 @@ class bitrow {
   bool operator==(const bitrow& o) const noexcept = default;
 
  private:
-  void trim() noexcept;
-
   unsigned width_ = 0;
   std::vector<std::uint64_t> limbs_;
 };

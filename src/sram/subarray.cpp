@@ -1,14 +1,77 @@
 #include "sram/subarray.h"
 
+#include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace bpntt::sram {
+namespace {
+
+using word = std::uint64_t;
+
+// dst = src << s over n limbs (toward higher columns); bits shifted past the
+// top limb are dropped.  dst must not alias src.
+void shift_up(const word* src, word* dst, std::size_t n, unsigned s) noexcept {
+  const std::size_t w = std::min<std::size_t>(s / 64, n);
+  const unsigned b = s % 64;
+  std::fill(dst, dst + w, 0);
+  if (b == 0) {
+    for (std::size_t i = w; i < n; ++i) dst[i] = src[i - w];
+    return;
+  }
+  word carry = 0;
+  for (std::size_t i = w; i < n; ++i) {
+    const word x = src[i - w];
+    dst[i] = (x << b) | carry;
+    carry = x >> (64 - b);
+  }
+}
+
+// dst = src >> s over n limbs (toward lower columns).  dst must not alias
+// src.
+void shift_down(const word* src, word* dst, std::size_t n, unsigned s) noexcept {
+  const std::size_t w = std::min<std::size_t>(s / 64, n);
+  const unsigned b = s % 64;
+  std::fill(dst + (n - w), dst + n, 0);
+  if (b == 0) {
+    for (std::size_t i = 0; i + w < n; ++i) dst[i] = src[i + w];
+    return;
+  }
+  word carry = 0;
+  for (std::size_t i = n - w; i-- > 0;) {
+    const word x = src[i + w];
+    dst[i] = (x >> b) | carry;
+    carry = x << (64 - b);
+  }
+}
+
+// Number of columns set in both rows (usually none, so skip empty limbs).
+unsigned popcount_and(std::span<const word> a, std::span<const word> b) noexcept {
+  unsigned n = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (const word x = a[i] & b[i]; x != 0) n += static_cast<unsigned>(std::popcount(x));
+  }
+  return n;
+}
+
+}  // namespace
 
 subarray::subarray(unsigned rows, tile_geometry geom, tech_params tech)
-    : geom_(geom), tech_(std::move(tech)), pred_mask_(geom.cols) {
+    : geom_(geom), tech_(std::move(tech)) {
   geom_.validate();
   if (rows == 0 || rows > 4096) throw std::invalid_argument("subarray: rows out of range");
-  data_.assign(rows, bitrow(geom_.cols));
+  const bitrow zero(geom_.cols);
+  data_.assign(rows, zero);
+  pred_mask_ = scratch_ = scratch2_ = stuck_set_ = stuck_clr_ = zero;
+  const unsigned cols = geom_.cols;
+  e_binary_ = energy_compute_op_pj(tech_, cols, 2, true);
+  // The fused pair op drives a second result row.
+  e_pair_ = energy_compute_op_pj(tech_, cols, 2, true);
+  e_pair_ += cols * tech_.e_write_fj_per_col * 1e-3;
+  e_copy_ = energy_compute_op_pj(tech_, cols, 1, true);
+  e_shift_ = energy_shift_op_pj(tech_, cols);
+  e_check_ = energy_check_op_pj(tech_, cols);
+  rebuild_tile_masks();
 }
 
 void subarray::set_tile_bits(unsigned tile_bits) {
@@ -16,10 +79,27 @@ void subarray::set_tile_bits(unsigned tile_bits) {
   g.tile_bits = tile_bits;
   g.validate();
   geom_ = g;
+  rebuild_tile_masks();
+}
+
+void subarray::rebuild_tile_masks() {
+  lsb_mask_ = msb_mask_ = used_mask_ = bitrow(geom_.cols);
+  for (unsigned t = 0; t < geom_.num_tiles(); ++t) {
+    lsb_mask_.set(geom_.tile_base(t), true);
+    msb_mask_.set(geom_.tile_base(t) + geom_.tile_bits - 1, true);
+  }
+  for (unsigned c = 0; c < geom_.used_cols(); ++c) used_mask_.set(c, true);
 }
 
 void subarray::bounds(unsigned row) const {
   if (row >= data_.size()) throw std::out_of_range("subarray: row index");
+}
+
+unsigned subarray::word_base(unsigned tile) const {
+  if (geom_.tile_bits > 64) {
+    throw std::invalid_argument("subarray: word access needs tiles of at most 64 bits");
+  }
+  return geom_.tile_base(tile);
 }
 
 void subarray::host_write_row(unsigned row, const bitrow& value) {
@@ -41,7 +121,7 @@ const bitrow& subarray::host_read_row(unsigned row) {
 
 void subarray::host_write_word(unsigned tile, unsigned row, std::uint64_t value) {
   bounds(row);
-  data_[row].deposit(geom_.tile_base(tile), geom_.tile_bits, value);
+  data_[row].deposit(word_base(tile), geom_.tile_bits, value);
   ++stats_.host_writes;
   ++stats_.cycles;
   stats_.energy_pj += energy_compute_op_pj(tech_, geom_.tile_bits, 1, true);
@@ -49,10 +129,11 @@ void subarray::host_write_word(unsigned tile, unsigned row, std::uint64_t value)
 
 std::uint64_t subarray::host_read_word(unsigned tile, unsigned row) {
   bounds(row);
+  const unsigned base = word_base(tile);
   ++stats_.host_reads;
   ++stats_.cycles;
   stats_.energy_pj += energy_compute_op_pj(tech_, geom_.tile_bits, 1, false);
-  return data_[row].extract(geom_.tile_base(tile), geom_.tile_bits);
+  return data_[row].extract(base, geom_.tile_bits);
 }
 
 const bitrow& subarray::peek(unsigned row) const {
@@ -62,60 +143,72 @@ const bitrow& subarray::peek(unsigned row) const {
 
 std::uint64_t subarray::peek_word(unsigned tile, unsigned row) const {
   bounds(row);
-  return data_[row].extract(geom_.tile_base(tile), geom_.tile_bits);
+  return data_[row].extract(word_base(tile), geom_.tile_bits);
 }
 
-void subarray::store(unsigned dst, const bitrow& value, write_mask mask) {
+void subarray::store_words(unsigned dst, const std::uint64_t* v, write_mask mask) {
   bounds(dst);
-  bitrow v = value;
-  for (const auto& [col, stuck] : stuck_columns_) v.set(col, stuck);
+  const auto d = data_[dst].words();
+  const auto set = stuck_set_.words();
+  const auto clr = stuck_clr_.words();
+  const auto p = pred_mask_.words();
+  const std::size_t n = d.size();
   switch (mask) {
     case write_mask::none:
-      data_[dst] = v;
+      for (std::size_t i = 0; i < n; ++i) d[i] = (v[i] | set[i]) & ~clr[i];
       break;
     case write_mask::pred:
-      data_[dst] = bitrow::bit_or(bitrow::bit_and(v, pred_mask_),
-                                  bitrow::bit_and(data_[dst], pred_mask_.inverted()));
+      for (std::size_t i = 0; i < n; ++i) {
+        d[i] = (((v[i] | set[i]) & ~clr[i]) & p[i]) | (d[i] & ~p[i]);
+      }
       break;
     case write_mask::pred_inv:
-      data_[dst] = bitrow::bit_or(bitrow::bit_and(v, pred_mask_.inverted()),
-                                  bitrow::bit_and(data_[dst], pred_mask_));
+      for (std::size_t i = 0; i < n; ++i) {
+        d[i] = (((v[i] | set[i]) & ~clr[i]) & ~p[i]) | (d[i] & p[i]);
+      }
       break;
   }
+  // Inverting ops set the bits above the row width; keep them zero.
+  if (const unsigned top = geom_.cols % 64; top != 0) d[n - 1] &= (1ULL << top) - 1;
 }
 
 void subarray::inject_stuck_column(unsigned col, bool value) {
   if (col >= geom_.cols) throw std::out_of_range("subarray: fault column");
-  stuck_columns_.emplace_back(col, value);
+  stuck_set_.set(col, value);
+  stuck_clr_.set(col, !value);
 }
 
-void subarray::clear_faults() noexcept { stuck_columns_.clear(); }
-
-void subarray::add_energy_compute(unsigned rows_activated, bool writes_back,
-                                  unsigned result_rows) {
-  double e = energy_compute_op_pj(tech_, geom_.cols, rows_activated, writes_back);
-  if (writes_back && result_rows > 1) {
-    // The fused pair op drives a second result row.
-    e += geom_.cols * tech_.e_write_fj_per_col * 1e-3;
-  }
-  stats_.energy_pj += e;
+void subarray::clear_faults() noexcept {
+  stuck_set_.clear();
+  stuck_clr_.clear();
 }
 
 void subarray::op_binary(unsigned dst, unsigned src0, unsigned src1, logic_fn fn,
                          write_mask mask) {
   bounds(src0);
   bounds(src1);
-  bitrow r(geom_.cols);
+  const auto a = data_[src0].words();
+  const auto b = data_[src1].words();
+  const auto r = scratch_.words();
+  const std::size_t n = r.size();
   switch (fn) {
-    case logic_fn::op_and: r = bitrow::bit_and(data_[src0], data_[src1]); break;
-    case logic_fn::op_or: r = bitrow::bit_or(data_[src0], data_[src1]); break;
-    case logic_fn::op_xor: r = bitrow::bit_xor(data_[src0], data_[src1]); break;
-    case logic_fn::op_nor: r = bitrow::bit_nor(data_[src0], data_[src1]); break;
+    case logic_fn::op_and:
+      for (std::size_t i = 0; i < n; ++i) r[i] = a[i] & b[i];
+      break;
+    case logic_fn::op_or:
+      for (std::size_t i = 0; i < n; ++i) r[i] = a[i] | b[i];
+      break;
+    case logic_fn::op_xor:
+      for (std::size_t i = 0; i < n; ++i) r[i] = a[i] ^ b[i];
+      break;
+    case logic_fn::op_nor:
+      for (std::size_t i = 0; i < n; ++i) r[i] = ~(a[i] | b[i]);
+      break;
   }
-  store(dst, r, mask);
+  store_words(dst, r.data(), mask);
   ++stats_.binary_ops;
   ++stats_.cycles;
-  add_energy_compute(2, true);
+  stats_.energy_pj += e_binary_;
 }
 
 void subarray::op_pair(unsigned c_dst, unsigned s_dst, unsigned src0, unsigned src1,
@@ -123,68 +216,91 @@ void subarray::op_pair(unsigned c_dst, unsigned s_dst, unsigned src0, unsigned s
   bounds(src0);
   bounds(src1);
   if (c_dst == s_dst) throw std::invalid_argument("subarray: pair destinations collide");
-  // Both SA outputs of one dual-row activation; snapshot sources first so a
-  // destination aliasing a source behaves like latched hardware.
-  const bitrow a = data_[src0];
-  const bitrow b = data_[src1];
-  store(c_dst, bitrow::bit_and(a, b), mask);
-  store(s_dst, bitrow::bit_xor(a, b), mask);
+  // Both SA outputs of one dual-row activation are latched before either
+  // write, so a destination aliasing a source behaves like the hardware.
+  const auto a = data_[src0].words();
+  const auto b = data_[src1].words();
+  const auto c = scratch_.words();
+  const auto s = scratch2_.words();
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    c[i] = a[i] & b[i];
+    s[i] = a[i] ^ b[i];
+  }
+  store_words(c_dst, c.data(), mask);
+  store_words(s_dst, s.data(), mask);
   ++stats_.pair_ops;
   ++stats_.cycles;
-  add_energy_compute(2, true, 2);
+  stats_.energy_pj += e_pair_;
 }
 
 void subarray::op_copy(unsigned dst, unsigned src, bool invert, write_mask mask) {
   bounds(src);
-  store(dst, invert ? data_[src].inverted() : data_[src], mask);
+  const auto a = data_[src].words();
+  const auto r = scratch_.words();
+  const word flip = invert ? ~0ULL : 0;
+  for (std::size_t i = 0; i < r.size(); ++i) r[i] = a[i] ^ flip;
+  store_words(dst, r.data(), mask);
   ++stats_.copy_ops;
   ++stats_.cycles;
-  add_energy_compute(1, true);
+  stats_.energy_pj += e_copy_;
 }
 
 void subarray::op_shift(unsigned dst, unsigned src, shift_dir dir, bool segmented,
                         bool expect_lossless) {
   bounds(src);
-  const bitrow& in = data_[src];
-  bitrow out = dir == shift_dir::left ? in.shifted_left() : in.shifted_right();
-  if (segmented) {
-    // Zero the bit that crossed each tile boundary and count losses.
-    for (unsigned t = 0; t < geom_.num_tiles(); ++t) {
-      const unsigned lsb_col = geom_.tile_base(t);
-      const unsigned msb_col = lsb_col + geom_.tile_bits - 1;
-      if (dir == shift_dir::left) {
-        if (expect_lossless && in.get(msb_col)) ++stats_.lossless_shift_violations;
-        out.set(lsb_col, false);
-      } else {
-        if (expect_lossless && in.get(lsb_col)) ++stats_.lossless_shift_violations;
-        out.set(msb_col, false);
-      }
-    }
-    // Columns outside any tile keep shifting harmlessly; clear them so
-    // stale bits cannot drift back in.
-    for (unsigned c = geom_.used_cols(); c < geom_.cols; ++c) out.set(c, false);
-  } else if (expect_lossless) {
-    const unsigned edge = dir == shift_dir::left ? geom_.cols - 1 : 0;
-    if (in.get(edge)) ++stats_.lossless_shift_violations;
+  const auto in = data_[src].words();
+  const auto out = scratch_.words();
+  const bool left = dir == shift_dir::left;
+  if (left) {
+    shift_up(in.data(), out.data(), out.size(), 1);
+  } else {
+    shift_down(in.data(), out.data(), out.size(), 1);
   }
-  store(dst, out, write_mask::none);
+  if (segmented) {
+    // The bit leaving each tile is lost and the vacated edge column fills
+    // with zero; columns outside any tile are cleared so stale bits cannot
+    // drift back in.
+    const auto lost = (left ? msb_mask_ : lsb_mask_).words();
+    const auto fill = (left ? lsb_mask_ : msb_mask_).words();
+    const auto used = used_mask_.words();
+    if (expect_lossless) stats_.lossless_shift_violations += popcount_and(in, lost);
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] &= ~fill[i] & used[i];
+  } else if (expect_lossless) {
+    const unsigned edge = left ? geom_.cols - 1 : 0;
+    if (data_[src].get(edge)) ++stats_.lossless_shift_violations;
+  }
+  store_words(dst, out.data(), write_mask::none);
   ++stats_.shift_ops;
   ++stats_.cycles;
-  stats_.energy_pj += energy_shift_op_pj(tech_, geom_.cols);
+  stats_.energy_pj += e_shift_;
 }
 
 void subarray::op_check_pred(unsigned src, unsigned bit_index) {
   bounds(src);
   if (bit_index >= geom_.tile_bits) throw std::out_of_range("subarray: predicate bit index");
   // Broadcast bit `bit_index` of every tile across that tile's columns.
-  for (unsigned t = 0; t < geom_.num_tiles(); ++t) {
-    const bool p = data_[src].get(geom_.column_of(t, bit_index));
-    const unsigned base = geom_.tile_base(t);
-    for (unsigned b = 0; b < geom_.tile_bits; ++b) pred_mask_.set(base + b, p);
+  // L holds each flagged tile's bit at the tile's LSB column b, and
+  // (L << k) - L is the sum of 2^(b+k) - 2^b, a run of k ones over each
+  // flagged tile.  The runs are disjoint, so the sum is their OR; it fits
+  // the row, so computing it modulo the row's limbs is exact even when the
+  // top tile's 2^(b+k) falls past the last limb.
+  const auto l = scratch_.words();
+  const auto pred = pred_mask_.words();
+  const auto lsb = lsb_mask_.words();
+  const std::size_t n = l.size();
+  shift_down(data_[src].words().data(), l.data(), n, bit_index);
+  for (std::size_t i = 0; i < n; ++i) l[i] &= lsb[i];
+  shift_up(l.data(), pred.data(), n, geom_.tile_bits);
+  word borrow = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const word diff = pred[i] - l[i];
+    const word next = (pred[i] < l[i]) | (diff < borrow);
+    pred[i] = diff - borrow;
+    borrow = next;
   }
   ++stats_.check_ops;
   ++stats_.cycles;
-  stats_.energy_pj += energy_check_op_pj(tech_, geom_.cols);
+  stats_.energy_pj += e_check_;
 }
 
 bool subarray::op_check_zero(unsigned src) {
@@ -192,7 +308,7 @@ bool subarray::op_check_zero(unsigned src) {
   zero_flag_ = !data_[src].any();
   ++stats_.check_ops;
   ++stats_.cycles;
-  stats_.energy_pj += energy_check_op_pj(tech_, geom_.cols);
+  stats_.energy_pj += e_check_;
   return zero_flag_;
 }
 

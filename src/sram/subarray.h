@@ -96,17 +96,39 @@ class subarray {
   void clear_faults() noexcept;
 
  private:
-  void store(unsigned dst, const bitrow& value, write_mask mask);
+  // Rebuild the per-geometry tile masks after a tile-width change.
+  void rebuild_tile_masks();
+  // The one write path of every compute op: apply the stuck columns, then
+  // the write mask, to the result limbs `v` and store them into row `dst`.
+  void store_words(unsigned dst, const std::uint64_t* v, write_mask mask);
   void bounds(unsigned row) const;
-  void add_energy_compute(unsigned rows_activated, bool writes_back, unsigned result_rows = 1);
+  // First column of `tile` for the 64-bit word accessors.
+  [[nodiscard]] unsigned word_base(unsigned tile) const;
 
   tile_geometry geom_;
   tech_params tech_;
   std::vector<bitrow> data_;
   bitrow pred_mask_;
+  // Result rows the compute ops build before the store (two for op_pair).
+  bitrow scratch_;
+  bitrow scratch2_;
+  // Per-geometry column masks: each tile's LSB and MSB column, and the
+  // columns covered by some tile.
+  bitrow lsb_mask_;
+  bitrow msb_mask_;
+  bitrow used_mask_;
+  // Stuck-at faults as two column masks; the last injection on a column wins.
+  bitrow stuck_set_;
+  bitrow stuck_clr_;
   bool zero_flag_ = false;
   op_stats stats_;
-  std::vector<std::pair<unsigned, bool>> stuck_columns_;
+
+  // Compute-op energies in pJ, computed once from the tech model.
+  double e_binary_ = 0;
+  double e_pair_ = 0;
+  double e_copy_ = 0;
+  double e_shift_ = 0;
+  double e_check_ = 0;
 };
 
 }  // namespace bpntt::sram

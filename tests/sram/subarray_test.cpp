@@ -177,7 +177,29 @@ TEST(Subarray, ReconfigurableTileWidth) {
   a.set_tile_bits(8);
   EXPECT_EQ(a.geometry().num_tiles(), 8u);
   EXPECT_THROW(a.set_tile_bits(0), std::invalid_argument);
-  EXPECT_THROW(a.set_tile_bits(65), std::invalid_argument);  // > cols? 65 <= 64? no: 65 > 64
+  EXPECT_THROW(a.set_tile_bits(65), std::invalid_argument);  // wider than the 64 columns
+}
+
+TEST(Subarray, ReconfiguredTileEdgesDriveShiftAndPredicate) {
+  // 16-bit tiles reconfigured to 8 bits: column 7 becomes a tile MSB and
+  // column 8 a tile LSB, so the segmented shift and the predicate broadcast
+  // must follow the new edges.
+  auto a = make_array(16, 64, 16);
+  a.set_tile_bits(8);
+  for (unsigned t = 0; t < 8; ++t) a.host_write_word(t, 0, 0x81);  // MSB+LSB of every tile
+  a.op_shift(1, 0, shift_dir::left, /*segmented=*/true, /*expect_lossless=*/true);
+  EXPECT_EQ(a.stats().lossless_shift_violations, 8u);
+  for (unsigned t = 0; t < 8; ++t) EXPECT_EQ(a.peek_word(t, 1), 0x02u) << "tile " << t;
+  a.op_shift(1, 0, shift_dir::right, /*segmented=*/true, /*expect_lossless=*/true);
+  EXPECT_EQ(a.stats().lossless_shift_violations, 16u);
+  for (unsigned t = 0; t < 8; ++t) EXPECT_EQ(a.peek_word(t, 1), 0x40u) << "tile " << t;
+
+  a.host_write_word(1, 2, 0x01);  // only tile 1 (columns 8..15) has bit 0 set
+  a.op_check_pred(2, 0);
+  for (unsigned c = 0; c < 64; ++c) {
+    EXPECT_EQ(a.predicate_mask().get(c), c >= 8 && c < 16) << "column " << c;
+  }
+  EXPECT_THROW(a.op_check_pred(2, 8), std::out_of_range);
 }
 
 TEST(Subarray, RowBoundsChecked) {
@@ -185,6 +207,14 @@ TEST(Subarray, RowBoundsChecked) {
   EXPECT_THROW(a.host_read_word(0, 8), std::out_of_range);
   EXPECT_THROW(a.op_binary(8, 0, 1, logic_fn::op_and), std::out_of_range);
   EXPECT_THROW(a.op_check_pred(0, 16), std::out_of_range);
+}
+
+TEST(Subarray, WordAccessRejectsTilesWiderThanAWord) {
+  auto a = make_array(8, 256, 128);
+  EXPECT_THROW(a.host_write_word(0, 0, 1), std::invalid_argument);
+  EXPECT_THROW((void)a.host_read_word(0, 0), std::invalid_argument);
+  EXPECT_THROW((void)a.peek_word(1, 0), std::invalid_argument);
+  EXPECT_EQ(a.stats().host_writes + a.stats().host_reads, 0u);
 }
 
 TEST(Subarray, OddColumnsOutsideTilesAreCleared) {
