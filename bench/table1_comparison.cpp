@@ -29,6 +29,7 @@
 #include "common/table.h"
 #include "common/xoshiro.h"
 #include "runtime/context.h"
+#include "runtime/cpu_backend.h"
 
 namespace {
 
@@ -90,12 +91,12 @@ bpntt::baselines::design_point measure_cpu_row(unsigned iterations) {
   runtime::context ctx(opts);
   const auto results = run_forward_batch(ctx, iterations, /*seed=*/43);
   const auto& batch = results.front();
-  const double seconds = batch.wall_cycles / (opts.cpu_freq_ghz * 1e9);
+  const double seconds = batch.wall_cycles / (runtime::kCpuFreqGhz * 1e9);
   baselines::cpu_measurement m;
   m.latency_us = seconds * 1e6 / iterations;
   m.throughput_kntt_s = iterations / seconds / 1e3;
   m.energy_nj = batch.op_stats.energy_pj * 1e-3 / iterations;
-  m.assumed_power_w = opts.cpu_power_w;
+  m.assumed_power_w = runtime::kCpuPowerW;
   auto row = baselines::cpu_design_point(m, 16);
   row.name = "CPU (measured, Montgomery)";
   return row;

@@ -50,22 +50,19 @@ void context::finish_construction() {
   caps_ = backend_->capabilities();
 
   // On-array residency exists only where device rows do: banked backends
-  // get a manager whose placement domains are their banks and channels,
-  // with the configured subarrays minus the CTRL/CMD one per bank.  The row
-  // budget is residency_rows per subarray, or the legacy entries knob —
-  // entries x n rows spread evenly over the data subarrays, so "room for k
-  // operands" keeps its meaning.  Host backends ignore both options.
-  if (caps_.banks() != 0 && (opts_.operand_cache_entries != 0 || opts_.residency_rows != 0)) {
+  // get a manager whose placement domains are their banks, with the
+  // configured subarrays minus the CTRL/CMD one per bank.  The row budget
+  // is operand_cache_entries x n rows spread evenly over the data
+  // subarrays, so "room for k operands" keeps its meaning.  Host backends
+  // ignore the option.
+  if (caps_.banks() != 0 && opts_.operand_cache_entries != 0) {
     residency_manager::config rc;
     rc.banks = caps_.banks();
-    rc.channels = std::min(rc.banks, std::max(1u, caps_.channels));
     rc.data_subarrays = std::max(1u, opts_.topo.subarrays - 1);
     rc.rows_per_operand = static_cast<unsigned>(opts_.params.n);
     const u64 regions = static_cast<u64>(rc.banks) * rc.data_subarrays;
     const u64 entry_rows = static_cast<u64>(opts_.operand_cache_entries) * opts_.params.n;
-    rc.rows_per_subarray = opts_.residency_rows != 0
-                               ? opts_.residency_rows
-                               : static_cast<unsigned>((entry_rows + regions - 1) / regions);
+    rc.rows_per_subarray = static_cast<unsigned>((entry_rows + regions - 1) / regions);
     resman_ = std::make_unique<residency_manager>(rc);
     backend_->attach_residency(resman_.get());
   }
@@ -115,7 +112,7 @@ void context::finish_construction() {
   // Tracing is opt-in: without it no recorder exists and every
   // instrumentation site below degenerates to one null test.
   if (opts_.tracing) {
-    recorder_ = std::make_unique<telemetry::trace_recorder>(opts_.trace_capacity);
+    recorder_ = std::make_unique<telemetry::trace_recorder>(kTraceCapacity);
   }
   sched_->attach_metrics(m_.groups_merged, m_.preemption_yields, m_.residency_affinity_hits);
   sched_->attach_recorder(recorder_.get());
@@ -191,7 +188,6 @@ void validate_ring_override(u64 q, const core::ntt_params& params, const backend
 }  // namespace
 
 stream context::stream(stream_options sopts) {
-  const unsigned resources = std::max(1u, caps_.banks());
   if (sopts.ring_q != 0) validate_ring_override(sopts.ring_q, opts_.params, caps_);
   // Skip ids still held by live streams (and the default stream's 0): a
   // per-request service that opens and closes streams for long enough
@@ -201,21 +197,7 @@ stream context::stream(stream_options sopts) {
   while (next_stream_id_ == 0 || streams_.count(next_stream_id_) != 0) ++next_stream_id_;
   const unsigned sid = next_stream_id_++;
   stream_state ss;
-  if (!sopts.bank_set.empty()) {
-    std::vector<unsigned> set = sopts.bank_set;
-    std::sort(set.begin(), set.end());
-    set.erase(std::unique(set.begin(), set.end()), set.end());
-    for (const unsigned b : set) {
-      if (b >= resources) {
-        throw std::invalid_argument("runtime: stream bank_set names bank " + std::to_string(b) +
-                                    " but the backend has " + std::to_string(resources) +
-                                    " schedulable banks");
-      }
-    }
-    ss.resources = std::move(set);
-  } else {
-    ss.resources = auto_bank_set(sid);
-  }
+  ss.resources = auto_bank_set(sid);
   ss.sopts = std::move(sopts);
   {
     std::lock_guard<std::mutex> lk(smu_);
@@ -571,7 +553,6 @@ std::shared_ptr<dispatch_group> context::build_group(unsigned sid) {
   if (resman_ && ss.sopts.ring_q != 0) {
     g->affinity_banks = resman_->banks_holding(ss.sopts.ring_q);
   }
-  g->mergeable = !ss.sopts.no_merge;
   g->chunk_budget = ss.sopts.chunk_budget;
   return g;
 }

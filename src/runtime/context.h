@@ -51,9 +51,8 @@
 //
 // Cross-stream batching (runtime_options::merge_streams, default off):
 // when the scheduler picks a runnable group it absorbs merge-compatible
-// ready groups — same ring modulus, streams that did not opt out
-// (stream_options::no_merge), banks disjoint-or-shareable — and the
-// context runs one dispatch per job kind over every member's jobs,
+// ready groups — same ring modulus, banks disjoint-or-shareable — and
+// the context runs one dispatch per job kind over every member's jobs,
 // distributing each member's outputs back to its own stream with that
 // member's deadline accounting.  Outputs are bit-identical to unmerged
 // execution; only the makespan and the per-dispatch amortization change.
@@ -116,7 +115,7 @@ struct scheduler_stats {
   // On-array residency counters (cumulative): transforms served resident
   // vs computed fresh on ring-overridden (RNS limb) dispatches.  All stay
   // 0 on host backends (no device rows) and when residency is disabled
-  // (operand_cache_entries == 0 and residency_rows == 0).
+  // (operand_cache_entries == 0).
   u64 operand_cache_hits = 0;
   u64 operand_cache_misses = 0;
   // Residents dropped under capacity pressure (LRU within the unpinned
@@ -233,15 +232,15 @@ class context {
   void pin_operand(const std::vector<u64>& coeffs) noexcept;
   void unpin_operand(const std::vector<u64>& coeffs) noexcept;
   // The backend's lazy per-modulus retarget cache occupancy (LRU-bounded
-  // by runtime_options::retarget_cache_limit).
+  // by kRetargetCacheModuli in runtime/retarget_cache.h).
   [[nodiscard]] std::size_t retarget_cache_size() const noexcept {
     return backend_->retarget_cache_size();
   }
 
   // Open an independent in-order submission lane.  Bank placement is
-  // topology-aware unless sopts.bank_set pins it explicitly; the handle
-  // stays valid for the context's lifetime.  A non-zero sopts.ring_q opens
-  // a ring-overridden (RNS limb) stream; it is validated here: odd prime,
+  // topology-aware (see stream::bank_set()); the handle stays valid for
+  // the context's lifetime.  A non-zero sopts.ring_q opens a
+  // ring-overridden (RNS limb) stream; it is validated here: odd prime,
   // full negacyclic support at the configured n, inside the backend's
   // modulus envelope.
   [[nodiscard]] runtime::stream stream(stream_options sopts = {});
@@ -345,8 +344,8 @@ class context {
   backend_caps caps_;
   // The on-array residency manager a banked backend consults on
   // ring-overridden dispatches; null for host backends (no banks) and when
-  // disabled (operand_cache_entries == 0 and residency_rows == 0).  Built
-  // after caps_ — its bank/channel shape comes from the capabilities.
+  // disabled (operand_cache_entries == 0).  Built after caps_ — its bank
+  // count comes from the capabilities.
   std::unique_ptr<residency_manager> resman_;
   // Client-thread state: per-stream queues and the id counters.  Only the
   // client thread mutates streams_ (always under smu_); smu_ exists so a

@@ -10,10 +10,7 @@
 namespace bpntt::runtime {
 
 cpu_backend::cpu_backend(const runtime_options& opts)
-    : params_(opts.params),
-      freq_ghz_(opts.cpu_freq_ghz),
-      power_w_(opts.cpu_power_w),
-      retarget_(opts.retarget_cache_limit) {
+    : params_(opts.params), retarget_(kRetargetCacheModuli) {
   if (params_.incomplete) {
     itables_ = std::make_unique<math::incomplete_ntt_tables>(params_.n, params_.q);
   } else {
@@ -80,11 +77,11 @@ batch_result cpu_backend::finish(std::vector<std::vector<u64>> outputs, double s
     // A small batch can finish inside one clock tick and measure 0 seconds;
     // clamp to one core cycle so a non-empty batch never reports zero work
     // (downstream throughput/energy division relies on that).
-    seconds = std::max(seconds, 1.0 / (freq_ghz_ * 1e9));
+    seconds = std::max(seconds, 1.0 / (kCpuFreqGhz * 1e9));
   }
-  out.wall_cycles = static_cast<u64>(std::llround(seconds * freq_ghz_ * 1e9));
+  out.wall_cycles = static_cast<u64>(std::llround(seconds * kCpuFreqGhz * 1e9));
   out.stats.cycles = out.wall_cycles;
-  out.stats.energy_pj = seconds * power_w_ * 1e12;
+  out.stats.energy_pj = seconds * kCpuPowerW * 1e12;
   return out;
 }
 

@@ -5,8 +5,9 @@
 // path, not the 128-bit-division golden model); incomplete and cyclic
 // parameter sets fall back to the exact table-driven transforms.  Wall time
 // is measured with a monotonic clock and converted into the unified cycle /
-// energy accounting via the configured core frequency and power — the same
-// methodology baselines::measure_cpu_ntt uses for the Table I row.
+// energy accounting via a fixed core frequency and power (kCpuFreqGhz,
+// kCpuPowerW) — the same methodology baselines::measure_cpu_ntt uses for
+// the Table I row.
 #pragma once
 
 #include <memory>
@@ -18,6 +19,11 @@
 #include "runtime/retarget_cache.h"
 
 namespace bpntt::runtime {
+
+// The core that converts measured wall time into cycles and energy: one
+// active 3 GHz core drawing 15 W.
+inline constexpr double kCpuFreqGhz = 3.0;
+inline constexpr double kCpuPowerW = 15.0;
 
 class cpu_backend final : public backend {
  public:
@@ -43,7 +49,7 @@ class cpu_backend final : public backend {
  private:
   // Montgomery fast path for one ring-override modulus (RNS limb
   // dispatches) — the same competitive software path the primary ring
-  // uses, built lazily and LRU-bounded per runtime_options; a dispatch
+  // uses, built lazily and LRU-bounded (kRetargetCacheModuli); a dispatch
   // holds its shared_ptr, so eviction mid-flight is safe.
   struct limb_ring {
     std::unique_ptr<math::ntt_tables> tables;
@@ -59,8 +65,6 @@ class cpu_backend final : public backend {
                                     double seconds) const;
 
   core::ntt_params params_;
-  double freq_ghz_ = 0.0;
-  double power_w_ = 0.0;
   std::unique_ptr<math::ntt_tables> tables_;
   std::unique_ptr<math::incomplete_ntt_tables> itables_;
   std::unique_ptr<math::fast_ntt> fast_;

@@ -76,27 +76,6 @@ void runtime_options::validate() const {
         "sweeps for performance-only runs");
   }
   validate_threads(threads);
-  if (retarget_cache_limit < 1) {
-    throw std::invalid_argument(
-        "runtime_options: retarget_cache_limit must be >= 1 — a zero-capacity cache would "
-        "rebuild the per-modulus retarget state on every ring-overridden dispatch");
-  }
-  if (tracing && trace_capacity == 0) {
-    throw std::invalid_argument(
-        "runtime_options: trace_capacity must be >= 1 when tracing is enabled — a "
-        "zero-capacity recorder would drop every event it accepts");
-  }
-  // The cpu model constants feed cycle/energy accounting; a non-positive
-  // value would silently produce nonsense (infinite cycles, negative
-  // energy), so they are rejected for every backend, not just cpu.
-  if (cpu_freq_ghz <= 0.0) {
-    throw std::invalid_argument("runtime_options: cpu_freq_ghz must be > 0 (got " +
-                                std::to_string(cpu_freq_ghz) + ")");
-  }
-  if (cpu_power_w <= 0.0) {
-    throw std::invalid_argument("runtime_options: cpu_power_w must be > 0 (got " +
-                                std::to_string(cpu_power_w) + ")");
-  }
   switch (backend) {
     case backend_kind::sram:
       topo.validate();

@@ -18,6 +18,9 @@ namespace bpntt::runtime {
 
 using u64 = core::u64;
 
+// Trace events each recording thread retains when tracing is on.
+inline constexpr unsigned kTraceCapacity = 1u << 16;
+
 enum class backend_kind {
   sram,       // cycle-level in-SRAM model (bp_ntt_bank / bp_ntt_engine)
   cpu,        // measured software baseline (Montgomery fast_ntt)
@@ -70,38 +73,18 @@ struct runtime_options {
   device_topology topo;
   core::engine_config array;
 
-  // cpu backend: constants that convert measured wall time into the cycle /
-  // energy accounting the unified job_result reports.
-  double cpu_freq_ghz = 3.0;
-  double cpu_power_w = 15.0;
-
   // Executor pool size for async flush and batch-internal fan-out (bank
   // slices, cpu job chunks).  0 derives a size from the host's hardware
   // concurrency; 1 gives a single worker (serial dispatch, still async
   // with respect to the submitting thread).
   unsigned threads = 0;
 
-  // Bound (in moduli) on each backend's lazy per-modulus retarget cache —
-  // the ring-overridden dispatch state (sram: retargeted bank arrays, cpu:
-  // Montgomery fast paths, reference: golden tables).  Least-recently-
-  // dispatched moduli are evicted and rebuilt on next use; must be >= 1.
-  unsigned retarget_cache_limit = 16;
-
-  // Compat shim over the sram backend's residency budget: the historical
-  // "cache capacity in entries" knob, now translated into a per-subarray
-  // row budget at context construction (entries x ring order n rows,
-  // spread over the device's data subarrays — see
+  // The sram backend's residency budget, in resident operands: the context
+  // turns it into a per-subarray row budget (entries x ring order n rows,
+  // spread evenly over the device's data subarrays — see
   // context::finish_construction).  0 disables residency entirely.  Host
-  // backends have no device rows and ignore it.  Prefer
-  // with_residency_rows() for new code: it states the budget in the
-  // device's own currency.
+  // backends have no device rows and ignore it.
   unsigned operand_cache_entries = 64;
-
-  // Direct residency budget (sram only): reservable rows per data subarray
-  // for device-resident operands.  0 = derive from operand_cache_entries (the
-  // compat path); nonzero overrides the shim.  An operand occupies n rows,
-  // so a subarray holds floor(rows / n) resident operands.
-  unsigned residency_rows = 0;
 
   // Ready-queue ordering under bank contention (see schedule_policy).
   schedule_policy sched = schedule_policy::priority;
@@ -112,11 +95,11 @@ struct runtime_options {
   unsigned aging_limit = 0;
 
   // Cross-stream batching: when the scheduler picks a runnable group it
-  // absorbs merge-compatible ready groups (same ring modulus, streams
-  // that did not opt out, disjoint-or-shareable banks) into one dispatch
-  // per job kind, distributing results back per stream.  Outputs are
-  // bit-identical either way; off by default so dispatch counts and
-  // ordering match the pre-batching scheduler exactly.
+  // absorbs merge-compatible ready groups (same ring modulus,
+  // disjoint-or-shareable banks) into one dispatch per job kind,
+  // distributing results back per stream.  Outputs are bit-identical
+  // either way; off by default so dispatch counts and ordering match the
+  // pre-batching scheduler exactly.
   bool merge_streams = false;
 
   // Virtual-timeline tracing (src/telemetry/): per-dispatch spans on the
@@ -124,11 +107,9 @@ struct runtime_options {
   // marks — exportable as Chrome trace-event JSON via
   // context::export_trace().  Off by default: a context without tracing
   // allocates no recorder and records nothing (every instrumentation site
-  // is one null-pointer test).
+  // is one null-pointer test).  Each recording thread keeps the last
+  // kTraceCapacity events; a full ring drops its oldest event and counts it.
   bool tracing = false;
-  // Events retained per recording thread when tracing is on (rounded up to
-  // a power of two; a full ring drops its oldest event and counts it).
-  unsigned trace_capacity = 1u << 16;
 
   runtime_options& with_backend(backend_kind k) {
     backend = k;
@@ -177,27 +158,12 @@ struct runtime_options {
     array.microcode = m;
     return *this;
   }
-  runtime_options& with_cpu_model(double freq_ghz, double power_w) {
-    cpu_freq_ghz = freq_ghz;
-    cpu_power_w = power_w;
-    return *this;
-  }
   runtime_options& with_threads(unsigned t) {
     threads = t;
     return *this;
   }
-  runtime_options& with_retarget_cache(unsigned moduli) {
-    retarget_cache_limit = moduli;
-    return *this;
-  }
-  // Compat shim (see operand_cache_entries); with_residency_rows() is the
-  // native spelling of the same budget.
   runtime_options& with_operand_cache(unsigned entries) {
     operand_cache_entries = entries;
-    return *this;
-  }
-  runtime_options& with_residency_rows(unsigned rows_per_subarray) {
-    residency_rows = rows_per_subarray;
     return *this;
   }
   runtime_options& with_schedule(schedule_policy p, unsigned aging = 0) {
@@ -209,9 +175,8 @@ struct runtime_options {
     merge_streams = on;
     return *this;
   }
-  runtime_options& with_tracing(unsigned capacity = 1u << 16) {
+  runtime_options& with_tracing() {
     tracing = true;
-    trace_capacity = capacity;
     return *this;
   }
 

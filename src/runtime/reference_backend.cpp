@@ -6,7 +6,7 @@
 namespace bpntt::runtime {
 
 reference_backend::reference_backend(const runtime_options& opts)
-    : params_(opts.params), retarget_(opts.retarget_cache_limit) {
+    : params_(opts.params), retarget_(kRetargetCacheModuli) {
   if (params_.incomplete) {
     itables_ = std::make_unique<math::incomplete_ntt_tables>(params_.n, params_.q);
   } else {

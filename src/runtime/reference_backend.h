@@ -36,7 +36,7 @@ class reference_backend final : public backend {
 
  private:
   // The full-negacyclic tables for one ring-override modulus (RNS limb
-  // dispatches), built lazily and LRU-bounded per runtime_options; a
+  // dispatches), built lazily and LRU-bounded (kRetargetCacheModuli); a
   // dispatch holds its shared_ptr, so eviction mid-flight is safe.
   [[nodiscard]] std::shared_ptr<const math::ntt_tables> tables_for(u64 ring_q);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "telemetry/trace.h"
 
@@ -39,11 +40,8 @@ residency_manager::residency_manager(const config& cfg)
     : cfg_(cfg),
       budget_(cfg.banks == 0 ? 1 : cfg.banks,
               cfg.data_subarrays == 0 ? 1 : cfg.data_subarrays, cfg.rows_per_subarray) {
-  if (cfg_.banks == 0 || cfg_.channels == 0 || cfg_.data_subarrays == 0) {
-    throw std::invalid_argument("residency_manager: banks/channels/subarrays must be >= 1");
-  }
-  if (cfg_.channels > cfg_.banks) {
-    throw std::invalid_argument("residency_manager: more channels than banks");
+  if (cfg_.banks == 0 || cfg_.data_subarrays == 0) {
+    throw std::invalid_argument("residency_manager: banks/subarrays must be >= 1");
   }
 }
 
@@ -65,25 +63,6 @@ void residency_manager::touch_locked(entry& e, const key& k) {
   order_.erase(e.lru);
   order_.push_front(k);
   e.lru = order_.begin();
-}
-
-unsigned residency_manager::home_bank_locked(core::u64 ring_q) {
-  const auto it = home_.find(ring_q);
-  if (it != home_.end()) return it->second;
-  const unsigned idx = next_home_++;
-  // Channel-first spreading: consecutive first-seen limbs land on distinct
-  // channels (each channel's first bank) before wrapping, so limbs that
-  // outnumber the channels tile round-robin instead of stacking.  When the
-  // bank count does not divide evenly into channels, plain round-robin over
-  // banks is the best the hardware offers.
-  unsigned home = 0;
-  if (cfg_.banks % cfg_.channels == 0) {
-    home = (idx % cfg_.channels) * (cfg_.banks / cfg_.channels);
-  } else {
-    home = idx % cfg_.banks;
-  }
-  home_.emplace(ring_q, home);
-  return home;
 }
 
 bool residency_manager::pinned_registered_locked(core::u64 digest,
@@ -168,8 +147,11 @@ std::optional<residency_manager::hit> residency_manager::lookup(
 
 void residency_manager::insert(core::u64 ring_q, core::transform_dir dir,
                                const std::vector<core::u64>& coeffs,
-                               std::vector<core::u64> transformed,
-                               std::optional<unsigned> bank_hint) {
+                               std::vector<core::u64> transformed, unsigned bank) {
+  if (bank >= cfg_.banks) {
+    throw std::logic_error("residency_manager: insert names bank " + std::to_string(bank) +
+                           " but the device has " + std::to_string(cfg_.banks) + " banks");
+  }
   const key k{ring_q, static_cast<int>(dir), digest_of(coeffs)};
   std::lock_guard<std::mutex> lk(mu_);
   const auto it = entries_.find(k);
@@ -180,11 +162,7 @@ void residency_manager::insert(core::u64 ring_q, core::transform_dir dir,
     touch_locked(it->second, k);
     return;
   }
-  const auto rows = static_cast<unsigned>(coeffs.size());
-  const unsigned want_bank = (bank_hint && *bank_hint < cfg_.banks)
-                                 ? *bank_hint
-                                 : home_bank_locked(ring_q);
-  auto span = place_locked(want_bank, rows);
+  auto span = place_locked(bank, static_cast<unsigned>(coeffs.size()));
   if (!span) return;  // no placement even after eviction: drop, never misfile
   order_.push_front(k);
   entries_.emplace(k, entry{coeffs, std::move(transformed), *span,

@@ -12,15 +12,13 @@
 // entries — evaluation keys, long-lived constants — are exempt); an insert
 // that cannot place even after eviction is dropped, never misfiled.
 //
-// Placement policy is limb-aware: distinct limb primes are assigned home
-// banks round-robin across channels in first-seen order, so when an RNS
-// operand's limbs outnumber the channels the limbs spread instead of
-// piling onto one bank, and a fixed evaluation key's per-limb images stay
-// warm on the bank their limb stream dispatches to.  The sram backend
-// overrides the home with the executing dispatch's bank (the rows are
-// written where the transform ran).  Only a backend with device rows has
-// residency: the context builds a manager for banked backends alone, and
-// the host backends (cpu/reference) transform every operand.
+// Placement follows execution: an image is made resident on the bank whose
+// wave transformed it (the rows are written where the transform ran), and
+// spills to another bank only when that one is full.  A limb stream keeps
+// dispatching to the same banks, so a fixed evaluation key's per-limb
+// images stay warm where they are used.  Only a backend with device rows
+// has residency: the context builds a manager for banked backends alone,
+// and the host backends (cpu/reference) transform every operand.
 //
 // Correctness contract is unchanged from the operand cache it replaces:
 // a 64-bit FNV-1a digest qualified by modulus and direction, exact-match
@@ -64,7 +62,6 @@ class residency_manager {
  public:
   struct config {
     unsigned banks = 1;             // placement domains (the device's banks)
-    unsigned channels = 1;          // limb spreading domains (home banks round-robin)
     unsigned data_subarrays = 1;    // reservable subarrays per bank (CTRL/CMD excluded)
     unsigned rows_per_subarray = 0; // row budget per subarray; 0 disables residency
     unsigned rows_per_operand = 1;  // rows one resident operand occupies (= ring order n)
@@ -89,15 +86,15 @@ class residency_manager {
                                           const std::vector<core::u64>& coeffs);
 
   // Make transformed = NTT_{ring_q,dir}(coeffs) resident.  Placement
-  // prefers bank_hint (the bank the transform executed on) and falls back
-  // to the limb's home bank; capacity pressure evicts LRU unpinned entries
-  // (hint bank first, then anywhere).  When nothing can be evicted — the
-  // budget is exhausted by pinned entries, or an operand outsizes every
-  // subarray — the insert is dropped.  Re-inserting a resident key
-  // refreshes recency (and, on a digest collision, the payload) in place.
+  // prefers `bank` (the bank the transform executed on; std::logic_error
+  // if the device has no such bank) and spills to any bank with free rows;
+  // capacity pressure evicts LRU unpinned entries (`bank` first, then
+  // anywhere).  When nothing can be evicted — the budget is exhausted by
+  // pinned entries, or an operand outsizes every subarray — the insert is
+  // dropped.  Re-inserting a resident key refreshes recency (and, on a
+  // digest collision, the payload) in place.
   void insert(core::u64 ring_q, core::transform_dir dir, const std::vector<core::u64>& coeffs,
-              std::vector<core::u64> transformed,
-              std::optional<unsigned> bank_hint = std::nullopt);
+              std::vector<core::u64> transformed, unsigned bank);
 
   // Drop every entry derived from `coeffs` (all rings and directions),
   // releasing their rows, pinned entries included, and forget any pin
@@ -170,8 +167,6 @@ class residency_manager {
 
   [[nodiscard]] static core::u64 digest_of(const std::vector<core::u64>& coeffs) noexcept;
   void touch_locked(entry& e, const key& k);
-  // The limb's home bank: round-robin over channels in first-seen order.
-  [[nodiscard]] unsigned home_bank_locked(core::u64 ring_q);
   [[nodiscard]] bool pinned_registered_locked(core::u64 digest,
                                               const std::vector<core::u64>& coeffs) const;
   // Evict the least recently used unpinned entry (confined to `bank` when
@@ -188,10 +183,6 @@ class residency_manager {
   sram::row_budget budget_;
   std::map<key, entry> entries_;
   std::list<key> order_;  // most recently used first
-  // Limb prime -> home bank, assigned round-robin across channels at first
-  // sight; survives eviction so a limb's operands keep returning home.
-  std::map<core::u64, unsigned> home_;
-  unsigned next_home_ = 0;
   // Pin registrations by operand digest (exact coefficients kept per
   // registration — same collision discipline as the entries).
   std::map<core::u64, std::vector<std::vector<core::u64>>> pins_;

@@ -26,11 +26,14 @@
 
 namespace bpntt::runtime {
 
+// The bound every backend gives its retarget cache, in moduli.
+inline constexpr std::size_t kRetargetCacheModuli = 16;
+
 template <typename T>
 class retarget_lru {
  public:
   // Capacity in moduli; at least 1 (a zero-capacity retarget cache would
-  // rebuild on every dispatch — runtime_options::validate rejects it).
+  // rebuild on every dispatch).
   explicit retarget_lru(std::size_t capacity) : capacity_(capacity < 1 ? 1 : capacity) {}
 
   // The entry for `key`, building it via `make()` on a miss and bumping it

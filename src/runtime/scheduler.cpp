@@ -59,14 +59,13 @@ void scheduler::requeue_preempted(std::shared_ptr<dispatch_group> g) {
 
 void scheduler::absorb_compatible(const std::shared_ptr<dispatch_group>& host,
                                   std::vector<char>& claimed) {
-  if (!cfg_.merge_streams || !host->mergeable) return;
+  if (!cfg_.merge_streams) return;
   for (auto it = ready_.begin(); it != ready_.end();) {
     auto& h = *it;
-    // Merge eligibility: neither stream opted out, same ring modulus
-    // (native or the same RNS limb prime), and every bank of the candidate
-    // either already in the host's claim or currently unclaimed —
-    // disjoint-or-shareable.
-    bool compatible = h->mergeable && h->hints.ring_q == host->hints.ring_q;
+    // Merge eligibility: same ring modulus (native or the same RNS limb
+    // prime), and every bank of the candidate either already in the host's
+    // claim or currently unclaimed — disjoint-or-shareable.
+    bool compatible = h->hints.ring_q == host->hints.ring_q;
     if (compatible) {
       for (const unsigned r : h->resources) {
         const bool in_host = std::find(host->resources.begin(), host->resources.end(), r) !=

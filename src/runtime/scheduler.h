@@ -29,10 +29,9 @@
 // Cross-stream batching: when take_runnable() picks a runnable group and
 // merging is enabled, it scans the remaining ready queue for *merge-
 // compatible* groups — same ring modulus (native or the same RNS limb
-// prime), both merge-eligible (neither stream opted out), and a bank set
-// that is disjoint-or-shareable (every bank either already in the host's
-// claim or currently unclaimed).  Compatible groups are
-// absorbed into the host's `absorbed` list and the host claims the union:
+// prime) and a bank set that is disjoint-or-shareable (every bank either
+// already in the host's claim or currently unclaimed).  Compatible groups
+// are absorbed into the host's `absorbed` list and the host claims the union:
 // one backend dispatch per job kind executes every member's jobs, and the
 // context distributes each member's slice of the outputs back to its
 // original stream with that member's own deadline accounting.  Outputs are
@@ -101,7 +100,6 @@ struct dispatch_group {
   u64 deadline_abs = no_deadline;
   unsigned waits = 0;    // scheduling rounds this group was passed over
   bool aged = false;     // waits hit aging_limit: promoted ahead of non-aged
-  bool mergeable = true; // the stream did not opt out of cross-stream batching
   // Preemptive-yield budget (stream_options::chunk_budget): a solo group
   // hands its jobs to the backend at most this many at a time and may yield
   // between chunks; 0 = whole per-kind dispatches.  Merged groups run whole.

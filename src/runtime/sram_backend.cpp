@@ -16,7 +16,7 @@ sram_backend::sram_backend(const runtime_options& opts)
     : channels_(opts.topo.channels),
       bank_cfg_(opts.bank()),
       params_(opts.params),
-      retarget_(opts.retarget_cache_limit) {
+      retarget_(kRetargetCacheModuli) {
   const unsigned total = opts.topo.total_banks();
   banks_.reserve(total);
   for (unsigned b = 0; b < total; ++b) {

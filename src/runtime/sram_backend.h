@@ -65,7 +65,7 @@ class sram_backend final : public backend {
   // that modulus.  Retargeting models reloading the CTRL/CMD subarray's
   // twiddle words for a different prime: same geometry, same tile width,
   // different microcode constants.  Built lazily per modulus, LRU-bounded
-  // per runtime_options (the shared_ptr keeps an array alive across a
+  // by kRetargetCacheModuli (the shared_ptr keeps an array alive across a
   // concurrent eviction); the scheduler's disjoint bank-id reservations
   // keep a bank id exclusive across every array, so retargeted banks never
   // run concurrently with their primary twin.

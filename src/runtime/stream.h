@@ -39,11 +39,6 @@ struct stream_options {
   // and count into scheduler_stats::deadline_misses — accounting, not
   // preemption.
   u64 deadline_cycles = 0;
-  // Explicit bank placement (ids into the backend's bank map).  Empty =
-  // topology-aware auto placement: on a multi-channel device the stream
-  // gets one channel's banks, on a flat multi-bank device one bank,
-  // round-robin by stream id.
-  std::vector<unsigned> bank_set;
   // Ring override: every job on this stream runs at this word-sized
   // modulus instead of the context ring's (0 = context ring).  The order n
   // and tile width stay as configured.  This is how an RNS limb stream
@@ -51,12 +46,6 @@ struct stream_options {
   // (odd prime, full negacyclic support at n, inside the backend's
   // envelope) and submissions validate coefficients against it.
   u64 ring_q = 0;
-  // Opt this stream out of cross-stream batching
-  // (runtime_options::merge_streams): its groups are never absorbed into
-  // another stream's dispatch and never absorb others.  For tenants whose
-  // latency accounting must not share a dispatch (or whose bank residency
-  // must stay exclusive).
-  bool no_merge = false;
   // Preemptive-yield budget: dispatch this stream's groups in chunks of at
   // most this many jobs, offering the banks to any earlier-ordered group
   // (under the configured policy) between chunks.  0 = unbounded — whole
@@ -96,6 +85,9 @@ class stream {
   [[nodiscard]] std::size_t pending() const;
   // The bank subset the scheduler reserved for this stream (empty on
   // non-banked backends, where streams share the single resource).
+  // Placement is topology-aware: on a multi-channel device a stream gets
+  // one channel's banks, on a flat multi-bank device one bank, round-robin
+  // by stream id.
   [[nodiscard]] std::vector<unsigned> bank_set() const;
 
  private:

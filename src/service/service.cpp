@@ -73,15 +73,14 @@ std::size_t checked_queue_capacity(const service_options& sopts) {
 }  // namespace
 
 service::service(runtime::runtime_options ropts, service_options sopts)
-    : sopts_(sopts), ctx_(std::move(ropts)), queue_(checked_queue_capacity(sopts)) {
+    : ctx_(std::move(ropts)), queue_(checked_queue_capacity(sopts)) {
   register_metrics();
   drainer_ = std::thread([this] { drain_loop(); });
 }
 
 service::service(runtime::runtime_options ropts,
                  std::unique_ptr<runtime::backend> custom_backend, service_options sopts)
-    : sopts_(sopts),
-      ctx_(std::move(ropts), std::move(custom_backend)),
+    : ctx_(std::move(ropts), std::move(custom_backend)),
       queue_(checked_queue_capacity(sopts)) {
   register_metrics();
   drainer_ = std::thread([this] { drain_loop(); });
@@ -216,8 +215,7 @@ void service::ensure_stream(const std::shared_ptr<session_state>& sess) {
                                [&](const pooled_stream& p) {
                                  return p.priority == o.priority &&
                                         p.deadline_cycles == o.deadline_cycles &&
-                                        p.ring_q == o.ring_q && p.no_merge == o.no_merge &&
-                                        p.chunk_budget == o.chunk_budget;
+                                        p.ring_q == o.ring_q && p.chunk_budget == o.chunk_budget;
                                });
   if (it != stream_pool_.end()) {
     sess->stream = it->stream;
@@ -228,7 +226,6 @@ void service::ensure_stream(const std::shared_ptr<session_state>& sess) {
     so.priority = o.priority;
     so.deadline_cycles = o.deadline_cycles;
     so.ring_q = o.ring_q;
-    so.no_merge = o.no_merge;
     so.chunk_budget = o.chunk_budget;
     sess->stream = ctx_.stream(std::move(so));
   }
@@ -246,9 +243,9 @@ void service::retire_idle_streams() {
       ++it;
       continue;
     }
-    if (stream_pool_.size() < sopts_.stream_pool_limit) {
+    if (stream_pool_.size() < kStreamPoolLimit) {
       stream_pool_.push_back({ss.opts.priority, ss.opts.deadline_cycles, ss.opts.ring_q,
-                              ss.opts.no_merge, ss.opts.chunk_budget, ss.stream});
+                              ss.opts.chunk_budget, ss.stream});
       pooled_.store(stream_pool_.size(), std::memory_order_release);
     } else {
       ss.stream.close();

@@ -89,11 +89,6 @@ struct session_options {
   // Non-zero: an RNS limb tenant — every job runs at this ring modulus
   // (validated when the drainer opens the tenant's stream).
   u64 ring_q = 0;
-  // Opt this tenant out of cross-stream batching (see
-  // stream_options::no_merge): its dispatch groups never share a backend
-  // dispatch with another tenant's.  Irrelevant unless the wrapped context
-  // was built with runtime_options::merge_streams.
-  bool no_merge = false;
   // Preemptive-yield budget (see stream_options::chunk_budget): this
   // tenant's groups dispatch at most this many jobs per chunk and offer
   // their banks to earlier-ordered tenants between chunks.  0 = unbounded.
@@ -109,11 +104,12 @@ struct service_options {
   // Slots in the lock-free submission ring (rounded up to a power of two).
   // A full ring rejects with admission_reason::queue_full.
   std::size_t queue_capacity = 1024;
-  // Parked-stream cap of the stream pool: streams released by closed
-  // sessions are kept for reuse by policy-compatible future sessions;
-  // parked streams beyond this limit are closed instead.
-  std::size_t stream_pool_limit = 8;
 };
+
+// Parked-stream cap of the stream pool: streams released by closed sessions
+// are kept for reuse by policy-compatible future sessions; parked streams
+// beyond this limit are closed instead.
+inline constexpr std::size_t kStreamPoolLimit = 8;
 
 // Counter snapshot of one tenant (or, for service::stats(), the whole
 // service).  Latency quantiles are bucket upper bounds of the fixed-bucket
@@ -290,13 +286,12 @@ class service {
 
   // A parked stream a future policy-compatible session can reuse.  The
   // compatibility key is every option that shapes the stream's scheduling
-  // behaviour — a stream opened for a no-merge or chunk-budgeted tenant
-  // must not leak those semantics to a tenant that did not ask for them.
+  // behaviour — a stream opened for a chunk-budgeted tenant must not leak
+  // that budget to a tenant that did not ask for it.
   struct pooled_stream {
     int priority;
     u64 deadline_cycles;
     u64 ring_q;
-    bool no_merge;
     u64 chunk_budget;
     runtime::stream stream;
   };
@@ -317,7 +312,6 @@ class service {
   void ensure_stream(const std::shared_ptr<session_state>& sess);
   void retire_idle_streams();
 
-  service_options sopts_;
   runtime::context ctx_;  // the drainer is this context's single client
   mpsc_queue<submission> queue_;
 

@@ -11,6 +11,7 @@
 #include "nttmath/primes.h"
 #include "runtime/context.h"
 #include "runtime/residency_manager.h"
+#include "runtime/retarget_cache.h"
 
 namespace bpntt::runtime {
 namespace {
@@ -23,7 +24,6 @@ constexpr u64 kOrder = 32;
 residency_manager::config slots(unsigned entries) {
   residency_manager::config cfg;
   cfg.banks = 1;
-  cfg.channels = 1;
   cfg.data_subarrays = 1;
   cfg.rows_per_subarray = entries * static_cast<unsigned>(kOrder);
   cfg.rows_per_operand = static_cast<unsigned>(kOrder);
@@ -55,7 +55,7 @@ TEST(ResidencyManagerUnit, LookupInsertAndCounters) {
 
   EXPECT_FALSE(cache.lookup(97, core::transform_dir::forward, a).has_value());
   EXPECT_EQ(cache.misses(), 1u);
-  cache.insert(97, core::transform_dir::forward, a, fa);
+  cache.insert(97, core::transform_dir::forward, a, fa, 0);
   const auto hit = cache.lookup(97, core::transform_dir::forward, a);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->transformed, fa);
@@ -72,12 +72,12 @@ TEST(ResidencyManagerUnit, LookupInsertAndCounters) {
 TEST(ResidencyManagerUnit, CapacityPressureEvictsTheColdestEntry) {
   residency_manager cache(slots(2));
   const auto a = poly_of(1), b = poly_of(2), c = poly_of(3);
-  cache.insert(97, core::transform_dir::forward, a, poly_of(11));
-  cache.insert(97, core::transform_dir::forward, b, poly_of(12));
+  cache.insert(97, core::transform_dir::forward, a, poly_of(11), 0);
+  cache.insert(97, core::transform_dir::forward, b, poly_of(12), 0);
   EXPECT_EQ(cache.resident_rows(), cache.capacity_rows());
   // Touch a so b becomes the LRU victim when c needs rows.
   (void)cache.lookup(97, core::transform_dir::forward, a);
-  cache.insert(97, core::transform_dir::forward, c, poly_of(13));
+  cache.insert(97, core::transform_dir::forward, c, poly_of(13), 0);
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_LE(cache.resident_rows(), cache.capacity_rows());
@@ -89,10 +89,10 @@ TEST(ResidencyManagerUnit, CapacityPressureEvictsTheColdestEntry) {
 TEST(ResidencyManagerUnit, InvalidateAndClearReportDropCounts) {
   residency_manager cache(slots(8));
   const auto a = poly_of(1), b = poly_of(2);
-  cache.insert(97, core::transform_dir::forward, a, poly_of(11));
-  cache.insert(193, core::transform_dir::forward, a, poly_of(12));
-  cache.insert(97, core::transform_dir::inverse, a, poly_of(13));
-  cache.insert(97, core::transform_dir::forward, b, poly_of(14));
+  cache.insert(97, core::transform_dir::forward, a, poly_of(11), 0);
+  cache.insert(193, core::transform_dir::forward, a, poly_of(12), 0);
+  cache.insert(97, core::transform_dir::inverse, a, poly_of(13), 0);
+  cache.insert(97, core::transform_dir::forward, b, poly_of(14), 0);
   ASSERT_EQ(cache.size(), 4u);
   ASSERT_EQ(cache.resident_rows(), 4 * kOrder);
 
@@ -111,7 +111,7 @@ TEST(ResidencyManagerUnit, InvalidateAndClearReportDropCounts) {
 TEST(ResidencyManagerUnit, ZeroBudgetNeverStores) {
   residency_manager cache(slots(0));
   const auto a = poly_of(1);
-  cache.insert(97, core::transform_dir::forward, a, poly_of(11));
+  cache.insert(97, core::transform_dir::forward, a, poly_of(11), 0);
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.resident_rows(), 0u);
   EXPECT_FALSE(cache.lookup(97, core::transform_dir::forward, a).has_value());
@@ -121,10 +121,10 @@ TEST(ResidencyManagerUnit, PinnedEntriesSurviveCapacityPressure) {
   residency_manager cache(slots(2));
   const auto a = poly_of(1), b = poly_of(2), c = poly_of(3), d = poly_of(4);
   cache.pin(a);
-  cache.insert(97, core::transform_dir::forward, a, poly_of(11));
-  cache.insert(97, core::transform_dir::forward, b, poly_of(12));
+  cache.insert(97, core::transform_dir::forward, a, poly_of(11), 0);
+  cache.insert(97, core::transform_dir::forward, b, poly_of(12), 0);
   // a is the LRU but pinned: pressure from c must take b instead.
-  cache.insert(97, core::transform_dir::forward, c, poly_of(13));
+  cache.insert(97, core::transform_dir::forward, c, poly_of(13), 0);
   EXPECT_TRUE(cache.lookup(97, core::transform_dir::forward, a).has_value());
   EXPECT_FALSE(cache.lookup(97, core::transform_dir::forward, b).has_value());
   EXPECT_TRUE(cache.lookup(97, core::transform_dir::forward, c).has_value());
@@ -132,7 +132,7 @@ TEST(ResidencyManagerUnit, PinnedEntriesSurviveCapacityPressure) {
   // Unpinning rejoins the pressure class.
   cache.unpin(a);
   (void)cache.lookup(97, core::transform_dir::forward, c);  // a becomes LRU
-  cache.insert(97, core::transform_dir::forward, d, poly_of(14));
+  cache.insert(97, core::transform_dir::forward, d, poly_of(14), 0);
   EXPECT_FALSE(cache.lookup(97, core::transform_dir::forward, a).has_value());
 }
 
@@ -140,44 +140,49 @@ TEST(ResidencyManagerUnit, ExplicitInvalidationOverridesThePin) {
   residency_manager cache(slots(4));
   const auto a = poly_of(1);
   cache.pin(a);
-  cache.insert(97, core::transform_dir::forward, a, poly_of(11));
+  cache.insert(97, core::transform_dir::forward, a, poly_of(11), 0);
   EXPECT_EQ(cache.invalidate(a), 1u) << "invalidate() drops pinned entries";
   EXPECT_EQ(cache.size(), 0u);
   // The pin registration was retired with the operand: a re-insert is
   // unpinned and evictable again.
-  cache.insert(97, core::transform_dir::forward, a, poly_of(11));
+  cache.insert(97, core::transform_dir::forward, a, poly_of(11), 0);
   const auto b = poly_of(2), c = poly_of(3), d = poly_of(4), e = poly_of(5);
-  cache.insert(97, core::transform_dir::forward, b, poly_of(12));
-  cache.insert(97, core::transform_dir::forward, c, poly_of(13));
-  cache.insert(97, core::transform_dir::forward, d, poly_of(14));
-  cache.insert(97, core::transform_dir::forward, e, poly_of(15));
+  cache.insert(97, core::transform_dir::forward, b, poly_of(12), 0);
+  cache.insert(97, core::transform_dir::forward, c, poly_of(13), 0);
+  cache.insert(97, core::transform_dir::forward, d, poly_of(14), 0);
+  cache.insert(97, core::transform_dir::forward, e, poly_of(15), 0);
   EXPECT_FALSE(cache.lookup(97, core::transform_dir::forward, a).has_value());
 }
 
-TEST(ResidencyManagerUnit, LimbHomesRoundRobinAcrossChannels) {
-  // Four banks on two channels: limb primes land on channel-leading banks
-  // 0, 2, 0, 2, ... in first-seen order, and banks_holding reports where a
-  // limb's operands actually live.
+TEST(ResidencyManagerUnit, InsertResidesOnTheExecutingBank) {
+  // Four banks: an image takes residence on the bank its insert names (the
+  // bank whose wave transformed it), banks_holding reports where a limb's
+  // operands actually live, and a bank outside the device is a caller bug
+  // rather than a silent fallback.
   residency_manager::config cfg;
   cfg.banks = 4;
-  cfg.channels = 2;
   cfg.data_subarrays = 1;
   cfg.rows_per_subarray = 4 * static_cast<unsigned>(kOrder);
   cfg.rows_per_operand = static_cast<unsigned>(kOrder);
   residency_manager cache(cfg);
-  const auto a = poly_of(1), b = poly_of(2);
-  cache.insert(97, core::transform_dir::forward, a, poly_of(11));
-  cache.insert(193, core::transform_dir::forward, b, poly_of(12));
+  const auto a = poly_of(1), b = poly_of(2), c = poly_of(3);
+  cache.insert(97, core::transform_dir::forward, a, poly_of(11), 0);
+  cache.insert(193, core::transform_dir::forward, b, poly_of(12), 2);
   EXPECT_EQ(cache.banks_holding(97), std::vector<unsigned>{0u});
   EXPECT_EQ(cache.banks_holding(193), std::vector<unsigned>{2u});
-  // An explicit bank hint (the executing dispatch's bank) overrides the
-  // limb home.
-  const auto c = poly_of(3);
-  cache.insert(97, core::transform_dir::forward, c, poly_of(13), 3u);
+  cache.insert(97, core::transform_dir::forward, c, poly_of(13), 3);
   EXPECT_EQ(cache.banks_holding(97), (std::vector<unsigned>{0u, 3u}));
   const auto h = cache.lookup(97, core::transform_dir::forward, c);
   ASSERT_TRUE(h.has_value());
   EXPECT_EQ(h->home_bank, 3u);
+
+  // Out-of-range banks throw on the placing path and on the refresh of an
+  // already-resident key alike.
+  EXPECT_THROW(cache.insert(97, core::transform_dir::forward, poly_of(4), poly_of(14), 4),
+               std::logic_error);
+  EXPECT_THROW(cache.insert(97, core::transform_dir::forward, a, poly_of(11), 4),
+               std::logic_error);
+  EXPECT_EQ(cache.size(), 3u);
 }
 
 // ---- retarget cache bound --------------------------------------------------
@@ -185,13 +190,14 @@ TEST(ResidencyManagerUnit, LimbHomesRoundRobinAcrossChannels) {
 class RetargetCacheBound : public ::testing::TestWithParam<backend_kind> {};
 
 TEST_P(RetargetCacheBound, EvictsLeastRecentlyDispatchedModulus) {
-  // A bound of 2 with three limb primes cycling through: the cache never
-  // exceeds its limit, every dispatch still answers correctly (evicted
-  // moduli rebuild), and the probe observes the occupancy.
-  auto opts = small_options(GetParam()).with_retarget_cache(2);
+  // One limb prime more than the fixed bound cycling through: the cache
+  // never exceeds kRetargetCacheModuli, every dispatch still answers
+  // correctly (evicted moduli rebuild), and the probe observes the
+  // occupancy.  The 14-bit limbs need a 15-bit tile on the sram backend.
+  auto opts = small_options(GetParam()).with_ring(kOrder, 3137, 15).with_array(64, 45);
   context ctx(opts);
-  // Three 12-bit NTT-friendly primes for n = 32 (q == 1 mod 64).
-  const std::vector<u64> primes = math::first_k_ntt_primes(12, kOrder, 3, true);
+  const std::vector<u64> primes =
+      math::first_k_ntt_primes(14, kOrder, kRetargetCacheModuli + 1, true);
   const auto poly = poly_of(42);
 
   std::vector<std::vector<u64>> cold(primes.size());
@@ -200,9 +206,9 @@ TEST_P(RetargetCacheBound, EvictsLeastRecentlyDispatchedModulus) {
     for (auto& c : in) c %= primes[i];
     const auto id = ctx.rns_stream(primes[i]).submit(ntt_job{.coeffs = in});
     cold[i] = ctx.wait(id).outputs.front();
-    EXPECT_LE(ctx.retarget_cache_size(), 2u) << "after cold dispatch " << i;
+    EXPECT_LE(ctx.retarget_cache_size(), kRetargetCacheModuli) << "after cold dispatch " << i;
   }
-  EXPECT_EQ(ctx.retarget_cache_size(), 2u);
+  EXPECT_EQ(ctx.retarget_cache_size(), kRetargetCacheModuli);
 
   // Re-dispatching the evicted first prime rebuilds it bit-identically and
   // stays inside the bound.
@@ -210,18 +216,13 @@ TEST_P(RetargetCacheBound, EvictsLeastRecentlyDispatchedModulus) {
   for (auto& c : in) c %= primes[0];
   const auto id = ctx.rns_stream(primes[0]).submit(ntt_job{.coeffs = in});
   EXPECT_EQ(ctx.wait(id).outputs.front(), cold[0]);
-  EXPECT_EQ(ctx.retarget_cache_size(), 2u);
+  EXPECT_EQ(ctx.retarget_cache_size(), kRetargetCacheModuli);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, RetargetCacheBound,
                          ::testing::Values(backend_kind::sram, backend_kind::cpu,
                                            backend_kind::reference),
                          [](const auto& info) { return std::string(to_string(info.param)); });
-
-TEST(RetargetCacheBound, ZeroLimitIsRejectedUpFront) {
-  auto opts = small_options(backend_kind::sram).with_retarget_cache(0);
-  EXPECT_THROW(context ctx(opts), std::invalid_argument);
-}
 
 TEST(RetargetCacheBound, PrimaryRingDispatchesDoNotOccupyTheCache) {
   context ctx(small_options(backend_kind::sram));

@@ -16,7 +16,6 @@ TEST(RuntimeOptions, BuilderCollapsesAllKnobs) {
                         .with_subarrays(8)
                         .with_array(128, 512)
                         .with_microcode(mc)
-                        .with_cpu_model(2.5, 10.0)
                         .with_threads(6);
   EXPECT_EQ(opts.params.n, 128u);
   EXPECT_EQ(opts.params.q, 3329u);
@@ -28,7 +27,6 @@ TEST(RuntimeOptions, BuilderCollapsesAllKnobs) {
   EXPECT_EQ(opts.array.data_rows, 128u);
   EXPECT_EQ(opts.array.cols, 512u);
   EXPECT_FALSE(opts.array.microcode.fuse_pairs);
-  EXPECT_DOUBLE_EQ(opts.cpu_freq_ghz, 2.5);
   EXPECT_EQ(opts.threads, 6u);
   // The derived per-bank config carries the same array knobs.
   const auto bank = opts.bank();
@@ -66,32 +64,6 @@ TEST(RuntimeOptions, ValidateRejectsAbsurdPoolSizes) {
   EXPECT_THROW(opts.validate(), std::invalid_argument);
   EXPECT_NO_THROW(opts.with_threads(0).validate());    // auto-sized
   EXPECT_NO_THROW(opts.with_threads(256).validate());  // ceiling
-}
-
-TEST(RuntimeOptions, ValidateRejectsBadCpuModelWithPreciseMessages) {
-  // Non-positive model constants would yield nonsense cycle/energy
-  // accounting; they are rejected for *every* backend with a message naming
-  // the exact knob.
-  for (const auto kind : {backend_kind::cpu, backend_kind::sram, backend_kind::reference}) {
-    auto freq = runtime_options().with_ring(256, 7681, 14).with_backend(kind);
-    freq.cpu_freq_ghz = 0.0;
-    try {
-      freq.validate();
-      FAIL() << "zero cpu_freq_ghz must throw (" << to_string(kind) << ")";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("cpu_freq_ghz must be > 0"), std::string::npos)
-          << e.what();
-    }
-    auto power = runtime_options().with_ring(256, 7681, 14).with_backend(kind);
-    power.cpu_power_w = -2.5;
-    try {
-      power.validate();
-      FAIL() << "negative cpu_power_w must throw (" << to_string(kind) << ")";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("cpu_power_w must be > 0"), std::string::npos)
-          << e.what();
-    }
-  }
 }
 
 TEST(RuntimeOptions, TopologyBuilderAndValidation) {

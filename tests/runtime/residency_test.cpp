@@ -1,8 +1,9 @@
 // On-array residency acceptance tests: bit-identity across backends with
 // residency on vs off, the sram cost ladder (warm same-bank = 0 cycles,
 // warm cross-bank strictly between 0 and cold), eviction under a small row
-// budget, the pin/unpin lifecycle at the context surface, and concurrent
-// probe safety (TSan-checked in CI).
+// budget, the budget the he_mul workload runs with, the pin/unpin
+// lifecycle at the context surface, and concurrent probe safety
+// (TSan-checked in CI).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -84,8 +85,11 @@ TEST(ResidencySram, WarmSameBankIsFreeAndCrossBankCostsARowMove) {
   const u64 q = limb_prime();
   auto opts = base_options(backend_kind::sram).with_tracing();
   context ctx(opts);
-  auto on_bank0 = ctx.stream({.bank_set = {0}, .ring_q = q});
-  auto on_bank1 = ctx.stream({.bank_set = {1}, .ring_q = q});
+  // Auto placement on a flat two-bank device: one bank per stream.
+  auto on_bank0 = ctx.stream({.ring_q = q});
+  auto on_bank1 = ctx.stream({.ring_q = q});
+  ASSERT_EQ(on_bank0.bank_set(), std::vector<unsigned>{0u});
+  ASSERT_EQ(on_bank1.bank_set(), std::vector<unsigned>{1u});
   const auto p = poly_below(q, 3);
 
   // Cold: the transform runs on bank 0 and takes residence there.
@@ -135,7 +139,7 @@ TEST(ResidencySram, EvictionUnderPressureKeepsBitIdentity) {
                   .with_array(64, 39)
                   .with_topology(1, 1, 4)
                   .with_threads(2)
-                  .with_residency_rows(static_cast<unsigned>(kOrder));
+                  .with_operand_cache(3);
   context ctx(opts);
   context unlimited(base_options(backend_kind::sram));
   auto limb = ctx.rns_stream(q);
@@ -160,6 +164,20 @@ TEST(ResidencySram, EvictionUnderPressureKeepsBitIdentity) {
   EXPECT_LE(s.resident_rows_peak, ctx.resident_row_capacity());
 }
 
+// ---- the budget the he_mul workload runs with -------------------------------
+
+TEST(ResidencyBudget, HeMulLevelOnFourBanksKeepsTheDefaultOperandBudget) {
+  // The default 64-operand budget at n = 128, spread over 4 banks x 3 data
+  // subarrays: ceil(64 * 128 / 12) = 683 rows per subarray, 8196 rows in all.
+  const auto opts =
+      runtime_options::for_rns_param_set(crypto::he_rns_rlwe_level(20, 2, 128).level_set())
+          .with_backend(backend_kind::sram)
+          .with_topology(4, 1, 4)
+          .with_threads(1);
+  context ctx(opts);
+  EXPECT_EQ(ctx.resident_row_capacity(), 8196u);
+}
+
 // ---- pin/unpin lifecycle ----------------------------------------------------
 
 TEST(ResidencyPinning, PinnedOperandSurvivesPressureUntilUnpinnedOrInvalidated) {
@@ -171,7 +189,7 @@ TEST(ResidencyPinning, PinnedOperandSurvivesPressureUntilUnpinnedOrInvalidated) 
                   .with_array(64, 39)
                   .with_topology(1, 1, 3)
                   .with_threads(2)
-                  .with_residency_rows(static_cast<unsigned>(kOrder));
+                  .with_operand_cache(2);
   context ctx(opts);
   auto limb = ctx.rns_stream(q);
   const auto keyish = poly_below(q, 20);

@@ -250,33 +250,6 @@ TEST(CrossStreamBatching, MergedOutputsBitIdenticalOnTheSramBackend) {
   EXPECT_GT(merged_stats.groups_merged, 0u) << "the contended flush must actually merge";
 }
 
-TEST(CrossStreamBatching, OptedOutStreamsNeverShareADispatch) {
-  trace_backend::config cfg;
-  cfg.cost_per_dispatch = 1000;
-  cfg.block_first = true;
-  auto owned = std::make_unique<trace_backend>(cfg);
-  auto* rec = owned.get();
-  auto opts = small_sram().with_threads(2);
-  opts.merge_streams = true;
-  context ctx(std::move(opts), std::move(owned));
-  common::xoshiro256ss rng(93);
-
-  (void)ctx.submit(ntt_job{.coeffs = random_poly(32, 193, rng)});
-  ctx.flush();  // blocker
-
-  auto host = ctx.stream({});
-  auto loner = ctx.stream({.no_merge = true});
-  (void)host.submit(ntt_job{.coeffs = random_poly(32, 193, rng)});
-  (void)loner.submit(ntt_job{.coeffs = random_poly(32, 193, rng)});
-  host.flush();
-  loner.flush();
-  rec->release();
-  ctx.sync();
-
-  EXPECT_EQ(ctx.stats().groups_merged, 0u);
-  EXPECT_EQ(rec->dispatches().size(), 3u) << "the opted-out group keeps its own dispatch";
-}
-
 // ---- budget-based preemptive yielding ---------------------------------------
 
 // The acceptance trace: a no-deadline bulk tenant (8 jobs, 1000 cycles

@@ -210,13 +210,6 @@ TEST(RuntimeStreams, MultiChannelTopologyHandsEachStreamOneChannel) {
   EXPECT_EQ(s3.bank_set(), (std::vector<unsigned>{0u, 1u}));  // wraps to channel 0
 }
 
-TEST(RuntimeStreams, ExplicitBankSetsAreValidatedAndNormalized) {
-  context ctx(small_sram().with_banks(4));
-  auto pinned = ctx.stream({.bank_set = {3, 1, 3}});
-  EXPECT_EQ(pinned.bank_set(), (std::vector<unsigned>{1u, 3u}));  // sorted, deduped
-  EXPECT_THROW((void)ctx.stream({.bank_set = {4}}), std::invalid_argument);
-}
-
 // ---- overlap and ordering --------------------------------------------------
 
 TEST(RuntimeStreams, StreamsExecuteInOrderAndStampResults) {
