@@ -17,11 +17,6 @@ past the committed baseline AND past the previous run, i.e. regressed
 twice in a row.  One noisy or deliberately-rebaselined run therefore
 warns; a regression that persists across two runs fails.
 
-BENCH_soak.json wall-clock metrics (throughput, latency quantiles) measure
-the host, not the model: they are always advisory.  The soak's own
-correctness gates (lost/duplicated results, EDF-beats-FIFO) are enforced
-by the bench binary's exit code, not here.
-
 With --report <path>, the same comparison is also rendered as a Markdown
 trend report (one table per bench file: baseline, previous run, current,
 delta, verdict) for upload as a CI artifact.  The report is purely a view
@@ -116,33 +111,6 @@ def rns_rlwe_metrics(doc):
     return rows
 
 
-def soak_metrics(doc):
-    """Advisory view of the service-layer soak: wall-clock totals plus the
-    deterministic merge-trace makespans (the strict merged-beats-unmerged
-    inequality itself is enforced by the bench binary's exit code)."""
-    totals = doc.get("totals", {})
-    rows = {}
-    for key in ("throughput_jobs_per_s", "p99_ns"):
-        val = totals.get(key)
-        if isinstance(val, (int, float)) and val > 0:
-            rows[key] = float(val)
-    merge = doc.get("merge_trace", {})
-    for key in ("unmerged_makespan_cycles", "merged_makespan_cycles"):
-        val = merge.get(key)
-        if isinstance(val, (int, float)) and val > 0:
-            rows[key] = float(val)
-    # Queue-wait quantiles from the embedded metrics registry ("metrics" is
-    # the service's registry to_json()): the ring + drainer share of
-    # end-to-end latency.  Wall-clock, host-dependent — advisory only.
-    queue_wait = doc.get("metrics", {}).get("histograms", {}).get(
-        "service.queue_wait_ns", {})
-    for key in ("p50_ns", "p95_ns"):
-        val = queue_wait.get(key)
-        if isinstance(val, (int, float)) and val > 0:
-            rows[f"queue_wait_{key}"] = float(val)
-    return rows
-
-
 GATED = [
     ("sram table1", "BENCH_table1.json", table1_metrics, "us"),
     ("rns bigmul", "BENCH_rns_bigmul.json", rns_metrics, "cyc"),
@@ -150,7 +118,6 @@ GATED = [
     ("rns rlwe", "BENCH_rns_rlwe.json", rns_rlwe_metrics, "cyc"),
 ]
 ADVISORY = [
-    ("service soak", "BENCH_soak.json", soak_metrics, ""),
     ("rescale residency", "BENCH_rescale.json", residency_metrics, ""),
     ("rlwe residency", "BENCH_rns_rlwe.json", residency_metrics, ""),
 ]

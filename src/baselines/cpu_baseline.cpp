@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/xoshiro.h"
-#include "nttmath/fast_ntt.h"
 
 namespace bpntt::baselines {
 
@@ -31,28 +30,6 @@ cpu_measurement measure_cpu_ntt(const math::ntt_tables& tables, unsigned iterati
   m.throughput_kntt_s = m.latency_us > 0 ? 1e3 / m.latency_us : 0.0;
   m.assumed_power_w = core_power_w;
   m.energy_nj = m.latency_us * core_power_w * 1e3;  // us * W = uJ -> nJ
-  return m;
-}
-
-cpu_measurement measure_cpu_ntt_fast(const math::ntt_tables& tables, unsigned iterations,
-                                     double core_power_w) {
-  const math::fast_ntt fast(tables);
-  common::xoshiro256ss rng(7);
-  std::vector<std::uint64_t> a(tables.n());
-  for (auto& x : a) x = rng.below(tables.q());
-  for (int w = 0; w < 16; ++w) fast.forward(a);
-
-  const auto t0 = std::chrono::steady_clock::now();
-  for (unsigned i = 0; i < iterations; ++i) fast.forward(a);
-  const auto t1 = std::chrono::steady_clock::now();
-  const double total_us =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count() / 1e3;
-
-  cpu_measurement m;
-  m.latency_us = total_us / iterations;
-  m.throughput_kntt_s = m.latency_us > 0 ? 1e3 / m.latency_us : 0.0;
-  m.assumed_power_w = core_power_w;
-  m.energy_nj = m.latency_us * core_power_w * 1e3;
   return m;
 }
 

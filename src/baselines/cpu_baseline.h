@@ -23,12 +23,6 @@ struct cpu_measurement {
                                               unsigned iterations = 2000,
                                               double core_power_w = 15.0);
 
-// Same measurement with the Montgomery-reduction NTT (the competitive
-// software baseline; see nttmath/fast_ntt.h).
-[[nodiscard]] cpu_measurement measure_cpu_ntt_fast(const math::ntt_tables& tables,
-                                                   unsigned iterations = 2000,
-                                                   double core_power_w = 15.0);
-
 [[nodiscard]] design_point cpu_design_point(const cpu_measurement& m, unsigned coef_bits);
 
 }  // namespace bpntt::baselines

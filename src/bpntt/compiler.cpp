@@ -321,15 +321,6 @@ isa::program microcode_compiler::compile_pointwise(const twiddle_plan& plan, uns
   return b.take();
 }
 
-isa::program microcode_compiler::compile_scale(const twiddle_plan& plan, unsigned base,
-                                               u64 count, u64 factor_mont) const {
-  require_compatible(plan);
-  isa::program_builder b;
-  for (u64 i = 0; i < count; ++i) emit_scale_row(b, layout_.coeff_row(base, i), factor_mont);
-  b.halt();
-  return b.take();
-}
-
 isa::program microcode_compiler::compile_modmul_const(const twiddle_plan& plan, unsigned b_row,
                                                       u64 a_mont, unsigned dst_row) const {
   require_compatible(plan);

@@ -60,12 +60,8 @@ class microcode_compiler {
   [[nodiscard]] isa::program compile_pointwise(const twiddle_plan& plan, unsigned a_base,
                                                unsigned b_base, unsigned dst_base, u64 count,
                                                bool scale_b) const;
-  // rows[base+i] = rows[base+i] * factor for a Montgomery-domain factor
-  // (factor = f * R mod q computes *f).
-  [[nodiscard]] isa::program compile_scale(const twiddle_plan& plan, unsigned base, u64 count,
-                                           u64 factor_mont) const;
 
-  // Single-operation programs (unit tests and microbenchmarks).
+  // Single-operation programs (unit tests, examples and engine kernels).
   [[nodiscard]] isa::program compile_modmul_const(const twiddle_plan& plan, unsigned b_row,
                                                   u64 a_mont, unsigned dst_row) const;
   [[nodiscard]] isa::program compile_modmul_data(unsigned a_row, unsigned b_row,

@@ -110,12 +110,6 @@ wide_uint wide_uint::shr1() const {
   return r;
 }
 
-wide_uint wide_uint::shl(unsigned k) const {
-  wide_uint r = *this;
-  for (unsigned i = 0; i < k; ++i) r = r.shl1();
-  return r;
-}
-
 wide_uint wide_uint::add(const wide_uint& o) const {
   if (bits_ != o.bits_) throw std::invalid_argument("wide_uint: width mismatch");
   wide_uint r(bits_);

@@ -39,7 +39,6 @@ class wide_uint {
   // dropped, matching the hardware tile-segmented shifter).
   [[nodiscard]] wide_uint shl1() const;
   [[nodiscard]] wide_uint shr1() const;
-  [[nodiscard]] wide_uint shl(unsigned k) const;
 
   // Width adjustment: zero-extends, or truncates mod 2^new_bits.  The
   // mixed-width entry point for CRT work, where per-limb words, CRT terms

@@ -19,11 +19,6 @@ struct tile_geometry {
     if (tile >= num_tiles()) throw std::out_of_range("tile_geometry: tile index");
     return tile * tile_bits;
   }
-  // Column holding bit `bit` of tile `tile` (LSB-first within the tile).
-  [[nodiscard]] unsigned column_of(unsigned tile, unsigned bit) const {
-    if (bit >= tile_bits) throw std::out_of_range("tile_geometry: bit index");
-    return tile_base(tile) + bit;
-  }
 
   void validate() const {
     if (tile_bits == 0 || tile_bits > cols) {

@@ -61,11 +61,4 @@ std::uint64_t latency_histogram::quantile_ns(double p) const noexcept {
   return max_ns_;
 }
 
-latency_histogram& latency_histogram::operator+=(const latency_histogram& other) noexcept {
-  for (std::size_t b = 0; b < kBuckets; ++b) counts_[b] += other.counts_[b];
-  count_ += other.count_;
-  max_ns_ = std::max(max_ns_, other.max_ns_);
-  return *this;
-}
-
 }  // namespace bpntt::telemetry

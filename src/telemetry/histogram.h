@@ -15,8 +15,7 @@
 //
 // quantile(p) returns the *upper bound* of the bucket holding the p-th
 // sample (the conventional conservative read: "p99 <= reported value" at
-// bucket granularity).  Histograms merge by bucket-wise addition, which is
-// how per-session histograms roll up into the service-wide one.
+// bucket granularity).
 //
 // Not internally synchronized: callers record under their own lock (the
 // service under its stats lock, the registry under the histogram cell's
@@ -45,9 +44,6 @@ class latency_histogram {
 
   [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
   [[nodiscard]] std::uint64_t max_ns() const noexcept { return max_ns_; }
-
-  // Bucket-wise merge (per-session histograms -> the global one).
-  latency_histogram& operator+=(const latency_histogram& other) noexcept;
 
   // The bucket index a sample lands in, and a bucket's upper bound —
   // exposed so tests can pin the bucketing contract.

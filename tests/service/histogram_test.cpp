@@ -119,17 +119,16 @@ TEST(LatencyHistogram, QuantileNeverExceedsTheRecordedMaximum) {
   EXPECT_LE(h.quantile_ns(0.99), h.max_ns());
 }
 
-TEST(LatencyHistogram, MergeAddsBucketwise) {
-  latency_histogram a, b;
-  for (int i = 0; i < 10; ++i) a.record_ns(1000);
-  for (int i = 0; i < 30; ++i) b.record_ns(50'000'000);
-  a += b;
-  EXPECT_EQ(a.count(), 40u);
-  EXPECT_EQ(a.max_ns(), 50'000'000u);
+TEST(LatencyHistogram, TwoPopulationsSplitAtTheirShare) {
+  latency_histogram h;
+  for (int i = 0; i < 10; ++i) h.record_ns(1000);
+  for (int i = 0; i < 30; ++i) h.record_ns(50'000'000);
+  EXPECT_EQ(h.count(), 40u);
+  EXPECT_EQ(h.max_ns(), 50'000'000u);
   // 10 of 40 samples are fast: p25 still reads the fast bucket, p50 the
   // slow one.
-  EXPECT_EQ(a.quantile_ns(0.25), latency_histogram::bucket_upper_ns(0));
-  EXPECT_GT(a.quantile_ns(0.50), 10'000'000u);
+  EXPECT_EQ(h.quantile_ns(0.25), latency_histogram::bucket_upper_ns(0));
+  EXPECT_GT(h.quantile_ns(0.50), 10'000'000u);
 }
 
 }  // namespace
