@@ -85,7 +85,6 @@ bank_run_result bp_ntt_bank::schedule(std::size_t njobs, LoadFn&& load, RunFn&& 
       if (!ran[e]) continue;
       const sram::op_stats stats = run(*engines_[e]);
       wave_cycles = std::max(wave_cycles, stats.cycles);
-      result.energy_nj += stats.energy_pj * 1e-3;
       result.stats += stats;
     }
     for (const auto& p : wave) {
@@ -98,10 +97,6 @@ bank_run_result bp_ntt_bank::schedule(std::size_t njobs, LoadFn&& load, RunFn&& 
   // stats too so callers get one coherent op_stats.
   result.stats.cycles = result.cycles;
   return result;
-}
-
-bank_run_result bp_ntt_bank::run_forward_batch(const std::vector<std::vector<u64>>& jobs) {
-  return run_ntt_batch(jobs, transform_dir::forward);
 }
 
 bank_run_result bp_ntt_bank::run_ntt_batch(const std::vector<std::vector<u64>>& jobs,

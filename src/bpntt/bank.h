@@ -37,7 +37,6 @@ struct bank_config {
 struct bank_run_result {
   std::uint64_t waves = 0;
   std::uint64_t cycles = 0;      // sum over waves of the slowest subarray
-  double energy_nj = 0.0;        // all compute subarrays
   sram::op_stats stats;          // summed over all touched subarrays
   std::vector<std::vector<u64>> outputs;  // one per input polynomial
 };
@@ -68,11 +67,9 @@ class bp_ntt_bank {
   // Whole-bank area: compute subarrays + the CTRL/CMD subarray.
   [[nodiscard]] double area_mm2() const;
 
-  // Forward-NTT every polynomial in `jobs` (each of size n, canonical).
-  [[nodiscard]] bank_run_result run_forward_batch(
-      const std::vector<std::vector<u64>>& jobs);
-  // Transform every polynomial in `jobs` in the given direction.  Inverse
-  // consumes bit-reversed transformed coefficients, as run_inverse does.
+  // Transform every polynomial in `jobs` (each of size n, canonical) in the
+  // given direction.  Inverse consumes bit-reversed transformed
+  // coefficients, as run_inverse does.
   [[nodiscard]] bank_run_result run_ntt_batch(const std::vector<std::vector<u64>>& jobs,
                                               transform_dir dir);
   // Full in-array negacyclic products: NTT(a), NTT(b), pointwise (or Kyber

@@ -27,7 +27,6 @@ struct ntt_params {
   u64 n = 256;        // polynomial order (power of two)
   u64 q = 0;          // odd prime modulus, 2q < 2^k; 0 = synthetic
   unsigned k = 16;    // tile width in bits = Montgomery R = 2^k
-  bool negacyclic = true;
   // One-layer-short transform (standardized Kyber): needs only n | q-1 and
   // finishes products with degree-1 base multiplications.
   bool incomplete = false;
@@ -38,8 +37,8 @@ struct ntt_params {
     if (!common::is_power_of_two(n) || n < 2) {
       throw std::invalid_argument("ntt_params: n must be a power of two >= 2");
     }
-    if (incomplete && (!negacyclic || n < 4)) {
-      throw std::invalid_argument("ntt_params: incomplete mode needs negacyclic n >= 4");
+    if (incomplete && n < 4) {
+      throw std::invalid_argument("ntt_params: incomplete mode needs n >= 4");
     }
     // Synthetic mode supports the paper's full 2..256-bit tile range (the
     // 250-point/256-bit capacity claim); real-modulus golden checks use
@@ -51,7 +50,7 @@ struct ntt_params {
       if (2 * q >= (1ULL << k)) {
         throw std::invalid_argument("ntt_params: need 2q < 2^k (one spare bit of headroom)");
       }
-      const u64 order = negacyclic ? (incomplete ? n : 2 * n) : n;
+      const u64 order = incomplete ? n : 2 * n;
       if ((q - 1) % order != 0) {
         throw std::invalid_argument("ntt_params: q does not support this transform size");
       }

@@ -41,7 +41,7 @@ bp_ntt_engine::bp_ntt_engine(const engine_config& cfg, const ntt_params& params,
     itables_ = std::make_unique<math::incomplete_ntt_tables>(params_.n, params_.q);
     plan_ = make_incomplete_twiddle_plan(params_, *itables_, compiler_.iterations());
   } else {
-    tables_ = std::make_unique<math::ntt_tables>(params_.n, params_.q, params_.negacyclic);
+    tables_ = std::make_unique<math::ntt_tables>(params_.n, params_.q, /*negacyclic=*/true);
     plan_ = make_twiddle_plan(params_, *tables_, compiler_.iterations());
   }
   write_constants();

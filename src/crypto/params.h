@@ -16,7 +16,6 @@ struct param_set {
   std::string name;
   std::uint64_t n = 0;       // polynomial order
   std::uint64_t q = 0;       // modulus
-  bool negacyclic = true;    // X^n + 1 ring
   unsigned min_tile_bits = 0;
 
   [[nodiscard]] bool supports_full_ntt() const;  // 2n | q-1

@@ -98,7 +98,7 @@ poly rlwe_scheme::decrypt(const secret_key& sk, const ciphertext& ct) const {
 
 rlwe_client::rlwe_client(param_set ring, batch_polymul_fn mul)
     : ring_(std::move(ring)), mul_(std::move(mul)) {
-  if (!ring_.negacyclic || !ring_.supports_full_ntt() || !mul_) {
+  if (!ring_.supports_full_ntt() || !mul_) {
     throw std::invalid_argument(
         "rlwe_client: needs a batch multiplier and a ring with a full negacyclic NTT "
         "(x^n + 1 with 2n | q-1)");
@@ -158,7 +158,6 @@ param_set runtime_ring(const runtime::runtime_options& opts) {
   return {.name = "runtime",
           .n = opts.params.n,
           .q = opts.params.q,
-          .negacyclic = opts.params.negacyclic,
           .min_tile_bits = opts.params.k};
 }
 

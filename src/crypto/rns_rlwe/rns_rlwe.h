@@ -105,10 +105,6 @@ class scheme {
   [[nodiscard]] std::vector<std::vector<u64>> run_products(const std::vector<prod_spec>& ps);
   void keygen();
   void build_evaluation_key();
-  // Residues of the secret key over union limb u (Q order then P order).
-  [[nodiscard]] const std::vector<u64>& secret_residues(std::size_t u) const {
-    return s_res_[u];
-  }
   // Index into the full-union evk arrays for limb u of union_basis_at(level).
   [[nodiscard]] std::size_t evk_index(std::size_t level, std::size_t u) const;
   void require_ciphertext(const ciphertext& ct, const char* what) const;

@@ -38,20 +38,9 @@ void program_builder::jump_to(std::size_t target) { emit(make_jump(rel(target)))
 void program_builder::branch_nonzero_to(std::size_t target) {
   emit(make_branch_nonzero(rel(target)));
 }
-void program_builder::branch_zero_to(std::size_t target) { emit(make_branch_zero(rel(target))); }
 
 program_builder::label program_builder::reserve_branch_zero() {
   emit(make_branch_zero(0));
-  return ops_.size() - 1;
-}
-
-program_builder::label program_builder::reserve_branch_nonzero() {
-  emit(make_branch_nonzero(0));
-  return ops_.size() - 1;
-}
-
-program_builder::label program_builder::reserve_jump() {
-  emit(make_jump(0));
   return ops_.size() - 1;
 }
 

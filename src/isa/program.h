@@ -54,12 +54,9 @@ class program_builder {
   // Backward control flow to a previously recorded position.
   void jump_to(std::size_t target);
   void branch_nonzero_to(std::size_t target);
-  void branch_zero_to(std::size_t target);
 
   // Forward branch: reserve now, patch when the target is known.
   [[nodiscard]] label reserve_branch_zero();
-  [[nodiscard]] label reserve_branch_nonzero();
-  [[nodiscard]] label reserve_jump();
   void patch_to_here(label l);
 
   [[nodiscard]] program take();

@@ -48,6 +48,12 @@ context::context(runtime_options opts, std::unique_ptr<backend> custom_backend)
 void context::finish_construction() {
   backend_->attach_executor(&pool_);
   caps_ = backend_->capabilities();
+  // Tracing is opt-in: without it no recorder exists and every
+  // instrumentation site degenerates to one null test.
+  if (opts_.tracing) {
+    recorder_ = std::make_unique<telemetry::trace_recorder>(kTraceCapacity);
+  }
+  backend_->attach_recorder(recorder_.get());
 
   // On-array residency exists only where device rows do: banked backends
   // get a manager whose placement domains are their banks, with the
@@ -63,7 +69,7 @@ void context::finish_construction() {
     const u64 regions = static_cast<u64>(rc.banks) * rc.data_subarrays;
     const u64 entry_rows = static_cast<u64>(opts_.operand_cache_entries) * opts_.params.n;
     rc.rows_per_subarray = static_cast<unsigned>((entry_rows + regions - 1) / regions);
-    resman_ = std::make_unique<residency_manager>(rc);
+    resman_ = std::make_unique<residency_manager>(rc, registry_, recorder_.get());
     backend_->attach_residency(resman_.get());
   }
 
@@ -85,43 +91,8 @@ void context::finish_construction() {
   // non-banked backends (whose dispatches therefore serialize).
   const unsigned resources = std::max(1u, caps_.banks());
   sched_ = std::make_unique<scheduler>(
-      scheduler::policy_config{opts_.sched, opts_.aging_limit, opts_.merge_streams}, resources);
-
-  // Register every runtime instrument once; the hot paths bump these
-  // pointers directly, and stats()/metrics().to_json() read the same
-  // objects — there is no mirrored copy to fall out of sync.
-  m_.jobs_submitted = &registry_.make_counter("runtime.jobs_submitted");
-  m_.jobs_completed = &registry_.make_counter("runtime.jobs_completed");
-  m_.jobs_failed = &registry_.make_counter("runtime.jobs_failed");
-  m_.groups = &registry_.make_counter("runtime.groups");
-  m_.batches = &registry_.make_counter("runtime.batches");
-  m_.waves = &registry_.make_counter("runtime.waves");
-  m_.wall_cycles = &registry_.make_gauge("runtime.wall_cycles");
-  m_.deadline_misses = &registry_.make_counter("runtime.deadline_misses");
-  m_.energy_nj = &registry_.make_real("runtime.energy_nj");
-  m_.cache_hits = &registry_.make_counter("cache.hits");
-  m_.cache_misses = &registry_.make_counter("cache.misses");
-  m_.groups_merged = &registry_.make_counter("sched.groups_merged");
-  m_.preemption_yields = &registry_.make_counter("sched.preemption_yields");
-  m_.residency_affinity_hits = &registry_.make_counter("sched.residency_affinity_hits");
-  m_.residency_evictions = &registry_.make_counter("residency.evictions");
-  m_.residency_moves = &registry_.make_counter("residency.moves");
-  m_.resident_rows = &registry_.make_gauge("residency.resident_rows");
-  m_.resident_rows_peak = &registry_.make_gauge("residency.resident_rows_peak");
-
-  // Tracing is opt-in: without it no recorder exists and every
-  // instrumentation site below degenerates to one null test.
-  if (opts_.tracing) {
-    recorder_ = std::make_unique<telemetry::trace_recorder>(kTraceCapacity);
-  }
-  sched_->attach_metrics(m_.groups_merged, m_.preemption_yields, m_.residency_affinity_hits);
-  sched_->attach_recorder(recorder_.get());
-  backend_->attach_recorder(recorder_.get());
-  if (resman_) {
-    resman_->attach_metrics(m_.cache_hits, m_.cache_misses, m_.residency_evictions,
-                            m_.residency_moves, m_.resident_rows, m_.resident_rows_peak,
-                            recorder_.get());
-  }
+      scheduler::policy_config{opts_.sched, opts_.aging_limit, opts_.merge_streams}, resources,
+      registry_, recorder_.get());
 
   // The default stream (id 0) owns every bank — the legacy single-queue
   // behaviour.
@@ -366,7 +337,7 @@ job_id context::submit_on(unsigned sid, job j) {
   // Count the submission before the job becomes visible in any queue, so a
   // concurrent stats() reading jobs_submitted *last* can never observe an
   // outcome the submission counter has not covered yet.
-  m_.jobs_submitted->add();
+  jobs_submitted_.add();
   std::lock_guard<std::mutex> lk(smu_);
   state_of(sid).queue.emplace_back(id, std::move(j));
   return id;
@@ -403,37 +374,38 @@ std::size_t context::open_streams() const noexcept {
 }
 
 scheduler_stats context::stats() const {
-  // Assembled straight from the registry instruments — the scheduler's and
-  // operand cache's counters are attached to the same objects, so nothing
-  // here is a mirrored copy that could go stale.  Read-order discipline
-  // replaces the old all-under-one-lock copy: outcome counters first, the
-  // in-flight gauge second, jobs_submitted *last*.  A job leaves in_flight_
-  // before its outcome counter bumps (both under mu_) and is counted
-  // submitted before it is queued anywhere, so a snapshot can never show
-  // completed + failed + in_flight > submitted.
+  // Read straight from the instruments the hot paths bump: the context's
+  // own, the scheduler's and the residency manager's.  Read-order
+  // discipline replaces an all-under-one-lock copy: outcome counters first,
+  // the in-flight gauge second, jobs_submitted *last*.  A job leaves
+  // in_flight_ before its outcome counter bumps (both under mu_) and is
+  // counted submitted before it is queued anywhere, so a snapshot can never
+  // show completed + failed + in_flight > submitted.
   scheduler_stats s;
-  s.jobs_completed = m_.jobs_completed->value();
-  s.jobs_failed = m_.jobs_failed->value();
+  s.jobs_completed = jobs_completed_.value();
+  s.jobs_failed = jobs_failed_.value();
   {
     std::lock_guard<std::mutex> lk(mu_);
     s.jobs_in_flight = in_flight_.size();
   }
-  s.groups = m_.groups->value();
-  s.batches = m_.batches->value();
-  s.waves = m_.waves->value();
-  s.wall_cycles = m_.wall_cycles->value();
-  s.deadline_misses = m_.deadline_misses->value();
-  s.energy_nj = m_.energy_nj->value();
-  s.operand_cache_hits = m_.cache_hits->value();
-  s.operand_cache_misses = m_.cache_misses->value();
-  s.groups_merged = m_.groups_merged->value();
-  s.preemption_yields = m_.preemption_yields->value();
-  s.residency_evictions = m_.residency_evictions->value();
-  s.residency_moves = m_.residency_moves->value();
-  s.residency_affinity_hits = m_.residency_affinity_hits->value();
-  s.resident_rows = m_.resident_rows->value();
-  s.resident_rows_peak = m_.resident_rows_peak->value();
-  s.jobs_submitted = m_.jobs_submitted->value();
+  s.groups = groups_.value();
+  s.batches = batches_.value();
+  s.waves = waves_.value();
+  s.wall_cycles = wall_cycles_.value();
+  s.deadline_misses = deadline_misses_.value();
+  s.energy_nj = energy_nj_.value();
+  s.groups_merged = sched_->groups_merged();
+  s.preemption_yields = sched_->preemption_yields();
+  s.residency_affinity_hits = sched_->residency_affinity_hits();
+  if (resman_) {
+    s.operand_cache_hits = resman_->hits();
+    s.operand_cache_misses = resman_->misses();
+    s.residency_evictions = resman_->evictions();
+    s.residency_moves = resman_->moves();
+    s.resident_rows = resman_->resident_rows();
+    s.resident_rows_peak = resman_->resident_rows_peak();
+  }
+  s.jobs_submitted = jobs_submitted_.value();
   return s;
 }
 
@@ -444,9 +416,16 @@ void context::export_trace(std::ostream& os) const {
         "runtime_options::with_tracing() to record a timeline");
   }
   // The recorder's rings are drained without synchronization against the
-  // pool, so the export needs every job done: nothing queued, nothing in
-  // flight.
-  if (pending() != 0 || stats().jobs_in_flight != 0) {
+  // pool, so the export needs every job done and every claim released.
+  // Queued or in-flight jobs are the caller's to finish; a group whose jobs
+  // are all done can still hold its claim for a moment, so wait that out.
+  bool busy = pending() != 0;
+  {
+    std::unique_lock<std::mutex> lk(mu_);
+    busy = busy || !in_flight_.empty();
+    if (!busy) cv_.wait(lk, [&] { return sched_->idle(); });
+  }
+  if (busy) {
     throw std::logic_error(
         "runtime: export_trace needs a quiescent context — call sync() or wait_all() first");
   }
@@ -593,7 +572,7 @@ void context::admit(std::vector<std::shared_ptr<dispatch_group>> groups) {
     // Jobs become in-flight before the group can run, so a wait() racing
     // the pool can never mistake a dispatched job for a claimed one.
     for (const typed_batch& b : g->plan) in_flight_.insert(b.ids.begin(), b.ids.end());
-    m_.groups->add();
+    groups_.add();
     const dispatch_group* gp = g.get();
     sched_->enqueue(std::move(g));
     if (recorder_) {
@@ -686,6 +665,7 @@ void context::run_group(const std::shared_ptr<dispatch_group>& g) {
   std::lock_guard<std::mutex> lk(mu_);
   sched_->release(*g);
   kick_locked();
+  cv_.notify_all();
 }
 
 batch_result context::dispatch(batch_kind kind, std::vector<job>&& jobs,
@@ -728,10 +708,10 @@ void context::distribute(const dispatch_group& host, const std::vector<member_sl
   // One accounting event on the host's claimed banks: the batch starts at
   // their frontier and advances it by its wall cycles.
   const u64 end = sched_->account(host, r.wall_cycles);
-  m_.batches->add();
-  m_.waves->add(r.waves);
-  m_.wall_cycles->set_max(end);
-  m_.energy_nj->add(r.stats.energy_pj * 1e-3);
+  batches_.add();
+  waves_.add(r.waves);
+  wall_cycles_.set_max(end);
+  energy_nj_.add(r.stats.energy_pj * 1e-3);
   if (recorder_) {
     recorder_->set_watermark(end);
     // One span per claimed bank over exactly [end - wall, end) — the
@@ -755,7 +735,7 @@ void context::distribute(const dispatch_group& host, const std::vector<member_sl
     const u64 deadline = s.g->hints.deadline_cycles;
     const bool missed = deadline != 0 && end - s.g->ref_vtime > deadline;
     if (missed) {
-      m_.deadline_misses->add(s.ids.size());
+      deadline_misses_.add(s.ids.size());
       if (recorder_) {
         recorder_->record({.ts = end,
                            .dur = 0,
@@ -777,7 +757,7 @@ void context::distribute(const dispatch_group& host, const std::vector<member_sl
       done_.emplace(s.ids[i], std::move(res));
       in_flight_.erase(s.ids[i]);
     }
-    m_.jobs_completed->add(s.ids.size());
+    jobs_completed_.add(s.ids.size());
   }
   cv_.notify_all();
 }
@@ -794,7 +774,7 @@ void context::fail(const std::vector<member_slice>& slices, const std::string& w
       done_.emplace(id, std::move(res));
       in_flight_.erase(id);
     }
-    m_.jobs_failed->add(s.ids.size());
+    jobs_failed_.add(s.ids.size());
   }
   cv_.notify_all();
 }
@@ -845,7 +825,7 @@ std::optional<job_result> context::try_wait(job_id id) {
 void context::sync() {
   flush();
   std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait(lk, [&] { return in_flight_.empty(); });
+  cv_.wait(lk, [&] { return in_flight_.empty() && sched_->idle(); });
 }
 
 std::vector<job_result> context::wait_all() {

@@ -161,10 +161,11 @@ class context {
   [[nodiscard]] scheduler_stats stats() const;
 
   // The unified metrics registry behind stats(): every runtime counter
-  // ("runtime.jobs_submitted", "runtime.wall_cycles", ...), the operand
-  // cache's ("cache.hits"/"cache.misses") and the scheduler's
-  // ("sched.groups_merged"/"sched.preemption_yields") live here, and the
-  // service layer registers its instruments into the same registry.
+  // ("runtime.jobs_submitted", "runtime.wall_cycles", ...), the scheduler's
+  // ("sched.groups_merged"/"sched.preemption_yields") and, where a
+  // residency manager exists, its "cache.*"/"residency.*" instruments live
+  // here, and the service layer registers its instruments into the same
+  // registry.
   // metrics().to_json() is the one serialization bench artifacts embed.
   // Instrument updates and value reads are safe from any thread.
   [[nodiscard]] telemetry::metrics_registry& metrics() noexcept { return registry_; }
@@ -202,7 +203,7 @@ class context {
   // from any thread.
   [[nodiscard]] std::size_t pending() const noexcept;
   // Streams currently open (the default stream included).  Safe from any
-  // thread — the probe a stream pool sizes itself against.
+  // thread.
   [[nodiscard]] std::size_t open_streams() const noexcept;
 
   // On-array residency surface.  Operands currently resident (0 when
@@ -261,8 +262,9 @@ class context {
   // Flush every stream: each non-empty queue becomes one dispatch group
   // handed to the scheduler; returns without blocking.
   void flush();
-  // flush() + block until nothing is in flight.  Unclaimed results stay
-  // retrievable afterwards.
+  // flush() + block until nothing is in flight and every bank claim is
+  // released, so a flush right after it schedules on idle banks.
+  // Unclaimed results stay retrievable afterwards.
   void sync();
 
   // Blocking retrieval; flushes the owning stream first if the job is
@@ -358,41 +360,30 @@ class context {
   unsigned next_stream_id_ = 1;
   job_id next_id_ = 1;
   // The unified instrument store (and the recorder when tracing is on).
-  // Every cumulative counter the old scheduler_stats member mirrored now
-  // lives in the registry; m_ caches the instrument pointers the hot paths
-  // bump (registered once in finish_construction, stable for the
-  // registry's lifetime).
+  // The scheduler and the residency manager register their own
+  // instruments; the context owns the nine runtime.* ones below, each
+  // bound on the line that registers it and stable for the registry's
+  // lifetime.
   telemetry::metrics_registry registry_;
   std::unique_ptr<telemetry::trace_recorder> recorder_;
-  struct metric_refs {
-    telemetry::counter* jobs_submitted = nullptr;
-    telemetry::counter* jobs_completed = nullptr;
-    telemetry::counter* jobs_failed = nullptr;
-    telemetry::counter* groups = nullptr;
-    telemetry::counter* batches = nullptr;
-    telemetry::counter* waves = nullptr;
-    telemetry::gauge* wall_cycles = nullptr;  // makespan high-water mark
-    telemetry::counter* deadline_misses = nullptr;
-    telemetry::real_accum* energy_nj = nullptr;
-    telemetry::counter* cache_hits = nullptr;    // shared with the residency
-    telemetry::counter* cache_misses = nullptr;  //   manager (attach_metrics)
-    telemetry::counter* residency_evictions = nullptr;
-    telemetry::counter* residency_moves = nullptr;
-    telemetry::gauge* resident_rows = nullptr;
-    telemetry::gauge* resident_rows_peak = nullptr;
-    telemetry::counter* groups_merged = nullptr;      // shared with the scheduler
-    telemetry::counter* preemption_yields = nullptr;  //   (attach_metrics)
-    telemetry::counter* residency_affinity_hits = nullptr;
-  };
-  metric_refs m_;
+  telemetry::counter& jobs_submitted_ = registry_.make_counter("runtime.jobs_submitted");
+  telemetry::counter& jobs_completed_ = registry_.make_counter("runtime.jobs_completed");
+  telemetry::counter& jobs_failed_ = registry_.make_counter("runtime.jobs_failed");
+  telemetry::counter& groups_ = registry_.make_counter("runtime.groups");
+  telemetry::counter& batches_ = registry_.make_counter("runtime.batches");
+  telemetry::counter& waves_ = registry_.make_counter("runtime.waves");
+  telemetry::gauge& wall_cycles_ = registry_.make_gauge("runtime.wall_cycles");  // makespan
+  telemetry::counter& deadline_misses_ = registry_.make_counter("runtime.deadline_misses");
+  telemetry::real_accum& energy_nj_ = registry_.make_real("runtime.energy_nj");
   // Shared state, guarded by mu_: completion map, in-flight set, and the
   // scheduler module (ready groups, bank claims, bank frontiers).
   mutable std::mutex mu_;
-  std::condition_variable cv_;
+  mutable std::condition_variable cv_;  // export_trace() waits on it too
   std::map<job_id, job_result> done_;
   std::set<job_id> in_flight_;
   // The extracted scheduling engine (src/runtime/scheduler.h); constructed
-  // once the backend's bank map is known.  Every access is under mu_.
+  // once the backend's bank map is known.  Every access is under mu_ except
+  // stats()'s reads of its (atomic) counters.
   std::unique_ptr<scheduler> sched_;
   // Declared last: destroyed first, joining the workers (and finishing any
   // queued dispatch group) before the members those tasks reference go away.

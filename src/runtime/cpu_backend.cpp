@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "nttmath/poly.h"
 #include "runtime/executor.h"
 
 namespace bpntt::runtime {
@@ -14,10 +13,8 @@ cpu_backend::cpu_backend(const runtime_options& opts)
   if (params_.incomplete) {
     itables_ = std::make_unique<math::incomplete_ntt_tables>(params_.n, params_.q);
   } else {
-    tables_ = std::make_unique<math::ntt_tables>(params_.n, params_.q, params_.negacyclic);
-    // The Montgomery fast path implements the negacyclic CT/GS pair; cyclic
-    // rings use the exact table-driven transform instead.
-    if (params_.negacyclic) fast_ = std::make_unique<math::fast_ntt>(*tables_);
+    tables_ = std::make_unique<math::ntt_tables>(params_.n, params_.q, /*negacyclic=*/true);
+    fast_ = std::make_unique<math::fast_ntt>(*tables_);
   }
 }
 
@@ -37,11 +34,8 @@ void cpu_backend::transform(std::vector<u64>& a, transform_dir dir,
   } else if (itables_) {
     dir == transform_dir::forward ? math::incomplete_ntt_forward(a, *itables_)
                                   : math::incomplete_ntt_inverse(a, *itables_);
-  } else if (fast_) {
-    dir == transform_dir::forward ? fast_->forward(a) : fast_->inverse(a);
   } else {
-    dir == transform_dir::forward ? math::cyclic_ntt_forward(a, *tables_)
-                                  : math::cyclic_ntt_inverse(a, *tables_);
+    dir == transform_dir::forward ? fast_->forward(a) : fast_->inverse(a);
   }
 }
 
@@ -57,7 +51,6 @@ std::vector<u64> cpu_backend::multiply(const core::polymul_pair& pair,
     math::incomplete_ntt_inverse(c, *itables_);
     return c;
   }
-  if (limb == nullptr && !fast_) return math::polymul_ntt(pair.a, pair.b, *tables_);
   // Montgomery fast path, at the limb modulus or the primary one.
   std::vector<u64> a = pair.a;
   std::vector<u64> b = pair.b;

@@ -2,8 +2,8 @@
 // interface.
 //
 // Math runs on the Montgomery-reduction fast_ntt (the competitive software
-// path, not the 128-bit-division golden model); incomplete and cyclic
-// parameter sets fall back to the exact table-driven transforms.  Wall time
+// path, not the 128-bit-division golden model); incomplete parameter sets
+// fall back to the exact table-driven transforms.  Wall time
 // is measured with a monotonic clock and converted into the unified cycle /
 // energy accounting via a fixed core frequency and power (kCpuFreqGhz,
 // kCpuPowerW) — the same methodology baselines::measure_cpu_ntt uses for

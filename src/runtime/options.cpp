@@ -44,8 +44,7 @@ runtime_options runtime_options::for_param_set(const crypto::param_set& set) {
   opts.params.n = set.n;
   opts.params.q = set.q;
   opts.params.k = std::max(set.min_tile_bits, crypto::required_tile_bits(set.q));
-  opts.params.negacyclic = set.negacyclic;
-  opts.params.incomplete = set.negacyclic && !set.supports_full_ntt();
+  opts.params.incomplete = !set.supports_full_ntt();
   return opts;
 }
 
@@ -57,7 +56,6 @@ runtime_options runtime_options::for_rns_param_set(const crypto::rns_param_set& 
   opts.params.n = set.n;
   opts.params.q = set.primes.front();
   opts.params.k = set.min_tile_bits;
-  opts.params.negacyclic = true;
   opts.params.incomplete = false;
   return opts;
 }

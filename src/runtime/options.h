@@ -115,10 +115,6 @@ struct runtime_options {
     backend = k;
     return *this;
   }
-  runtime_options& with_params(const core::ntt_params& p) {
-    params = p;
-    return *this;
-  }
   runtime_options& with_ring(u64 n, u64 q, unsigned k, bool incomplete = false) {
     params.n = n;
     params.q = q;
@@ -148,10 +144,6 @@ struct runtime_options {
   runtime_options& with_array(unsigned data_rows, unsigned cols) {
     array.data_rows = data_rows;
     array.cols = cols;
-    return *this;
-  }
-  runtime_options& with_tech(const sram::tech_params& t) {
-    array.tech = t;
     return *this;
   }
   runtime_options& with_microcode(const core::compile_options& m) {

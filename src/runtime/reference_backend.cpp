@@ -10,7 +10,7 @@ reference_backend::reference_backend(const runtime_options& opts)
   if (params_.incomplete) {
     itables_ = std::make_unique<math::incomplete_ntt_tables>(params_.n, params_.q);
   } else {
-    tables_ = std::make_unique<math::ntt_tables>(params_.n, params_.q, params_.negacyclic);
+    tables_ = std::make_unique<math::ntt_tables>(params_.n, params_.q, /*negacyclic=*/true);
   }
 }
 
@@ -38,10 +38,8 @@ batch_result reference_backend::run_ntt(const std::vector<std::vector<u64>>& pol
     if (t == nullptr) {
       fwd ? math::incomplete_ntt_forward(a, *itables_)
           : math::incomplete_ntt_inverse(a, *itables_);
-    } else if (t->negacyclic()) {
-      fwd ? math::ntt_forward(a, *t) : math::ntt_inverse(a, *t);
     } else {
-      fwd ? math::cyclic_ntt_forward(a, *t) : math::cyclic_ntt_inverse(a, *t);
+      fwd ? math::ntt_forward(a, *t) : math::ntt_inverse(a, *t);
     }
   });
   note_batch(polys.size(), out.wall_cycles);

@@ -36,10 +36,18 @@ void note_instant(telemetry::trace_recorder* rec, telemetry::trace_op op, core::
 
 }  // namespace
 
-residency_manager::residency_manager(const config& cfg)
+residency_manager::residency_manager(const config& cfg, telemetry::metrics_registry& registry,
+                                     telemetry::trace_recorder* rec)
     : cfg_(cfg),
       budget_(cfg.banks == 0 ? 1 : cfg.banks,
-              cfg.data_subarrays == 0 ? 1 : cfg.data_subarrays, cfg.rows_per_subarray) {
+              cfg.data_subarrays == 0 ? 1 : cfg.data_subarrays, cfg.rows_per_subarray),
+      hits_(registry.make_counter("cache.hits")),
+      misses_(registry.make_counter("cache.misses")),
+      evictions_(registry.make_counter("residency.evictions")),
+      moves_(registry.make_counter("residency.moves")),
+      resident_rows_(registry.make_gauge("residency.resident_rows")),
+      resident_rows_peak_(registry.make_gauge("residency.resident_rows_peak")),
+      rec_(rec) {
   if (cfg_.banks == 0 || cfg_.data_subarrays == 0) {
     throw std::invalid_argument("residency_manager: banks/subarrays must be >= 1");
   }
@@ -75,8 +83,8 @@ bool residency_manager::pinned_registered_locked(core::u64 digest,
 
 void residency_manager::publish_rows_locked() {
   const core::u64 rows = budget_.reserved_rows();
-  if (resident_rows_ != nullptr) resident_rows_->set(rows);
-  if (resident_rows_peak_ != nullptr) resident_rows_peak_->set_max(rows);
+  resident_rows_.set(rows);
+  resident_rows_peak_.set_max(rows);
   if (rec_ != nullptr) {
     rec_->record({.ts = rec_->watermark(), .dur = 0, .a = rows,
                   .track = telemetry::kTrackCache, .arg = 0,
@@ -96,7 +104,7 @@ bool residency_manager::evict_one_locked(std::optional<unsigned> bank) {
     const core::u64 ring_q = ent->first.ring_q;
     const unsigned freed_bank = ent->second.span.bank;
     erase_locked(ent);
-    evictions_->add();
+    evictions_.add();
     note_instant(rec_, telemetry::trace_op::resident_evict, ring_q, freed_bank);
     publish_rows_locked();
     return true;
@@ -135,12 +143,12 @@ std::optional<residency_manager::hit> residency_manager::lookup(
   std::lock_guard<std::mutex> lk(mu_);
   const auto it = entries_.find(k);
   if (it == entries_.end() || it->second.coeffs != coeffs) {
-    misses_->add();
+    misses_.add();
     note_lookup(rec_, /*hit=*/false, ring_q);
     return std::nullopt;
   }
   touch_locked(it->second, k);
-  hits_->add();
+  hits_.add();
   note_lookup(rec_, /*hit=*/true, ring_q);
   return hit{it->second.transformed, it->second.span.bank};
 }
@@ -249,7 +257,7 @@ std::vector<unsigned> residency_manager::banks_holding(core::u64 ring_q) const {
 
 void residency_manager::note_move(core::u64 ring_q, unsigned from_bank) {
   std::lock_guard<std::mutex> lk(mu_);
-  moves_->add();
+  moves_.add();
   note_instant(rec_, telemetry::trace_op::resident_move, ring_q, from_bank);
 }
 

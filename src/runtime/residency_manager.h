@@ -75,7 +75,11 @@ class residency_manager {
     unsigned home_bank = 0;
   };
 
-  explicit residency_manager(const config& cfg);
+  // Registers the cache.* and residency.* instruments in `registry`; a
+  // non-null `rec` receives lookup/evict/pin/move instants and resident-row
+  // counter samples.
+  residency_manager(const config& cfg, telemetry::metrics_registry& registry,
+                    telemetry::trace_recorder* rec = nullptr);
 
   residency_manager(const residency_manager&) = delete;
   residency_manager& operator=(const residency_manager&) = delete;
@@ -126,28 +130,12 @@ class residency_manager {
   [[nodiscard]] core::u64 resident_rows() const;
   [[nodiscard]] core::u64 capacity_rows() const noexcept { return budget_.capacity_rows(); }
   [[nodiscard]] const config& configuration() const noexcept { return cfg_; }
-  [[nodiscard]] core::u64 hits() const noexcept { return hits_->value(); }
-  [[nodiscard]] core::u64 misses() const noexcept { return misses_->value(); }
-  [[nodiscard]] core::u64 evictions() const noexcept { return evictions_->value(); }
-  [[nodiscard]] core::u64 moves() const noexcept { return moves_->value(); }
-
-  // Publish the residency instruments into registry-owned objects and
-  // (optionally) stamp lookup/evict/pin/move instants plus resident-row
-  // counter samples into a trace recorder.  Null counter/gauge arguments
-  // keep the owned fallbacks; a null recorder records nothing.  Call
-  // before the manager is shared across threads (the context does this at
-  // construction).
-  void attach_metrics(telemetry::counter* hits, telemetry::counter* misses,
-                      telemetry::counter* evictions, telemetry::counter* moves,
-                      telemetry::gauge* resident_rows, telemetry::gauge* resident_rows_peak,
-                      telemetry::trace_recorder* rec) noexcept {
-    hits_ = hits ? hits : &owned_hits_;
-    misses_ = misses ? misses : &owned_misses_;
-    evictions_ = evictions ? evictions : &owned_evictions_;
-    moves_ = moves ? moves : &owned_moves_;
-    resident_rows_ = resident_rows;
-    resident_rows_peak_ = resident_rows_peak;
-    rec_ = rec;
+  [[nodiscard]] core::u64 hits() const noexcept { return hits_.value(); }
+  [[nodiscard]] core::u64 misses() const noexcept { return misses_.value(); }
+  [[nodiscard]] core::u64 evictions() const noexcept { return evictions_.value(); }
+  [[nodiscard]] core::u64 moves() const noexcept { return moves_.value(); }
+  [[nodiscard]] core::u64 resident_rows_peak() const noexcept {
+    return resident_rows_peak_.value();
   }
 
  private:
@@ -186,16 +174,13 @@ class residency_manager {
   // Pin registrations by operand digest (exact coefficients kept per
   // registration — same collision discipline as the entries).
   std::map<core::u64, std::vector<std::vector<core::u64>>> pins_;
-  // Instruments: owned fallbacks unless attach_metrics() pointed them at a
-  // registry — then the registry's view and the probes are one object.
-  telemetry::counter owned_hits_, owned_misses_, owned_evictions_, owned_moves_;
-  telemetry::counter* hits_ = &owned_hits_;
-  telemetry::counter* misses_ = &owned_misses_;
-  telemetry::counter* evictions_ = &owned_evictions_;
-  telemetry::counter* moves_ = &owned_moves_;
-  telemetry::gauge* resident_rows_ = nullptr;
-  telemetry::gauge* resident_rows_peak_ = nullptr;
-  telemetry::trace_recorder* rec_ = nullptr;
+  telemetry::counter& hits_;
+  telemetry::counter& misses_;
+  telemetry::counter& evictions_;
+  telemetry::counter& moves_;
+  telemetry::gauge& resident_rows_;
+  telemetry::gauge& resident_rows_peak_;
+  telemetry::trace_recorder* const rec_;
 };
 
 }  // namespace bpntt::runtime

@@ -6,7 +6,13 @@
 
 namespace bpntt::runtime {
 
-scheduler::scheduler(policy_config cfg, unsigned resources) : cfg_(cfg) {
+scheduler::scheduler(policy_config cfg, unsigned resources,
+                     telemetry::metrics_registry& registry, telemetry::trace_recorder* recorder)
+    : cfg_(cfg),
+      merged_(registry.make_counter("sched.groups_merged")),
+      yields_(registry.make_counter("sched.preemption_yields")),
+      affinity_(registry.make_counter("sched.residency_affinity_hits")),
+      recorder_(recorder) {
   bank_busy_.assign(std::max(1u, resources), 0);
   bank_free_at_.assign(std::max(1u, resources), 0);
 }
@@ -45,7 +51,7 @@ void scheduler::requeue_preempted(std::shared_ptr<dispatch_group> g) {
   // where they were), same ref_vtime and deadline_abs (the deadline is a
   // property of the flush, not of the resume).  Banks are released by the
   // caller via release() — the urgent group claims them on the next pass.
-  yields_->add();
+  yields_.add();
   if (recorder_ != nullptr) {
     recorder_->record({.ts = g->ref_vtime,
                        .dur = 0,
@@ -85,7 +91,7 @@ void scheduler::absorb_compatible(const std::shared_ptr<dispatch_group>& host,
       }
       bank_busy_[r] = claimed[r] = 1;
     }
-    merged_->add();
+    merged_.add();
     if (recorder_ != nullptr) {
       // arg = the absorbed group's seq, a = the host's — the edge Perfetto
       // shows as "who got pulled into whose dispatch".
@@ -166,7 +172,7 @@ void scheduler::note_affinity(const dispatch_group& g) {
                                          r) != g.affinity_banks.end();
   }
   if (!intersects) return;
-  affinity_->add();
+  affinity_.add();
   if (recorder_ != nullptr) {
     recorder_->record({.ts = g.ref_vtime,
                        .dur = 0,
@@ -179,6 +185,10 @@ void scheduler::note_affinity(const dispatch_group& g) {
 
 void scheduler::release(const dispatch_group& g) {
   for (const unsigned r : g.resources) bank_busy_[r] = 0;
+}
+
+bool scheduler::idle() const {
+  return std::none_of(bank_busy_.begin(), bank_busy_.end(), [](char b) { return b != 0; });
 }
 
 bool scheduler::should_yield(const dispatch_group& g) const {

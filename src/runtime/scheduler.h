@@ -12,7 +12,7 @@
 //
 // Ownership and interface:
 //
-//   scheduler sched(policy_config{...}, /*resources=*/banks);
+//   scheduler sched(policy_config{...}, /*resources=*/banks, registry, recorder);
 //   sched.enqueue(group);                 // seq, frontier ref, deadline clamp
 //   for (auto& g : sched.take_runnable()) // claim banks; merge compatible
 //     pool.enqueue([g] { run(g); });      //   ready groups into g->absorbed
@@ -140,7 +140,11 @@ class scheduler {
     bool merge_streams = false;
   };
 
-  scheduler(policy_config cfg, unsigned resources);
+  // Registers the three sched.* counters in `registry`; a non-null
+  // `recorder` receives the merge-absorption, preemption-yield and
+  // affinity-hit edges as trace events.
+  scheduler(policy_config cfg, unsigned resources, telemetry::metrics_registry& registry,
+            telemetry::trace_recorder* recorder);
 
   // Admit a freshly built group: assigns the flush sequence number, reads
   // the group's bank-frontier reference time, clamps the absolute deadline
@@ -164,6 +168,11 @@ class scheduler {
   // host).  The caller runs take_runnable() again afterwards.
   void release(const dispatch_group& g);
 
+  // True when no bank is claimed.  A group's jobs can all be done before
+  // its claim is released, so the context's sync() waits for this as well:
+  // the next flush never schedules against banks a finished group holds.
+  [[nodiscard]] bool idle() const;
+
   // True when a ready group that orders before `g` under the configured
   // policy is waiting for any of g's banks — the chunked-dispatch yield
   // test.  Const: yielding is the caller's decision.
@@ -180,23 +189,12 @@ class scheduler {
 
   [[nodiscard]] std::size_t ready_groups() const noexcept { return ready_.size(); }
 
-  // Publish the merge/yield/affinity counters — groups absorbed into
-  // another group's dispatch, chunked groups that gave their banks up
-  // mid-plan, claims landing on a bank already holding the group's limb
-  // operands — into registry-owned instruments: the scheduler increments
-  // *those* counters from here on.  Null leaves the owned fallback in
-  // place.
-  void attach_metrics(telemetry::counter* groups_merged,
-                      telemetry::counter* preemption_yields,
-                      telemetry::counter* residency_affinity_hits = nullptr) noexcept {
-    merged_ = groups_merged ? groups_merged : &owned_merged_;
-    yields_ = preemption_yields ? preemption_yields : &owned_yields_;
-    affinity_ = residency_affinity_hits ? residency_affinity_hits : &owned_affinity_;
-  }
-
-  // Lifecycle tracing: merge-absorption and preemption-yield edges become
-  // explicit trace events.  Null (the default) records nothing.
-  void attach_recorder(telemetry::trace_recorder* rec) noexcept { recorder_ = rec; }
+  // Groups absorbed into another group's dispatch, chunked groups that gave
+  // their banks up mid-plan, and claims landing on a bank already holding
+  // the group's limb operands.
+  [[nodiscard]] u64 groups_merged() const noexcept { return merged_.value(); }
+  [[nodiscard]] u64 preemption_yields() const noexcept { return yields_.value(); }
+  [[nodiscard]] u64 residency_affinity_hits() const noexcept { return affinity_.value(); }
 
  private:
   // Merge scan for one freshly claimed host: absorb every compatible ready
@@ -215,13 +213,10 @@ class scheduler {
   // affinity hint (counter + affinity_hit trace instant).
   void note_affinity(const dispatch_group& g);
 
-  // Owned fallbacks keep a bare scheduler (tests, tools) counting without a
-  // registry; attach_metrics() swaps the pointers to registry instruments.
-  telemetry::counter owned_merged_, owned_yields_, owned_affinity_;
-  telemetry::counter* merged_ = &owned_merged_;
-  telemetry::counter* yields_ = &owned_yields_;
-  telemetry::counter* affinity_ = &owned_affinity_;
-  telemetry::trace_recorder* recorder_ = nullptr;
+  telemetry::counter& merged_;
+  telemetry::counter& yields_;
+  telemetry::counter& affinity_;
+  telemetry::trace_recorder* const recorder_;
 };
 
 }  // namespace bpntt::runtime

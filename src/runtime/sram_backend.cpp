@@ -32,17 +32,16 @@ std::shared_ptr<std::vector<core::bp_ntt_bank>> sram_backend::banks_for(u64 ring
       std::shared_ptr<void>(), &banks_);
   if (ring_q == 0) return primary;
   // The primary banks satisfy a same-modulus override only when they
-  // already run the full negacyclic transform — an incomplete or cyclic
-  // primary ring must still retarget, or a ring-overridden dispatch would
-  // execute a different transform here than on the cpu/reference backends.
-  if (ring_q == params_.q && params_.negacyclic && !params_.incomplete) return primary;
+  // already run the full negacyclic transform — an incomplete primary ring
+  // must still retarget, or a ring-overridden dispatch would execute a
+  // different transform here than on the cpu/reference backends.
+  if (ring_q == params_.q && !params_.incomplete) return primary;
   return retarget_.get(ring_q, [&] {
     // Retarget: same chip, same tile width, twiddles/constants recompiled
     // for the limb prime.  The limb ring is always a full negacyclic ring
     // (the context validated 2n | q-1 at stream creation).
     core::ntt_params limb = params_;
     limb.q = ring_q;
-    limb.negacyclic = true;
     limb.incomplete = false;
     std::vector<core::bp_ntt_bank> retargeted;
     retargeted.reserve(banks_.size());

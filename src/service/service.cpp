@@ -1,6 +1,5 @@
 #include "service/service.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "telemetry/trace.h"
@@ -74,7 +73,6 @@ std::size_t checked_queue_capacity(const service_options& sopts) {
 
 service::service(runtime::runtime_options ropts, service_options sopts)
     : ctx_(std::move(ropts)), queue_(checked_queue_capacity(sopts)) {
-  register_metrics();
   drainer_ = std::thread([this] { drain_loop(); });
 }
 
@@ -82,24 +80,7 @@ service::service(runtime::runtime_options ropts,
                  std::unique_ptr<runtime::backend> custom_backend, service_options sopts)
     : ctx_(std::move(ropts), std::move(custom_backend)),
       queue_(checked_queue_capacity(sopts)) {
-  register_metrics();
   drainer_ = std::thread([this] { drain_loop(); });
-}
-
-void service::register_metrics() {
-  auto& reg = ctx_.metrics();
-  m_.submitted = &reg.make_counter("service.submitted");
-  m_.admitted = &reg.make_counter("service.admitted");
-  m_.rej_queue_full = &reg.make_counter("service.rejected_queue_full");
-  m_.rej_backlog = &reg.make_counter("service.rejected_backlog");
-  m_.rej_in_flight = &reg.make_counter("service.rejected_in_flight");
-  m_.rej_closed = &reg.make_counter("service.rejected_closed");
-  m_.completed = &reg.make_counter("service.completed");
-  m_.failed = &reg.make_counter("service.failed");
-  m_.deadline_misses = &reg.make_counter("service.deadline_misses");
-  m_.latency_ns = &reg.make_histogram("service.latency_ns");
-  m_.queue_wait_ns = &reg.make_histogram("service.queue_wait_ns");
-  m_.exec_cycles = &reg.make_histogram("service.exec_cycles");
 }
 
 service::~service() {
@@ -150,7 +131,7 @@ void service::close_session(unsigned sid) {
 ticket service::admit(unsigned sid, runtime::job j) {
   auto sess = session_of(sid);
   sess->submitted.fetch_add(1, std::memory_order_relaxed);
-  m_.submitted->add();
+  submitted_.add();
 
   const auto reject = [&](admission_reason r, std::atomic<u64>& session_ctr,
                           telemetry::counter& global_ctr, const std::string& what) -> ticket {
@@ -160,7 +141,7 @@ ticket service::admit(unsigned sid, runtime::job j) {
   };
 
   if (closed_.load(std::memory_order_acquire) || sess->closed.load(std::memory_order_acquire)) {
-    return reject(admission_reason::closed, sess->rej_closed, *m_.rej_closed,
+    return reject(admission_reason::closed, sess->rej_closed, rej_closed_,
                   "session " + std::to_string(sid) + " is closed");
   }
   // In-flight cap: checked before claiming a backlog slot so a tenant
@@ -168,13 +149,13 @@ ticket service::admit(unsigned sid, runtime::job j) {
   // enforced with atomics — concurrent submitters may transiently observe
   // the cap a few entries late, never unboundedly.
   if (sess->in_flight.load(std::memory_order_acquire) >= sess->opts.max_in_flight) {
-    return reject(admission_reason::session_in_flight, sess->rej_in_flight, *m_.rej_in_flight,
+    return reject(admission_reason::session_in_flight, sess->rej_in_flight, rej_in_flight_,
                   "session " + std::to_string(sid) + " is at its in-flight cap (" +
                       std::to_string(sess->opts.max_in_flight) + ")");
   }
   if (sess->queued.fetch_add(1, std::memory_order_acq_rel) + 1 > sess->opts.max_queued) {
     sess->queued.fetch_sub(1, std::memory_order_acq_rel);
-    return reject(admission_reason::session_backlog, sess->rej_backlog, *m_.rej_backlog,
+    return reject(admission_reason::session_backlog, sess->rej_backlog, rej_backlog_,
                   "session " + std::to_string(sid) + " is at its backlog cap (" +
                       std::to_string(sess->opts.max_queued) + ")");
   }
@@ -190,11 +171,11 @@ ticket service::admit(unsigned sid, runtime::job j) {
   if (!queue_.try_push(std::move(sub))) {
     outstanding_.fetch_sub(1, std::memory_order_acq_rel);
     sess->queued.fetch_sub(1, std::memory_order_acq_rel);
-    return reject(admission_reason::queue_full, sess->rej_queue_full, *m_.rej_queue_full,
+    return reject(admission_reason::queue_full, sess->rej_queue_full, rej_queue_full_,
                   "submission ring is full (" + std::to_string(queue_.capacity()) + " slots)");
   }
   sess->admitted.fetch_add(1, std::memory_order_relaxed);
-  m_.admitted->add();
+  admitted_.add();
 
   // Wake the drainer only when it declared itself idle — the common-case
   // submit never touches a mutex.
@@ -210,25 +191,12 @@ ticket service::admit(unsigned sid, runtime::job j) {
 void service::ensure_stream(const std::shared_ptr<session_state>& sess) {
   if (sess->has_stream) return;
   const auto& o = sess->opts;
-  // Reuse a parked policy-compatible stream before opening a fresh one.
-  const auto it = std::find_if(stream_pool_.begin(), stream_pool_.end(),
-                               [&](const pooled_stream& p) {
-                                 return p.priority == o.priority &&
-                                        p.deadline_cycles == o.deadline_cycles &&
-                                        p.ring_q == o.ring_q && p.chunk_budget == o.chunk_budget;
-                               });
-  if (it != stream_pool_.end()) {
-    sess->stream = it->stream;
-    stream_pool_.erase(it);
-    pooled_.store(stream_pool_.size(), std::memory_order_release);
-  } else {
-    runtime::stream_options so;
-    so.priority = o.priority;
-    so.deadline_cycles = o.deadline_cycles;
-    so.ring_q = o.ring_q;
-    so.chunk_budget = o.chunk_budget;
-    sess->stream = ctx_.stream(std::move(so));
-  }
+  runtime::stream_options so;
+  so.priority = o.priority;
+  so.deadline_cycles = o.deadline_cycles;
+  so.ring_q = o.ring_q;
+  so.chunk_budget = o.chunk_budget;
+  sess->stream = ctx_.stream(std::move(so));
   sess->has_stream = true;
   streamed_sessions_.push_back(sess);
 }
@@ -243,13 +211,7 @@ void service::retire_idle_streams() {
       ++it;
       continue;
     }
-    if (stream_pool_.size() < kStreamPoolLimit) {
-      stream_pool_.push_back({ss.opts.priority, ss.opts.deadline_cycles, ss.opts.ring_q,
-                              ss.opts.chunk_budget, ss.stream});
-      pooled_.store(stream_pool_.size(), std::memory_order_release);
-    } else {
-      ss.stream.close();
-    }
+    ss.stream.close();
     ss.has_stream = false;
     it = streamed_sessions_.erase(it);
   }
@@ -280,7 +242,7 @@ bool service::dispatch(submission&& s, std::map<runtime::job_id, inflight_rec>& 
   const auto wait_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                            steady_clock::now() - s.t_submit)
                            .count();
-  m_.queue_wait_ns->record(static_cast<u64>(wait_ns));
+  queue_wait_ns_.record(static_cast<u64>(wait_ns));
   if (auto* rec = ctx_.tracer()) {
     rec->record({.ts = rec->watermark(),
                  .dur = 0,
@@ -302,10 +264,10 @@ void service::deliver(session_state& ss, const std::shared_ptr<ticket::state>& s
   const bool missed = r.deadline_missed;
   // Service-wide outcome counters and distributions live in the registry;
   // only the per-session mirrors still ride stats_mu_.
-  m_.latency_ns->record(static_cast<u64>(lat));
-  m_.exec_cycles->record(r.wall_cycles);
-  (ok ? m_.completed : m_.failed)->add();
-  if (missed) m_.deadline_misses->add();
+  latency_ns_.record(static_cast<u64>(lat));
+  exec_cycles_.record(r.wall_cycles);
+  (ok ? completed_ : failed_).add();
+  if (missed) deadline_misses_.add();
   if (auto* rec = ctx_.tracer()) {
     rec->record({.ts = rec->watermark(),
                  .dur = 0,
@@ -401,15 +363,15 @@ service_stats service::stats() const {
   // submitted before any outcome, so a concurrent snapshot never shows
   // more outcomes than submissions.  All reads come straight from the
   // registry instruments the hot paths update — nothing is mirrored.
-  s.admitted = m_.admitted->value();
-  s.rejected_queue_full = m_.rej_queue_full->value();
-  s.rejected_backlog = m_.rej_backlog->value();
-  s.rejected_in_flight = m_.rej_in_flight->value();
-  s.rejected_closed = m_.rej_closed->value();
-  s.completed = m_.completed->value();
-  s.failed = m_.failed->value();
-  s.deadline_misses = m_.deadline_misses->value();
-  s.submitted = m_.submitted->value();
+  s.admitted = admitted_.value();
+  s.rejected_queue_full = rej_queue_full_.value();
+  s.rejected_backlog = rej_backlog_.value();
+  s.rejected_in_flight = rej_in_flight_.value();
+  s.rejected_closed = rej_closed_.value();
+  s.completed = completed_.value();
+  s.failed = failed_.value();
+  s.deadline_misses = deadline_misses_.value();
+  s.submitted = submitted_.value();
   s.rejected = s.rejected_queue_full + s.rejected_backlog + s.rejected_in_flight +
                s.rejected_closed;
   {
@@ -424,7 +386,7 @@ service_stats service::stats() const {
     s.groups_merged = rs.groups_merged;
     s.preemption_yields = rs.preemption_yields;
   }
-  fill_quantiles(s, m_.latency_ns->snapshot());
+  fill_quantiles(s, latency_ns_.snapshot());
   return s;
 }
 

@@ -16,7 +16,7 @@
 // number of client threads submit typed jobs through session handles; a
 // bounded lock-free MPSC ring (mpsc_queue.h) carries the submissions to
 // one dedicated *drainer* thread, which is the context's single client —
-// it maps sessions onto pooled context streams, batches each session's
+// it maps sessions onto context streams, batches each session's
 // jobs into dispatch groups, flushes, harvests completions and fulfills
 // tickets.  Client threads never touch the context's scheduler lock.
 //
@@ -106,11 +106,6 @@ struct service_options {
   std::size_t queue_capacity = 1024;
 };
 
-// Parked-stream cap of the stream pool: streams released by closed sessions
-// are kept for reuse by policy-compatible future sessions; parked streams
-// beyond this limit are closed instead.
-inline constexpr std::size_t kStreamPoolLimit = 8;
-
 // Counter snapshot of one tenant (or, for service::stats(), the whole
 // service).  Latency quantiles are bucket upper bounds of the fixed-bucket
 // histogram — "p99 <= p99_ns" at ~25% bucket resolution; miss rate is
@@ -189,8 +184,7 @@ class session {
   ticket submit(runtime::job j);
 
   // Stop admitting (idempotent).  Outstanding jobs still complete and
-  // their tickets stay valid; the tenant's stream returns to the pool once
-  // it drains.
+  // their tickets stay valid; the tenant's stream closes once it drains.
   void close();
 
   [[nodiscard]] unsigned id() const noexcept { return id_; }
@@ -238,12 +232,8 @@ class service {
   [[nodiscard]] runtime::context::trace_probe trace_stats() const noexcept {
     return ctx_.trace_stats();
   }
-  // Open context streams (default stream + live tenants + parked pool).
+  // Open context streams (the default stream + one per streamed tenant).
   [[nodiscard]] std::size_t open_streams() const noexcept { return ctx_.open_streams(); }
-  // Streams currently parked in the reuse pool.
-  [[nodiscard]] std::size_t pooled_streams() const noexcept {
-    return pooled_.load(std::memory_order_acquire);
-  }
 
   // Block until every job admitted so far has completed.
   void drain();
@@ -284,20 +274,7 @@ class service {
     std::chrono::steady_clock::time_point t_submit;
   };
 
-  // A parked stream a future policy-compatible session can reuse.  The
-  // compatibility key is every option that shapes the stream's scheduling
-  // behaviour — a stream opened for a chunk-budgeted tenant must not leak
-  // that budget to a tenant that did not ask for it.
-  struct pooled_stream {
-    int priority;
-    u64 deadline_cycles;
-    u64 ring_q;
-    u64 chunk_budget;
-    runtime::stream stream;
-  };
-
   ticket admit(unsigned sid, runtime::job j);
-  void register_metrics();
   [[nodiscard]] std::shared_ptr<session_state> session_of(unsigned sid) const;
   void close_session(unsigned sid);
   [[nodiscard]] service_stats session_stats(unsigned sid) const;
@@ -321,26 +298,26 @@ class service {
   unsigned next_session_ = 1;
 
   // Service-wide instruments, registered under "service." in the wrapped
-  // context's metrics registry (register_metrics(), called by both ctors
-  // before the drainer starts).  Counter updates are lock-free from any
-  // client thread; histogram records take the cell's own mutex.  The
-  // registry owns the cells — these are stable references, so stats() and
-  // metrics().to_json() read the very counters the hot path bumps.
-  struct metric_refs {
-    telemetry::counter* submitted = nullptr;
-    telemetry::counter* admitted = nullptr;
-    telemetry::counter* rej_queue_full = nullptr;
-    telemetry::counter* rej_backlog = nullptr;
-    telemetry::counter* rej_in_flight = nullptr;
-    telemetry::counter* rej_closed = nullptr;
-    telemetry::counter* completed = nullptr;
-    telemetry::counter* failed = nullptr;
-    telemetry::counter* deadline_misses = nullptr;
-    telemetry::histogram_cell* latency_ns = nullptr;     // submit -> harvest, wall clock
-    telemetry::histogram_cell* queue_wait_ns = nullptr;  // submit -> stream dispatch
-    telemetry::histogram_cell* exec_cycles = nullptr;    // backend wall_cycles per job
-  };
-  metric_refs m_;
+  // context's metrics registry as the members initialize (ctx_ comes
+  // first), so both constructors get them before the drainer starts.
+  // Counter updates are lock-free from any client thread; histogram
+  // records take the cell's own mutex.  stats() and metrics().to_json()
+  // read the very instruments the hot path bumps.
+  telemetry::counter& submitted_ = ctx_.metrics().make_counter("service.submitted");
+  telemetry::counter& admitted_ = ctx_.metrics().make_counter("service.admitted");
+  telemetry::counter& rej_queue_full_ = ctx_.metrics().make_counter("service.rejected_queue_full");
+  telemetry::counter& rej_backlog_ = ctx_.metrics().make_counter("service.rejected_backlog");
+  telemetry::counter& rej_in_flight_ = ctx_.metrics().make_counter("service.rejected_in_flight");
+  telemetry::counter& rej_closed_ = ctx_.metrics().make_counter("service.rejected_closed");
+  telemetry::counter& completed_ = ctx_.metrics().make_counter("service.completed");
+  telemetry::counter& failed_ = ctx_.metrics().make_counter("service.failed");
+  telemetry::counter& deadline_misses_ = ctx_.metrics().make_counter("service.deadline_misses");
+  // submit -> harvest (wall clock), submit -> stream dispatch, and backend
+  // wall_cycles per job.
+  telemetry::histogram_cell& latency_ns_ = ctx_.metrics().make_histogram("service.latency_ns");
+  telemetry::histogram_cell& queue_wait_ns_ =
+      ctx_.metrics().make_histogram("service.queue_wait_ns");
+  telemetry::histogram_cell& exec_cycles_ = ctx_.metrics().make_histogram("service.exec_cycles");
 
   // Per-session completion-side state (session_state histograms and
   // misses) stays under stats_mu_; the service-wide equivalents moved
@@ -357,10 +334,8 @@ class service {
 
   std::atomic<bool> closed_{false};    // front door
   std::atomic<bool> stopping_{false};  // drainer exit once drained
-  // Drainer-only: sessions currently holding a stream, and the parked pool.
+  // Drainer-only: sessions currently holding a stream.
   std::vector<std::shared_ptr<session_state>> streamed_sessions_;
-  std::vector<pooled_stream> stream_pool_;
-  std::atomic<std::size_t> pooled_{0};  // stream_pool_.size() gauge for observers
   std::thread drainer_;  // last member: joined by ~service before ctx_ dies
 };
 

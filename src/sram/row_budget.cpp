@@ -10,7 +10,6 @@ row_budget::row_budget(unsigned banks, unsigned subarrays_per_bank, unsigned row
   if (banks_ == 0 || subarrays_ == 0) {
     throw std::invalid_argument("row_budget: needs at least one bank and one subarray");
   }
-  bank_reserved_.assign(banks_, 0);
   state_.assign(static_cast<std::size_t>(banks_) * subarrays_, {});
 }
 
@@ -30,14 +29,12 @@ std::optional<row_span> row_budget::reserve(unsigned bank, unsigned rows) {
       row_span s = ss.free_spans[f];
       ss.free_spans.erase(ss.free_spans.begin() + static_cast<long>(f));
       reserved_ += rows;
-      bank_reserved_[bank] += rows;
       return s;
     }
     if (ss.bump + rows <= rows_per_subarray_) {
       const row_span s{bank, sub, ss.bump, rows};
       ss.bump += rows;
       reserved_ += rows;
-      bank_reserved_[bank] += rows;
       return s;
     }
   }
@@ -51,15 +48,6 @@ void row_budget::release(const row_span& s) {
   subarray_state& ss = at(s.bank, s.subarray);
   ss.free_spans.push_back(s);
   reserved_ -= s.rows;
-  bank_reserved_[s.bank] -= s.rows;
-}
-
-std::uint64_t row_budget::bank_reserved_rows(unsigned bank) const {
-  if (bank >= banks_) {
-    throw std::invalid_argument("row_budget: occupancy probe names bank " +
-                                std::to_string(bank) + " of " + std::to_string(banks_));
-  }
-  return bank_reserved_[bank];
 }
 
 }  // namespace bpntt::sram

@@ -58,10 +58,9 @@ class row_budget {
   [[nodiscard]] unsigned subarrays_per_bank() const noexcept { return subarrays_; }
   [[nodiscard]] unsigned rows_per_subarray() const noexcept { return rows_per_subarray_; }
 
-  // Occupancy probes: rows currently reserved (whole device / one bank)
-  // and the total reservable capacity.
+  // Occupancy probes: rows currently reserved on the whole device and the
+  // total reservable capacity.
   [[nodiscard]] std::uint64_t reserved_rows() const noexcept { return reserved_; }
-  [[nodiscard]] std::uint64_t bank_reserved_rows(unsigned bank) const;
   [[nodiscard]] std::uint64_t capacity_rows() const noexcept {
     return static_cast<std::uint64_t>(banks_) * subarrays_ * rows_per_subarray_;
   }
@@ -80,7 +79,6 @@ class row_budget {
   unsigned subarrays_;
   unsigned rows_per_subarray_;
   std::uint64_t reserved_ = 0;
-  std::vector<std::uint64_t> bank_reserved_;
   std::vector<subarray_state> state_;
 };
 

@@ -111,14 +111,6 @@ void subarray::host_write_row(unsigned row, const bitrow& value) {
   stats_.energy_pj += energy_compute_op_pj(tech_, geom_.cols, 1, true);
 }
 
-const bitrow& subarray::host_read_row(unsigned row) {
-  bounds(row);
-  ++stats_.host_reads;
-  ++stats_.cycles;
-  stats_.energy_pj += energy_compute_op_pj(tech_, geom_.cols, 1, false);
-  return data_[row];
-}
-
 void subarray::host_write_word(unsigned tile, unsigned row, std::uint64_t value) {
   bounds(row);
   data_[row].deposit(word_base(tile), geom_.tile_bits, value);

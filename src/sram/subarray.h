@@ -66,7 +66,6 @@ class subarray {
 
   // --- Host (non-compute) access: ordinary cache reads/writes. ---
   void host_write_row(unsigned row, const bitrow& value);
-  [[nodiscard]] const bitrow& host_read_row(unsigned row);
   void host_write_word(unsigned tile, unsigned row, std::uint64_t value);
   [[nodiscard]] std::uint64_t host_read_word(unsigned tile, unsigned row);
   // Debug peek that does not touch statistics (used by tests/traces).

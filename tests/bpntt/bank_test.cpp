@@ -45,7 +45,7 @@ TEST(Bank, BatchMatchesGoldenForEveryJob) {
     j.resize(p.n);
     for (auto& x : j) x = rng.below(p.q);
   }
-  const auto r = bank.run_forward_batch(jobs);
+  const auto r = bank.run_ntt_batch(jobs, transform_dir::forward);
   EXPECT_EQ(r.waves, 3u);  // ceil(29 / 12)
   EXPECT_EQ(r.outputs.size(), jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -54,7 +54,7 @@ TEST(Bank, BatchMatchesGoldenForEveryJob) {
     ASSERT_EQ(r.outputs[i], expect) << "job " << i;
   }
   EXPECT_GT(r.cycles, 0u);
-  EXPECT_GT(r.energy_nj, 0.0);
+  EXPECT_GT(r.stats.energy_pj, 0.0);
 }
 
 TEST(Bank, WaveLatencyIsMaxNotSum) {
@@ -66,21 +66,21 @@ TEST(Bank, WaveLatencyIsMaxNotSum) {
     j.resize(p.n);
     for (auto& x : j) x = rng.below(p.q);
   }
-  const auto r = bank.run_forward_batch(jobs);
+  const auto r = bank.run_ntt_batch(jobs, transform_dir::forward);
   EXPECT_EQ(r.waves, 1u);
   // One wave across 3 concurrent subarrays: total cycles ~ one engine's
   // run, far below 3x of it.
   bp_ntt_bank single(small_bank(), small_params());
   std::vector<std::vector<u64>> one(jobs.begin(), jobs.begin() + 1);
-  const auto r1 = single.run_forward_batch(one);
+  const auto r1 = single.run_ntt_batch(one, transform_dir::forward);
   EXPECT_LT(r.cycles, 2 * r1.cycles);
   // Energy is additive across subarrays though.
-  EXPECT_GT(r.energy_nj, 2.5 * r1.energy_nj);
+  EXPECT_GT(r.stats.energy_pj, 2.5 * r1.stats.energy_pj);
 }
 
 TEST(Bank, EmptyBatch) {
   bp_ntt_bank bank(small_bank(), small_params());
-  const auto r = bank.run_forward_batch({});
+  const auto r = bank.run_ntt_batch({}, transform_dir::forward);
   EXPECT_EQ(r.waves, 0u);
   EXPECT_EQ(r.cycles, 0u);
 }
@@ -99,7 +99,7 @@ TEST(Bank, RejectsBadConfigAndJobs) {
 
   bp_ntt_bank bank(small_bank(), small_params());
   std::vector<std::vector<u64>> bad(1, std::vector<u64>(7, 0));
-  EXPECT_THROW((void)bank.run_forward_batch(bad), std::invalid_argument);
+  EXPECT_THROW((void)bank.run_ntt_batch(bad, transform_dir::forward), std::invalid_argument);
 }
 
 TEST(Bank, InverseBatchUndoesForwardBatch) {

@@ -142,8 +142,6 @@ TEST(KyberMode, ParamValidation) {
   EXPECT_THROW(p.validate(), std::invalid_argument);
   p.incomplete = true;
   EXPECT_NO_THROW(p.validate());
-  p.negacyclic = false;
-  EXPECT_THROW(p.validate(), std::invalid_argument);
 }
 
 }  // namespace

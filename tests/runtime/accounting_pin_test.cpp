@@ -65,10 +65,7 @@ struct pin_result {
 
 // One flush over the default stream (plain transforms and products), a
 // budgeted deadline stream on the context ring, and a budgeted limb stream
-// carrying rescale and base-extend jobs as well.  One flush only: sync()
-// returns once no job is in flight, which can be before the pool worker
-// has released the last group's banks, so a second flush right after it
-// would race that release.
+// carrying rescale and base-extend jobs as well.
 pin_result run_pinned_workload(context& ctx, u64 budget) {
   const u64 limb = limb_prime();
   auto plain = ctx.stream({.priority = 2, .deadline_cycles = 60'000, .chunk_budget = budget});
@@ -230,6 +227,47 @@ TEST(AccountingPin, KnobCombinationsOnTheSramBackend) {
   for (const pin_case& pc : cases) {
     context ctx(pin_options(pc.config));
     expect_pinned(run_pinned_workload(ctx, pc.config.budget), pc.want, label_of(pc.config));
+  }
+}
+
+// Back-to-back flushes: each round flushes stream A alone, syncs, then
+// flushes A and B together and syncs again, on a 2-bank device where A sits
+// on bank 0 and B on bank 1.  The second flush merges B into A's dispatch
+// only when A's earlier group has already released bank 0, so every count
+// below depends on sync() returning after the release, not merely after
+// the last job completed.  Pinned at 1 and 4 pool threads: the figures
+// must not depend on pool timing.
+TEST(AccountingPin, BackToBackFlushesScheduleOnReleasedBanks) {
+  constexpr unsigned kRounds = 300;
+  for (const unsigned threads : {1u, 4u}) {
+    context ctx(runtime_options()
+                    .with_ring(kOrder, kRingQ, 13)
+                    .with_backend(backend_kind::sram)
+                    .with_array(64, 39)
+                    .with_banks(2)
+                    .with_threads(threads)
+                    .with_cross_stream_batching());
+    auto a = ctx.stream();
+    auto b = ctx.stream();
+    ASSERT_EQ(a.bank_set(), std::vector<unsigned>{0u});
+    ASSERT_EQ(b.bank_set(), std::vector<unsigned>{1u});
+    common::xoshiro256ss rng(77);
+    for (unsigned round = 0; round < kRounds; ++round) {
+      (void)a.submit(ntt_job{.coeffs = random_poly(kRingQ, rng)});
+      ctx.flush();
+      ctx.sync();
+      (void)a.submit(ntt_job{.coeffs = random_poly(kRingQ, rng)});
+      (void)b.submit(ntt_job{.coeffs = random_poly(kRingQ, rng)});
+      ctx.flush();
+      ctx.sync();
+    }
+    const scheduler_stats s = ctx.stats();
+    const std::string label = std::to_string(threads) + " threads";
+    EXPECT_EQ(s.groups, 3u * kRounds) << label;
+    EXPECT_EQ(s.groups_merged, kRounds) << label;
+    EXPECT_EQ(s.batches, 2u * kRounds) << label;
+    EXPECT_EQ(s.wall_cycles, 11'497'245u) << label;
+    EXPECT_EQ(s.jobs_completed, 3u * kRounds) << label;
   }
 }
 

@@ -49,7 +49,8 @@ std::vector<u64> poly_of(u64 seed) {
 // ---- residency_manager unit ------------------------------------------------
 
 TEST(ResidencyManagerUnit, LookupInsertAndCounters) {
-  residency_manager cache(slots(4));
+  telemetry::metrics_registry reg;
+  residency_manager cache(slots(4), reg);
   const auto a = poly_of(1);
   const auto fa = poly_of(2);
 
@@ -70,7 +71,8 @@ TEST(ResidencyManagerUnit, LookupInsertAndCounters) {
 }
 
 TEST(ResidencyManagerUnit, CapacityPressureEvictsTheColdestEntry) {
-  residency_manager cache(slots(2));
+  telemetry::metrics_registry reg;
+  residency_manager cache(slots(2), reg);
   const auto a = poly_of(1), b = poly_of(2), c = poly_of(3);
   cache.insert(97, core::transform_dir::forward, a, poly_of(11), 0);
   cache.insert(97, core::transform_dir::forward, b, poly_of(12), 0);
@@ -87,7 +89,8 @@ TEST(ResidencyManagerUnit, CapacityPressureEvictsTheColdestEntry) {
 }
 
 TEST(ResidencyManagerUnit, InvalidateAndClearReportDropCounts) {
-  residency_manager cache(slots(8));
+  telemetry::metrics_registry reg;
+  residency_manager cache(slots(8), reg);
   const auto a = poly_of(1), b = poly_of(2);
   cache.insert(97, core::transform_dir::forward, a, poly_of(11), 0);
   cache.insert(193, core::transform_dir::forward, a, poly_of(12), 0);
@@ -109,7 +112,8 @@ TEST(ResidencyManagerUnit, InvalidateAndClearReportDropCounts) {
 }
 
 TEST(ResidencyManagerUnit, ZeroBudgetNeverStores) {
-  residency_manager cache(slots(0));
+  telemetry::metrics_registry reg;
+  residency_manager cache(slots(0), reg);
   const auto a = poly_of(1);
   cache.insert(97, core::transform_dir::forward, a, poly_of(11), 0);
   EXPECT_EQ(cache.size(), 0u);
@@ -118,7 +122,8 @@ TEST(ResidencyManagerUnit, ZeroBudgetNeverStores) {
 }
 
 TEST(ResidencyManagerUnit, PinnedEntriesSurviveCapacityPressure) {
-  residency_manager cache(slots(2));
+  telemetry::metrics_registry reg;
+  residency_manager cache(slots(2), reg);
   const auto a = poly_of(1), b = poly_of(2), c = poly_of(3), d = poly_of(4);
   cache.pin(a);
   cache.insert(97, core::transform_dir::forward, a, poly_of(11), 0);
@@ -137,7 +142,8 @@ TEST(ResidencyManagerUnit, PinnedEntriesSurviveCapacityPressure) {
 }
 
 TEST(ResidencyManagerUnit, ExplicitInvalidationOverridesThePin) {
-  residency_manager cache(slots(4));
+  telemetry::metrics_registry reg;
+  residency_manager cache(slots(4), reg);
   const auto a = poly_of(1);
   cache.pin(a);
   cache.insert(97, core::transform_dir::forward, a, poly_of(11), 0);
@@ -164,7 +170,8 @@ TEST(ResidencyManagerUnit, InsertResidesOnTheExecutingBank) {
   cfg.data_subarrays = 1;
   cfg.rows_per_subarray = 4 * static_cast<unsigned>(kOrder);
   cfg.rows_per_operand = static_cast<unsigned>(kOrder);
-  residency_manager cache(cfg);
+  telemetry::metrics_registry reg;
+  residency_manager cache(cfg, reg);
   const auto a = poly_of(1), b = poly_of(2), c = poly_of(3);
   cache.insert(97, core::transform_dir::forward, a, poly_of(11), 0);
   cache.insert(193, core::transform_dir::forward, b, poly_of(12), 2);
