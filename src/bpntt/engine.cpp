@@ -113,19 +113,8 @@ std::vector<u64> bp_ntt_engine::peek_polynomial(unsigned lane, const region& src
 sram::op_stats bp_ntt_engine::execute(const isa::program& p) {
   const sram::op_stats before = array_->stats();
   exec_.run(p, *array_);
-  sram::op_stats after = array_->stats();
-  sram::op_stats delta;
-  delta.cycles = after.cycles - before.cycles;
-  delta.binary_ops = after.binary_ops - before.binary_ops;
-  delta.pair_ops = after.pair_ops - before.pair_ops;
-  delta.copy_ops = after.copy_ops - before.copy_ops;
-  delta.shift_ops = after.shift_ops - before.shift_ops;
-  delta.check_ops = after.check_ops - before.check_ops;
-  delta.host_reads = after.host_reads - before.host_reads;
-  delta.host_writes = after.host_writes - before.host_writes;
-  delta.energy_pj = after.energy_pj - before.energy_pj;
-  delta.lossless_shift_violations =
-      after.lossless_shift_violations - before.lossless_shift_violations;
+  sram::op_stats delta = array_->stats();
+  delta -= before;
   return delta;
 }
 

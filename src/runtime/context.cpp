@@ -57,18 +57,13 @@ void context::finish_construction() {
 
   // On-array residency exists only where device rows do: banked backends
   // get a manager whose placement domains are their banks, with the
-  // configured subarrays minus the CTRL/CMD one per bank.  The row budget
-  // is operand_cache_entries x n rows spread evenly over the data
-  // subarrays, so "room for k operands" keeps its meaning.  Host backends
-  // ignore the option.
+  // configured subarrays minus the CTRL/CMD one per bank; it sizes its own
+  // slots from operand_cache_entries.  Host backends ignore the option.
   if (caps_.banks() != 0 && opts_.operand_cache_entries != 0) {
-    residency_manager::config rc;
-    rc.banks = caps_.banks();
-    rc.data_subarrays = std::max(1u, opts_.topo.subarrays - 1);
-    rc.rows_per_operand = static_cast<unsigned>(opts_.params.n);
-    const u64 regions = static_cast<u64>(rc.banks) * rc.data_subarrays;
-    const u64 entry_rows = static_cast<u64>(opts_.operand_cache_entries) * opts_.params.n;
-    rc.rows_per_subarray = static_cast<unsigned>((entry_rows + regions - 1) / regions);
+    const residency_manager::config rc{.banks = caps_.banks(),
+                                       .data_subarrays = std::max(1u, opts_.topo.subarrays - 1),
+                                       .entries = opts_.operand_cache_entries,
+                                       .rows_per_operand = static_cast<unsigned>(opts_.params.n)};
     resman_ = std::make_unique<residency_manager>(rc, registry_, recorder_.get());
     backend_->attach_residency(resman_.get());
   }
@@ -463,16 +458,8 @@ std::size_t context::invalidate_operand(const std::vector<u64>& coeffs) noexcept
   return resman_ ? resman_->invalidate(coeffs) : 0;
 }
 
-std::size_t context::invalidate_operand_cache() noexcept {
-  return resman_ ? resman_->clear() : 0;
-}
-
 void context::pin_operand(const std::vector<u64>& coeffs) noexcept {
   if (resman_) resman_->pin(coeffs);
-}
-
-void context::unpin_operand(const std::vector<u64>& coeffs) noexcept {
-  if (resman_) resman_->unpin(coeffs);
 }
 
 // ---- group building and admission ------------------------------------------

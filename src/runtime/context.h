@@ -119,7 +119,7 @@ struct scheduler_stats {
   u64 operand_cache_hits = 0;
   u64 operand_cache_misses = 0;
   // Residents dropped under capacity pressure (LRU within the unpinned
-  // class, charged against the subarray row budget).
+  // class, charged against each bank's operand slots).
   u64 residency_evictions = 0;
   // Warm serves paid as on-chip cross-bank row moves (operand resident,
   // but not on a bank the dispatch held).
@@ -209,9 +209,9 @@ class context {
   // On-array residency surface.  Operands currently resident (0 when
   // residency is disabled or the backend has no device rows).
   [[nodiscard]] std::size_t operand_cache_size() const noexcept;
-  // Device rows currently reserved by resident operands, and the total row
-  // budget (banks x data subarrays x rows per subarray).  Safe from any
-  // thread.
+  // Device rows currently held by resident operands, and the rows the
+  // residency slots can hold (slots x n; see residency_manager.h).  Safe
+  // from any thread.
   [[nodiscard]] u64 resident_rows() const noexcept;
   [[nodiscard]] u64 resident_row_capacity() const noexcept;
   // Drop the resident images of one operand (across every limb prime and
@@ -221,17 +221,12 @@ class context {
   // protects against *capacity eviction* only, explicit invalidation
   // always wins.  Returns the number of entries dropped.
   std::size_t invalidate_operand(const std::vector<u64>& coeffs) noexcept;
-  // Drop every resident image, pinned included (counters are cumulative
-  // and survive; pin registrations persist — the operands still exist).
-  // Returns the number of entries dropped.
-  std::size_t invalidate_operand_cache() noexcept;
-  // Pin/unpin an operand's residency: pinned entries (current and future
+  // Pin an operand's residency: pinned entries (current and future
   // inserts of the same coefficients) are exempt from capacity eviction —
   // for long-lived operands like evaluation keys that every multiply
   // touches.  No-ops when residency is disabled or the backend has no
   // device rows.
   void pin_operand(const std::vector<u64>& coeffs) noexcept;
-  void unpin_operand(const std::vector<u64>& coeffs) noexcept;
   // The backend's lazy per-modulus retarget cache occupancy (LRU-bounded
   // by kRetargetCacheModuli in runtime/retarget_cache.h).
   [[nodiscard]] std::size_t retarget_cache_size() const noexcept {

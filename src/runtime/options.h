@@ -79,11 +79,12 @@ struct runtime_options {
   // with respect to the submitting thread).
   unsigned threads = 0;
 
-  // The sram backend's residency budget, in resident operands: the context
-  // turns it into a per-subarray row budget (entries x ring order n rows,
-  // spread evenly over the device's data subarrays — see
-  // context::finish_construction).  0 disables residency entirely.  Host
-  // backends have no device rows and ignore it.
+  // The sram backend's residency budget, in resident operands: the
+  // residency manager spreads entries x ring order n rows evenly over the
+  // device's data subarrays and keeps the whole operands that fit (see
+  // residency_manager.h), so the slot count can round below `entries`.
+  // 0 disables residency entirely.  Host backends have no device rows and
+  // ignore it.
   unsigned operand_cache_entries = 64;
 
   // Ready-queue ordering under bank contention (see schedule_policy).

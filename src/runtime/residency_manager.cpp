@@ -24,7 +24,7 @@ void note_lookup(telemetry::trace_recorder* rec, bool hit, core::u64 ring_q) {
                .op = hit ? telemetry::trace_op::cache_hit : telemetry::trace_op::cache_miss});
 }
 
-// A residency lifecycle instant (evict / pin / unpin / move) on the cache
+// A residency lifecycle instant (evict / pin / move) on the cache
 // track; a = the limb prime (or digest for pins, which are ring-agnostic),
 // arg = the bank involved.
 void note_instant(telemetry::trace_recorder* rec, telemetry::trace_op op, core::u64 a,
@@ -34,24 +34,32 @@ void note_instant(telemetry::trace_recorder* rec, telemetry::trace_op op, core::
                .arg = arg, .op = op});
 }
 
+// The budget's entries x n rows spread evenly over every data subarray;
+// each subarray holds the whole operands that fit in its share.
+unsigned slots_per_bank(const residency_manager::config& cfg) {
+  if (cfg.banks == 0 || cfg.data_subarrays == 0 || cfg.rows_per_operand == 0) {
+    throw std::invalid_argument("residency_manager: banks/subarrays/rows must be >= 1");
+  }
+  const core::u64 regions = static_cast<core::u64>(cfg.banks) * cfg.data_subarrays;
+  const core::u64 rows_per_subarray =
+      (static_cast<core::u64>(cfg.entries) * cfg.rows_per_operand + regions - 1) / regions;
+  return cfg.data_subarrays * static_cast<unsigned>(rows_per_subarray / cfg.rows_per_operand);
+}
+
 }  // namespace
 
 residency_manager::residency_manager(const config& cfg, telemetry::metrics_registry& registry,
                                      telemetry::trace_recorder* rec)
     : cfg_(cfg),
-      budget_(cfg.banks == 0 ? 1 : cfg.banks,
-              cfg.data_subarrays == 0 ? 1 : cfg.data_subarrays, cfg.rows_per_subarray),
+      slots_per_bank_(slots_per_bank(cfg)),
+      used_(cfg.banks, 0),
       hits_(registry.make_counter("cache.hits")),
       misses_(registry.make_counter("cache.misses")),
       evictions_(registry.make_counter("residency.evictions")),
       moves_(registry.make_counter("residency.moves")),
       resident_rows_(registry.make_gauge("residency.resident_rows")),
       resident_rows_peak_(registry.make_gauge("residency.resident_rows_peak")),
-      rec_(rec) {
-  if (cfg_.banks == 0 || cfg_.data_subarrays == 0) {
-    throw std::invalid_argument("residency_manager: banks/subarrays must be >= 1");
-  }
-}
+      rec_(rec) {}
 
 core::u64 residency_manager::digest_of(const std::vector<core::u64>& coeffs) noexcept {
   // FNV-1a over the coefficient words plus the length, 64-bit.
@@ -82,7 +90,7 @@ bool residency_manager::pinned_registered_locked(core::u64 digest,
 }
 
 void residency_manager::publish_rows_locked() {
-  const core::u64 rows = budget_.reserved_rows();
+  const core::u64 rows = static_cast<core::u64>(entries_.size()) * cfg_.rows_per_operand;
   resident_rows_.set(rows);
   resident_rows_peak_.set_max(rows);
   if (rec_ != nullptr) {
@@ -99,10 +107,10 @@ bool residency_manager::evict_one_locked(std::optional<unsigned> bank) {
   for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
     const auto ent = entries_.find(*it);
     if (ent == entries_.end()) continue;  // unreachable; defensive
-    if (ent->second.pinned) continue;
-    if (bank && ent->second.span.bank != *bank) continue;
+    if (bank && ent->second.bank != *bank) continue;
+    if (pinned_registered_locked(ent->first.digest, ent->second.coeffs)) continue;
     const core::u64 ring_q = ent->first.ring_q;
-    const unsigned freed_bank = ent->second.span.bank;
+    const unsigned freed_bank = ent->second.bank;
     erase_locked(ent);
     evictions_.add();
     note_instant(rec_, telemetry::trace_op::resident_evict, ring_q, freed_bank);
@@ -112,29 +120,30 @@ bool residency_manager::evict_one_locked(std::optional<unsigned> bank) {
   return false;
 }
 
-std::optional<sram::row_span> residency_manager::place_locked(unsigned want_bank,
-                                                              unsigned rows) {
-  if (rows == 0) return std::nullopt;
-  // The preferred bank first; then spill to any bank with free rows —
+std::optional<unsigned> residency_manager::place_locked(unsigned want_bank) {
+  const auto take = [this](unsigned b) {
+    if (used_[b] == slots_per_bank_) return false;
+    ++used_[b];
+    return true;
+  };
+  // The preferred bank first; then spill to any bank with a free slot —
   // a resident on a foreign bank serves warm as a cheap on-chip row move,
   // which always beats evicting a still-useful entry and recomputing it.
-  if (auto s = budget_.reserve(want_bank, rows)) return s;
+  if (take(want_bank)) return want_bank;
   for (unsigned b = 0; b < cfg_.banks; ++b) {
-    if (b == want_bank) continue;
-    if (auto s = budget_.reserve(b, rows)) return s;
+    if (b != want_bank && take(b)) return b;
   }
-  // Capacity pressure: evict the preferred bank's own LRU unpinned entries
-  // — a same-sized working set means a freed span always fits.
+  // Capacity pressure: evict the preferred bank's own LRU unpinned entries.
   while (evict_one_locked(want_bank)) {
-    if (auto s = budget_.reserve(want_bank, rows)) return s;
+    if (take(want_bank)) return want_bank;
   }
   // Global pressure: evict the coldest unpinned entry anywhere, retry.
   while (evict_one_locked(std::nullopt)) {
     for (unsigned b = 0; b < cfg_.banks; ++b) {
-      if (auto s = budget_.reserve(b, rows)) return s;
+      if (take(b)) return b;
     }
   }
-  return std::nullopt;  // budget exhausted by pinned residents (or oversized operand)
+  return std::nullopt;  // every slot pinned (or the operand outsizes every subarray)
 }
 
 std::optional<residency_manager::hit> residency_manager::lookup(
@@ -150,7 +159,7 @@ std::optional<residency_manager::hit> residency_manager::lookup(
   touch_locked(it->second, k);
   hits_.add();
   note_lookup(rec_, /*hit=*/true, ring_q);
-  return hit{it->second.transformed, it->second.span.bank};
+  return hit{it->second.transformed, it->second.bank};
 }
 
 void residency_manager::insert(core::u64 ring_q, core::transform_dir dir,
@@ -160,21 +169,24 @@ void residency_manager::insert(core::u64 ring_q, core::transform_dir dir,
     throw std::logic_error("residency_manager: insert names bank " + std::to_string(bank) +
                            " but the device has " + std::to_string(cfg_.banks) + " banks");
   }
+  if (coeffs.size() != cfg_.rows_per_operand) {
+    throw std::logic_error("residency_manager: insert of a " + std::to_string(coeffs.size()) +
+                           "-coefficient operand, resident operands are " +
+                           std::to_string(cfg_.rows_per_operand) + " rows");
+  }
   const key k{ring_q, static_cast<int>(dir), digest_of(coeffs)};
   std::lock_guard<std::mutex> lk(mu_);
   const auto it = entries_.find(k);
   if (it != entries_.end()) {
     it->second.coeffs = coeffs;
     it->second.transformed = std::move(transformed);
-    it->second.pinned = pinned_registered_locked(k.digest, coeffs);
     touch_locked(it->second, k);
     return;
   }
-  auto span = place_locked(bank, static_cast<unsigned>(coeffs.size()));
-  if (!span) return;  // no placement even after eviction: drop, never misfile
+  const auto home = place_locked(bank);
+  if (!home) return;  // no placement even after eviction: drop, never misfile
   order_.push_front(k);
-  entries_.emplace(k, entry{coeffs, std::move(transformed), *span,
-                            pinned_registered_locked(k.digest, coeffs), order_.begin()});
+  entries_.emplace(k, entry{coeffs, std::move(transformed), *home, order_.begin()});
   publish_rows_locked();
 }
 
@@ -205,18 +217,8 @@ std::size_t residency_manager::invalidate(const std::vector<core::u64>& coeffs) 
   return dropped;
 }
 
-std::size_t residency_manager::clear() {
-  std::lock_guard<std::mutex> lk(mu_);
-  const std::size_t dropped = entries_.size();
-  for (auto& [k, e] : entries_) budget_.release(e.span);
-  entries_.clear();
-  order_.clear();
-  if (dropped != 0) publish_rows_locked();
-  return dropped;
-}
-
 void residency_manager::erase_locked(std::map<key, entry>::iterator it) {
-  budget_.release(it->second.span);
+  --used_[it->second.bank];
   order_.erase(it->second.lru);
   entries_.erase(it);
 }
@@ -225,32 +227,14 @@ void residency_manager::pin(const std::vector<core::u64>& coeffs) {
   const core::u64 digest = digest_of(coeffs);
   std::lock_guard<std::mutex> lk(mu_);
   if (!pinned_registered_locked(digest, coeffs)) pins_[digest].push_back(coeffs);
-  for (auto& [k, e] : entries_) {
-    if (k.digest == digest && e.coeffs == coeffs) e.pinned = true;
-  }
   note_instant(rec_, telemetry::trace_op::resident_pin, digest, 0);
-}
-
-void residency_manager::unpin(const std::vector<core::u64>& coeffs) {
-  const core::u64 digest = digest_of(coeffs);
-  std::lock_guard<std::mutex> lk(mu_);
-  const auto pit = pins_.find(digest);
-  if (pit != pins_.end()) {
-    auto& regs = pit->second;
-    regs.erase(std::remove(regs.begin(), regs.end(), coeffs), regs.end());
-    if (regs.empty()) pins_.erase(pit);
-  }
-  for (auto& [k, e] : entries_) {
-    if (k.digest == digest && e.coeffs == coeffs) e.pinned = false;
-  }
-  note_instant(rec_, telemetry::trace_op::resident_unpin, digest, 0);
 }
 
 std::vector<unsigned> residency_manager::banks_holding(core::u64 ring_q) const {
   std::lock_guard<std::mutex> lk(mu_);
   std::set<unsigned> banks;
   for (const auto& [k, e] : entries_) {
-    if (k.ring_q == ring_q) banks.insert(e.span.bank);
+    if (k.ring_q == ring_q) banks.insert(e.bank);
   }
   return {banks.begin(), banks.end()};
 }
@@ -268,7 +252,7 @@ std::size_t residency_manager::size() const {
 
 core::u64 residency_manager::resident_rows() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return budget_.reserved_rows();
+  return static_cast<core::u64>(entries_.size()) * cfg_.rows_per_operand;
 }
 
 }  // namespace bpntt::runtime

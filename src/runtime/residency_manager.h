@@ -5,12 +5,15 @@
 // an entry in a host-side table, it is n physical rows of a particular
 // bank's subarray that stayed allocated between dispatches.  The residency
 // manager owns that story for the whole runtime: every cached transform is
-// keyed by (operand digest, limb prime, direction) and mapped to a
-// *placement* — a bank/subarray row span reserved against the real
-// per-subarray row budget (sram::row_budget).  Capacity pressure is
-// resolved by LRU eviction within the unpinned pressure class (pinned
-// entries — evaluation keys, long-lived constants — are exempt); an insert
-// that cannot place even after eviction is dropped, never misfiled.
+// keyed by (operand digest, limb prime, direction) and mapped to the bank
+// holding its rows.  A resident operand is always exactly n rows, so each
+// bank is a count of n-row slots: the configured `entries` operands are
+// spread evenly over every data subarray, ceil(entries·n / (banks·data
+// subarrays)) rows each, and a subarray holds the whole operands that fit
+// in its share.  Capacity pressure is resolved by LRU eviction within the
+// unpinned pressure class (pinned entries — evaluation keys, long-lived
+// constants — are exempt); an insert that cannot place even after eviction
+// is dropped, never misfiled.
 //
 // Placement follows execution: an image is made resident on the bank whose
 // wave transformed it (the rows are written where the transform ran), and
@@ -27,13 +30,11 @@
 // outputs.
 //
 // Pin-vs-invalidate contract: pin() protects an operand's entries from
-// *capacity eviction* only.  Explicit invalidation always wins — both
-// invalidate() and clear() drop pinned entries too (and invalidate()
-// additionally forgets the pin registration, since the operand itself is
-// being retired).  A pin registered before the operand was ever inserted
-// applies to future inserts of the same coefficients; clear() keeps
-// registrations (the operands still exist, only their images were
-// dropped).  Both return the number of entries dropped.
+// *capacity eviction* only.  Explicit invalidation always wins —
+// invalidate() drops pinned entries too and forgets the pin registration,
+// since the operand itself is being retired.  A pin registered before the
+// operand was ever inserted applies to future inserts of the same
+// coefficients.
 //
 // Thread-safe throughout: limb dispatch groups on disjoint banks genuinely
 // run concurrently, and observer threads probe size()/resident_rows() on
@@ -49,7 +50,6 @@
 #include <vector>
 
 #include "bpntt/bank.h"
-#include "sram/row_budget.h"
 #include "telemetry/metrics.h"
 
 namespace bpntt::telemetry {
@@ -63,7 +63,7 @@ class residency_manager {
   struct config {
     unsigned banks = 1;             // placement domains (the device's banks)
     unsigned data_subarrays = 1;    // reservable subarrays per bank (CTRL/CMD excluded)
-    unsigned rows_per_subarray = 0; // row budget per subarray; 0 disables residency
+    unsigned entries = 0;           // operand budget to spread; 0 disables residency
     unsigned rows_per_operand = 1;  // rows one resident operand occupies (= ring order n)
   };
 
@@ -90,13 +90,13 @@ class residency_manager {
                                           const std::vector<core::u64>& coeffs);
 
   // Make transformed = NTT_{ring_q,dir}(coeffs) resident.  Placement
-  // prefers `bank` (the bank the transform executed on; std::logic_error
-  // if the device has no such bank) and spills to any bank with free rows;
-  // capacity pressure evicts LRU unpinned entries (`bank` first, then
-  // anywhere).  When nothing can be evicted — the budget is exhausted by
-  // pinned entries, or an operand outsizes every subarray — the insert is
-  // dropped.  Re-inserting a resident key refreshes recency (and, on a
-  // digest collision, the payload) in place.
+  // prefers `bank` (the bank the transform executed on) and spills to any
+  // bank with a free slot; capacity pressure evicts LRU unpinned entries
+  // (`bank` first, then anywhere).  When nothing can be evicted — every
+  // slot holds a pinned entry, or an operand outsizes every subarray — the
+  // insert is dropped.  Re-inserting a resident key refreshes recency (and,
+  // on a digest collision, the payload) in place.  std::logic_error if the
+  // device has no such bank or `coeffs` is not rows_per_operand long.
   void insert(core::u64 ring_q, core::transform_dir dir, const std::vector<core::u64>& coeffs,
               std::vector<core::u64> transformed, unsigned bank);
 
@@ -106,16 +106,12 @@ class residency_manager {
   // polynomials (a rotated key, a dropped ciphertext).  Returns the number
   // of entries dropped.
   std::size_t invalidate(const std::vector<core::u64>& coeffs);
-  // Drop everything (pinned entries included; pin registrations and the
-  // cumulative counters survive).  Returns the number of entries dropped.
-  std::size_t clear();
 
-  // Pin/unpin an operand by value: pinned entries are exempt from capacity
+  // Pin an operand by value: pinned entries are exempt from capacity
   // eviction (see the pin-vs-invalidate contract above).  Pinning applies
   // to the operand's current entries and to future inserts of the same
   // coefficients.  Idempotent.
   void pin(const std::vector<core::u64>& coeffs);
-  void unpin(const std::vector<core::u64>& coeffs);
 
   // Banks currently holding any entry of this limb prime, ascending — the
   // scheduler's residency-affinity hint for bank claiming.
@@ -127,9 +123,11 @@ class residency_manager {
   void note_move(core::u64 ring_q, unsigned from_bank);
 
   [[nodiscard]] std::size_t size() const;
+  // Rows held by resident operands, and the rows every slot could hold.
   [[nodiscard]] core::u64 resident_rows() const;
-  [[nodiscard]] core::u64 capacity_rows() const noexcept { return budget_.capacity_rows(); }
-  [[nodiscard]] const config& configuration() const noexcept { return cfg_; }
+  [[nodiscard]] core::u64 capacity_rows() const noexcept {
+    return static_cast<core::u64>(cfg_.banks) * slots_per_bank_ * cfg_.rows_per_operand;
+  }
   [[nodiscard]] core::u64 hits() const noexcept { return hits_.value(); }
   [[nodiscard]] core::u64 misses() const noexcept { return misses_.value(); }
   [[nodiscard]] core::u64 evictions() const noexcept { return evictions_.value(); }
@@ -148,8 +146,7 @@ class residency_manager {
   struct entry {
     std::vector<core::u64> coeffs;       // exact-match guard against digest collisions
     std::vector<core::u64> transformed;  // the resident NTT image
-    sram::row_span span;                 // where it lives on the device
-    bool pinned = false;                 // exempt from capacity eviction
+    unsigned bank = 0;                   // the bank whose slot holds its rows
     std::list<key>::iterator lru;        // position in order_ (front = most recent)
   };
 
@@ -160,15 +157,16 @@ class residency_manager {
   // Evict the least recently used unpinned entry (confined to `bank` when
   // set); returns whether anything was evicted.
   bool evict_one_locked(std::optional<unsigned> bank);
-  // Reserve rows for a new entry near `want_bank`, evicting under
-  // pressure.  std::nullopt when no placement exists.
-  [[nodiscard]] std::optional<sram::row_span> place_locked(unsigned want_bank, unsigned rows);
+  // Take a slot for a new entry near `want_bank`, evicting under pressure;
+  // returns its bank.  std::nullopt when no placement exists.
+  [[nodiscard]] std::optional<unsigned> place_locked(unsigned want_bank);
   void erase_locked(std::map<key, entry>::iterator it);
   void publish_rows_locked();
 
   const config cfg_;
+  const unsigned slots_per_bank_;
   mutable std::mutex mu_;
-  sram::row_budget budget_;
+  std::vector<unsigned> used_;  // occupied slots per bank
   std::map<key, entry> entries_;
   std::list<key> order_;  // most recently used first
   // Pin registrations by operand digest (exact coefficients kept per

@@ -40,6 +40,20 @@ struct op_stats {
     lossless_shift_violations += o.lossless_shift_violations;
     return *this;
   }
+
+  op_stats& operator-=(const op_stats& o) noexcept {
+    cycles -= o.cycles;
+    binary_ops -= o.binary_ops;
+    pair_ops -= o.pair_ops;
+    copy_ops -= o.copy_ops;
+    shift_ops -= o.shift_ops;
+    check_ops -= o.check_ops;
+    host_writes -= o.host_writes;
+    host_reads -= o.host_reads;
+    energy_pj -= o.energy_pj;
+    lossless_shift_violations -= o.lossless_shift_violations;
+    return *this;
+  }
 };
 
 }  // namespace bpntt::sram

@@ -6,44 +6,35 @@
 
 namespace bpntt::telemetry {
 
-void metrics_registry::claim_name(const std::string& name, kind k) {
-  auto [it, inserted] = kinds_.emplace(name, k);
-  if (!inserted && it->second != k) {
-    throw std::logic_error("metrics_registry: name '" + name +
-                           "' already registered as a different instrument kind");
+void metrics_registry::claim_name(const std::string& name) const {
+  if (counters_.contains(name) || gauges_.contains(name) || reals_.contains(name) ||
+      histograms_.contains(name)) {
+    throw std::logic_error("metrics_registry: name '" + name + "' is already registered");
   }
 }
 
 counter& metrics_registry::make_counter(const std::string& name) {
   std::lock_guard<std::mutex> lk(mu_);
-  claim_name(name, kind::counter_k);
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<counter>();
-  return *slot;
+  claim_name(name);
+  return *(counters_[name] = std::make_unique<counter>());
 }
 
 gauge& metrics_registry::make_gauge(const std::string& name) {
   std::lock_guard<std::mutex> lk(mu_);
-  claim_name(name, kind::gauge_k);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<gauge>();
-  return *slot;
+  claim_name(name);
+  return *(gauges_[name] = std::make_unique<gauge>());
 }
 
 real_accum& metrics_registry::make_real(const std::string& name) {
   std::lock_guard<std::mutex> lk(mu_);
-  claim_name(name, kind::real_k);
-  auto& slot = reals_[name];
-  if (!slot) slot = std::make_unique<real_accum>();
-  return *slot;
+  claim_name(name);
+  return *(reals_[name] = std::make_unique<real_accum>());
 }
 
 histogram_cell& metrics_registry::make_histogram(const std::string& name) {
   std::lock_guard<std::mutex> lk(mu_);
-  claim_name(name, kind::histogram_k);
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<histogram_cell>();
-  return *slot;
+  claim_name(name);
+  return *(histograms_[name] = std::make_unique<histogram_cell>());
 }
 
 const counter* metrics_registry::find_counter(const std::string& name) const {

@@ -12,8 +12,13 @@
 //   telemetry::metrics_registry reg;
 //   auto& submitted = reg.make_counter("service.submitted");
 //   submitted.add();                        // lock-free, any thread
-//   reg.make_histogram("service.latency_ns").record(ns);
+//   auto& latency = reg.make_histogram("service.latency_ns");
+//   latency.record(ns);
 //   std::string doc = reg.to_json();        // {"counters":{...},...}
+//
+// One owner per instrument: each name is registered exactly once, by the
+// object that bumps it, and a second make_* of a name — of any kind —
+// throws std::logic_error.
 //
 // Instrument semantics:
 //   counter    — monotonically increasing u64 (relaxed atomic add).
@@ -105,9 +110,8 @@ class metrics_registry {
   metrics_registry(const metrics_registry&) = delete;
   metrics_registry& operator=(const metrics_registry&) = delete;
 
-  // Get-or-create by name.  Registering a name that already exists returns
-  // the existing instrument; registering it as a *different kind* throws
-  // std::logic_error (one name, one meaning).
+  // Register a new instrument.  A name that is already registered, as any
+  // kind, throws std::logic_error (one name, one owner).
   counter& make_counter(const std::string& name);
   gauge& make_gauge(const std::string& name);
   real_accum& make_real(const std::string& name);
@@ -133,11 +137,10 @@ class metrics_registry {
   [[nodiscard]] std::string to_json() const;
 
  private:
-  enum class kind { counter_k, gauge_k, real_k, histogram_k };
-  void claim_name(const std::string& name, kind k);
+  // Throws unless `name` is free in every instrument map.
+  void claim_name(const std::string& name) const;
 
   mutable std::mutex mu_;  // guards the maps; instrument updates never take it
-  std::map<std::string, kind> kinds_;
   std::map<std::string, std::unique_ptr<counter>> counters_;
   std::map<std::string, std::unique_ptr<gauge>> gauges_;
   std::map<std::string, std::unique_ptr<real_accum>> reals_;

@@ -1,5 +1,5 @@
-// metrics_registry semantics: get-or-create with stable references, one
-// name one kind, zero-valued reads for absent names, and the single JSON
+// metrics_registry semantics: one registration per name with stable
+// references, zero-valued reads for absent names, and the single JSON
 // document bench artifacts embed.
 #include <gtest/gtest.h>
 
@@ -13,14 +13,14 @@
 namespace bpntt::telemetry {
 namespace {
 
-TEST(MetricsRegistry, GetOrCreateReturnsTheSameInstrument) {
+TEST(MetricsRegistry, ASecondRegistrationOfANameThrows) {
   metrics_registry reg;
   counter& a = reg.make_counter("svc.submitted");
-  counter& b = reg.make_counter("svc.submitted");
-  EXPECT_EQ(&a, &b);
+  EXPECT_THROW(reg.make_counter("svc.submitted"), std::logic_error);
   a.add(3);
-  b.add();
+  a.add();
   EXPECT_EQ(reg.counter_value("svc.submitted"), 4u);
+  EXPECT_EQ(reg.find_counter("svc.submitted"), &a) << "the failed registration kept the cell";
 }
 
 TEST(MetricsRegistry, OneNameOneKind) {
@@ -97,24 +97,31 @@ TEST(MetricsRegistry, ToJsonSerializesEverySection) {
 }
 
 TEST(MetricsRegistry, ConcurrentRegistrationAndUpdatesAreRaceFree) {
-  // Many threads race make_counter on the same names and bump them; the
-  // registry must hand everyone the same cells and lose no increments.
-  // TSan certifies the locking in CI.
+  // Each thread registers its own name while every thread bumps the shared
+  // instruments, registered once, through their references; the registry
+  // must lose no increments.  TSan certifies the locking in CI.
   metrics_registry reg;
+  counter& shared = reg.make_counter("shared.counter");
+  histogram_cell& hist = reg.make_histogram("shared.hist");
   constexpr unsigned kThreads = 8;
   constexpr u64 kPerThread = 500;
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (unsigned t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
+    threads.emplace_back([&, t] {
+      counter& own = reg.make_counter("own." + std::to_string(t));
       for (u64 i = 0; i < kPerThread; ++i) {
-        reg.make_counter("shared.counter").add();
-        reg.make_histogram("shared.hist").record(i + 1);
+        shared.add();
+        own.add();
+        hist.record(i + 1);
       }
     });
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(reg.counter_value("shared.counter"), kThreads * kPerThread);
+  for (unsigned t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(reg.counter_value("own." + std::to_string(t)), kPerThread);
+  }
   EXPECT_EQ(reg.find_histogram("shared.hist")->snapshot().count(), kThreads * kPerThread);
 }
 
