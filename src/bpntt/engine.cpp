@@ -110,7 +110,7 @@ std::vector<u64> bp_ntt_engine::peek_polynomial(unsigned lane, const region& src
   return out;
 }
 
-sram::op_stats bp_ntt_engine::execute(const isa::program& p) {
+sram::op_stats bp_ntt_engine::execute(const isa::loaded_program& p) {
   const sram::op_stats before = array_->stats();
   exec_.run(p, *array_);
   sram::op_stats delta = array_->stats();

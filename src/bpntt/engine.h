@@ -93,7 +93,7 @@ class bp_ntt_engine {
     return array_->stats();
   }
 
-  // Number of distinct compiled kernel programs held by the cache — a
+  // Number of distinct loaded kernel programs held by the cache — a
   // recompilation regression probe: repeating the same kernel sequence must
   // leave this unchanged.
   [[nodiscard]] std::size_t cached_programs() const noexcept { return cache_.size(); }
@@ -112,13 +112,14 @@ class bp_ntt_engine {
     auto operator<=>(const program_key&) const = default;
   };
 
-  sram::op_stats execute(const isa::program& p);
-  // Compile-once lookup; `compile` is only invoked on a miss (no type
-  // erasure, so cache hits cost a map find and nothing else).
+  sram::op_stats execute(const isa::loaded_program& p);
+  // Compile-and-load-once lookup; `compile` is only invoked on a miss (no
+  // type erasure, so cache hits cost a map find and nothing else).  Only
+  // the loaded form is kept: the compiled program is dropped once loaded.
   template <typename F>
-  const isa::program& cached(const program_key& key, F&& compile) {
+  const isa::loaded_program& cached(const program_key& key, F&& compile) {
     auto it = cache_.find(key);
-    if (it == cache_.end()) it = cache_.emplace(key, compile()).first;
+    if (it == cache_.end()) it = cache_.emplace(key, isa::executor::load(compile(), *array_)).first;
     return it->second;
   }
   void write_constants();
@@ -132,9 +133,10 @@ class bp_ntt_engine {
   std::unique_ptr<sram::subarray> array_;
   microcode_compiler compiler_;
   isa::executor exec_;
-  // Compiled-program cache covering every kernel (forward, inverse,
-  // pointwise, basemul, modmul_rows) so repeated batches never recompile.
-  std::map<program_key, isa::program> cache_;
+  // Loaded-program cache covering every kernel (forward, inverse,
+  // pointwise, basemul, modmul_rows) so repeated batches never recompile
+  // or revalidate.
+  std::map<program_key, isa::loaded_program> cache_;
 };
 
 }  // namespace bpntt::core

@@ -36,17 +36,20 @@
 #include "sram/stats.h"
 #include "sram/tech_model.h"
 #include "sram/tile.h"
+#include "sram/word_kernels.h"
 
 namespace bpntt::sram {
 
-enum class logic_fn : std::uint8_t { op_and, op_or, op_xor, op_nor };
-enum class shift_dir : std::uint8_t { left, right };  // left = toward tile MSB
-
-// Write-predication mode for ops that store a result row.
-enum class write_mask : std::uint8_t {
-  none,      // write all columns
-  pred,      // write only columns whose predicate latch is 1
-  pred_inv,  // write only columns whose predicate latch is 0
+// Per-op energies in pJ for one geometry, computed once from the tech model.
+struct op_energy {
+  double binary = 0;
+  double pair = 0;
+  double copy = 0;
+  double shift = 0;
+  double check = 0;
+  double host_row_write = 0;
+  double host_tile_write = 0;
+  double host_tile_read = 0;
 };
 
 class subarray {
@@ -94,40 +97,50 @@ class subarray {
   void inject_stuck_column(unsigned col, bool value);
   void clear_faults() noexcept;
 
+  // What a compiled-program interpreter (isa::executor) runs over: the word
+  // kernels' state, a limb pointer per row, the per-op energies, and the
+  // statistics and zero flag it flushes on exit.  Valid until the next
+  // set_tile_bits.
+  struct kernel_view {
+    kernel_state state;
+    word* const* rows;
+    const op_energy& energy;
+    op_stats& stats;
+    bool& zero_flag;
+  };
+  [[nodiscard]] kernel_view view() noexcept;
+
  private:
-  // Rebuild the per-geometry tile masks after a tile-width change.
-  void rebuild_tile_masks();
-  // The one write path of every compute op: apply the stuck columns, then
-  // the write mask, to the result limbs `v` and store them into row `dst`.
-  void store_words(unsigned dst, const std::uint64_t* v, write_mask mask);
+  // Rebuild the per-geometry tile masks and energies after a tile-width
+  // change.
+  void rebuild_geometry();
   void bounds(unsigned row) const;
   // First column of `tile` for the 64-bit word accessors.
   [[nodiscard]] unsigned word_base(unsigned tile) const;
+  [[nodiscard]] kernel_state state() noexcept;
+  [[nodiscard]] word* limbs(unsigned row) noexcept { return data_[row].words().data(); }
 
   tile_geometry geom_;
   tech_params tech_;
   std::vector<bitrow> data_;
+  // A limb pointer per row, refreshed by view().
+  std::vector<word*> row_limbs_;
   bitrow pred_mask_;
-  // Result rows the compute ops build before the store (two for op_pair).
+  // check_pred's work row at the dynamic extent.
   bitrow scratch_;
-  bitrow scratch2_;
-  // Per-geometry column masks: each tile's LSB and MSB column, and the
-  // columns covered by some tile.
+  // Per-geometry column masks: each tile's LSB and MSB column, and what a
+  // segmented shift keeps in each direction (see kernel_state).
   bitrow lsb_mask_;
   bitrow msb_mask_;
-  bitrow used_mask_;
-  // Stuck-at faults as two column masks; the last injection on a column wins.
+  bitrow keep_left_;
+  bitrow keep_right_;
+  // Stuck-at faults as two column masks, the columns forced to 1 and the
+  // columns not stuck at 0; the last injection on a column wins.
   bitrow stuck_set_;
-  bitrow stuck_clr_;
+  bitrow writable_;
   bool zero_flag_ = false;
   op_stats stats_;
-
-  // Compute-op energies in pJ, computed once from the tech model.
-  double e_binary_ = 0;
-  double e_pair_ = 0;
-  double e_copy_ = 0;
-  double e_shift_ = 0;
-  double e_check_ = 0;
+  op_energy energy_;
 };
 
 }  // namespace bpntt::sram
