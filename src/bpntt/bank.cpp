@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace bpntt::core {
 
@@ -15,11 +16,13 @@ void bank_config::validate() const {
 }
 
 bp_ntt_bank::bp_ntt_bank(const bank_config& cfg, const ntt_params& params)
-    : cfg_(cfg), params_(params) {
+    : bp_ntt_bank(cfg, std::make_shared<kernel_library>(cfg.array, params)) {}
+
+bp_ntt_bank::bp_ntt_bank(const bank_config& cfg, std::shared_ptr<kernel_library> ring)
+    : cfg_(cfg), ring_(std::move(ring)) {
   cfg_.validate();
-  params_.validate();
   for (unsigned s = 0; s + 1 < cfg_.subarrays; ++s) {
-    engines_.push_back(std::make_unique<bp_ntt_engine>(cfg_.array, params_, /*seed=*/s + 1));
+    engines_.push_back(std::make_unique<bp_ntt_engine>(ring_));
   }
 }
 
@@ -38,8 +41,8 @@ bp_ntt_bank::exclusive_guard::~exclusive_guard() {
 unsigned bp_ntt_bank::ctrl_rows_used() const noexcept {
   // Twiddles (n-1), inverse twiddles (n-1), n^-1, R^2 and the three row
   // constants, each k bits, packed into cols-wide control rows.
-  const std::uint64_t words = 2 * (params_.n - 1) + 5;
-  const std::uint64_t bits = words * params_.k;
+  const std::uint64_t words = 2 * (params().n - 1) + 5;
+  const std::uint64_t bits = words * params().k;
   return static_cast<unsigned>((bits + cfg_.array.cols - 1) / cfg_.array.cols);
 }
 
@@ -50,9 +53,10 @@ double bp_ntt_bank::area_mm2() const {
 }
 
 template <typename LoadFn, typename RunFn, typename ReadFn>
-bank_run_result bp_ntt_bank::schedule(std::size_t njobs, LoadFn&& load, RunFn&& run,
-                                      ReadFn&& read) {
+bank_run_result bp_ntt_bank::schedule(std::shared_ptr<kernel_library> ring, std::size_t njobs,
+                                      LoadFn&& load, RunFn&& run, ReadFn&& read) {
   const exclusive_guard exclusive(*busy_);
+  for (auto& e : engines_) e->bind(ring ? ring : ring_);
   bank_run_result result;
   result.outputs.resize(njobs);
   const unsigned per_engine = engines_.empty() ? 0u : engines_.front()->lanes();
@@ -100,12 +104,13 @@ bank_run_result bp_ntt_bank::schedule(std::size_t njobs, LoadFn&& load, RunFn&& 
 }
 
 bank_run_result bp_ntt_bank::run_ntt_batch(const std::vector<std::vector<u64>>& jobs,
-                                           transform_dir dir) {
+                                           transform_dir dir,
+                                           std::shared_ptr<kernel_library> ring) {
   for (const auto& j : jobs) {
-    if (j.size() != params_.n) throw std::invalid_argument("bp_ntt_bank: job size mismatch");
+    if (j.size() != params().n) throw std::invalid_argument("bp_ntt_bank: job size mismatch");
   }
   return schedule(
-      jobs.size(),
+      std::move(ring), jobs.size(),
       [&](bp_ntt_engine& eng, unsigned lane, std::size_t job) {
         eng.load_polynomial(lane, jobs[job]);
       },
@@ -113,23 +118,25 @@ bank_run_result bp_ntt_bank::run_ntt_batch(const std::vector<std::vector<u64>>& 
         return dir == transform_dir::forward ? eng.run_forward() : eng.run_inverse();
       },
       [&](bp_ntt_engine& eng, unsigned lane, std::size_t) {
-        return eng.peek_polynomial(lane, params_.n);
+        return eng.peek_polynomial(lane, params().n);
       });
 }
 
-bank_run_result bp_ntt_bank::run_polymul_batch(const std::vector<polymul_pair>& jobs) {
+bank_run_result bp_ntt_bank::run_pair_batch(const std::vector<polymul_pair>& jobs,
+                                            std::shared_ptr<kernel_library> ring,
+                                            bool transformed) {
   if (!supports_polymul()) {
     throw std::invalid_argument(
         "bp_ntt_bank: polymul needs two n-row regions per lane (2n <= data_rows)");
   }
+  const auto n = static_cast<unsigned>(params().n);
   for (const auto& j : jobs) {
-    if (j.a.size() != params_.n || j.b.size() != params_.n) {
+    if (j.a.size() != n || j.b.size() != n) {
       throw std::invalid_argument("bp_ntt_bank: job size mismatch");
     }
   }
-  const unsigned n = static_cast<unsigned>(params_.n);
   return schedule(
-      jobs.size(),
+      std::move(ring), jobs.size(),
       [&](bp_ntt_engine& eng, unsigned lane, std::size_t job) {
         eng.load_polynomial(lane, jobs[job].a, eng.poly_region(0));
         eng.load_polynomial(lane, jobs[job].b, eng.poly_region(n));
@@ -137,48 +144,31 @@ bank_run_result bp_ntt_bank::run_polymul_batch(const std::vector<polymul_pair>& 
       [&](bp_ntt_engine& eng) {
         const auto ra = eng.poly_region(0);
         const auto rb = eng.poly_region(n);
-        sram::op_stats stats = eng.run_forward(ra);
-        stats += eng.run_forward(rb);
-        stats += params_.incomplete ? eng.run_basemul(ra, rb, /*scale_b=*/true)
-                                    : eng.run_pointwise(ra, rb, ra, /*scale_b=*/true);
+        sram::op_stats stats;
+        if (!transformed) {
+          stats += eng.run_forward(ra);
+          stats += eng.run_forward(rb);
+        }
+        // The bound ring decides: a limb ring is full negacyclic even on a
+        // bank whose own ring is incomplete.
+        stats += eng.params().incomplete ? eng.run_basemul(ra, rb, /*scale_b=*/true)
+                                         : eng.run_pointwise(ra, rb, ra, /*scale_b=*/true);
         stats += eng.run_inverse(ra);
         return stats;
       },
       [&](bp_ntt_engine& eng, unsigned lane, std::size_t) {
         return eng.peek_polynomial(lane, eng.poly_region(0));
       });
+}
+
+bank_run_result bp_ntt_bank::run_polymul_batch(const std::vector<polymul_pair>& jobs,
+                                               std::shared_ptr<kernel_library> ring) {
+  return run_pair_batch(jobs, std::move(ring), /*transformed=*/false);
 }
 
 bank_run_result bp_ntt_bank::run_transformed_polymul_batch(
-    const std::vector<polymul_pair>& jobs) {
-  if (!supports_polymul()) {
-    throw std::invalid_argument(
-        "bp_ntt_bank: polymul needs two n-row regions per lane (2n <= data_rows)");
-  }
-  for (const auto& j : jobs) {
-    if (j.a.size() != params_.n || j.b.size() != params_.n) {
-      throw std::invalid_argument("bp_ntt_bank: job size mismatch");
-    }
-  }
-  const unsigned n = static_cast<unsigned>(params_.n);
-  return schedule(
-      jobs.size(),
-      [&](bp_ntt_engine& eng, unsigned lane, std::size_t job) {
-        eng.load_polynomial(lane, jobs[job].a, eng.poly_region(0));
-        eng.load_polynomial(lane, jobs[job].b, eng.poly_region(n));
-      },
-      [&](bp_ntt_engine& eng) {
-        const auto ra = eng.poly_region(0);
-        const auto rb = eng.poly_region(n);
-        sram::op_stats stats = params_.incomplete
-                                   ? eng.run_basemul(ra, rb, /*scale_b=*/true)
-                                   : eng.run_pointwise(ra, rb, ra, /*scale_b=*/true);
-        stats += eng.run_inverse(ra);
-        return stats;
-      },
-      [&](bp_ntt_engine& eng, unsigned lane, std::size_t) {
-        return eng.peek_polynomial(lane, eng.poly_region(0));
-      });
+    const std::vector<polymul_pair>& jobs, std::shared_ptr<kernel_library> ring) {
+  return run_pair_batch(jobs, std::move(ring), /*transformed=*/true);
 }
 
 }  // namespace bpntt::core

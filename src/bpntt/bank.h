@@ -9,6 +9,12 @@
 // twiddle words plus the loop parameters, which the controller FSM expands
 // per butterfly.  ctrl_rows_used() models that storage.
 //
+// The CTRL subarray's contents for one ring are a kernel_library, shared
+// by every compute subarray of the bank (and by every bank a ring runs on).
+// A batch may name another ring's library: it is bound to the compute
+// subarrays for that batch, so retargeting to an RNS limb prime swaps the
+// library on the same banks instead of building new ones.
+//
 // The scheduler runs an arbitrary batch of independent polynomials: each
 // wave fills every lane of every compute subarray, all subarrays execute in
 // lockstep (wave latency = slowest subarray, since ripple cycle counts are
@@ -49,9 +55,13 @@ struct polymul_pair {
 
 class bp_ntt_bank {
  public:
+  // A bank running a private library for `params`.
   bp_ntt_bank(const bank_config& cfg, const ntt_params& params);
+  // A bank whose compute subarrays run `ring`, built for cfg.array.
+  bp_ntt_bank(const bank_config& cfg, std::shared_ptr<kernel_library> ring);
 
-  [[nodiscard]] const ntt_params& params() const noexcept { return params_; }
+  // The bank's own ring: what a batch runs when it names no other.
+  [[nodiscard]] const ntt_params& params() const noexcept { return ring_->params(); }
   [[nodiscard]] unsigned compute_subarrays() const noexcept {
     return static_cast<unsigned>(engines_.size());
   }
@@ -60,36 +70,49 @@ class bp_ntt_bank {
   }
   // Whether the polymul pipeline fits: two n-row operand regions per lane.
   [[nodiscard]] bool supports_polymul() const noexcept {
-    return 2 * params_.n <= cfg_.array.data_rows;
+    return 2 * params().n <= cfg_.array.data_rows;
   }
   // Rows of the CTRL/CMD subarray occupied by twiddles + constants.
   [[nodiscard]] unsigned ctrl_rows_used() const noexcept;
   // Whole-bank area: compute subarrays + the CTRL/CMD subarray.
   [[nodiscard]] double area_mm2() const;
 
+  // Every runner executes on `ring` when given (a library of this bank's
+  // geometry and order n, e.g. an RNS limb prime's) and on the bank's own
+  // ring otherwise.
+  //
   // Transform every polynomial in `jobs` (each of size n, canonical) in the
   // given direction.  Inverse consumes bit-reversed transformed
   // coefficients, as run_inverse does.
   [[nodiscard]] bank_run_result run_ntt_batch(const std::vector<std::vector<u64>>& jobs,
-                                              transform_dir dir);
+                                              transform_dir dir,
+                                              std::shared_ptr<kernel_library> ring = nullptr);
   // Full in-array negacyclic products: NTT(a), NTT(b), pointwise (or Kyber
-  // basemul in incomplete mode), INTT — one pair per lane per wave.  Needs
-  // supports_polymul().
-  [[nodiscard]] bank_run_result run_polymul_batch(const std::vector<polymul_pair>& jobs);
+  // basemul when the ring is incomplete), INTT — one pair per lane per
+  // wave.  Needs supports_polymul().
+  [[nodiscard]] bank_run_result run_polymul_batch(const std::vector<polymul_pair>& jobs,
+                                                  std::shared_ptr<kernel_library> ring = nullptr);
   // Products of operands already in the NTT domain (both a and b carry the
   // bit-reversed forward image run_forward would leave in the array):
   // pointwise (or basemul) + INTT only — the tail of run_polymul_batch's
   // pipeline, used when the runtime's operand cache already holds the
   // transforms.  Needs supports_polymul().
   [[nodiscard]] bank_run_result run_transformed_polymul_batch(
-      const std::vector<polymul_pair>& jobs);
+      const std::vector<polymul_pair>& jobs, std::shared_ptr<kernel_library> ring = nullptr);
 
  private:
-  // Wave scheduler shared by the batch runners: fills every lane of every
-  // compute subarray, executes touched subarrays concurrently (wave latency
-  // = slowest), repeats until the batch drains.
+  // Wave scheduler shared by the batch runners: binds `ring` (or the own
+  // ring) to every compute subarray, then fills every lane of every compute
+  // subarray, executes touched subarrays concurrently (wave latency =
+  // slowest), repeats until the batch drains.
   template <typename LoadFn, typename RunFn, typename ReadFn>
-  bank_run_result schedule(std::size_t njobs, LoadFn&& load, RunFn&& run, ReadFn&& read);
+  bank_run_result schedule(std::shared_ptr<kernel_library> ring, std::size_t njobs,
+                           LoadFn&& load, RunFn&& run, ReadFn&& read);
+  // The two polymul runners: operands a and b in regions 0 and n of each
+  // lane, the product read back from region 0; `transformed` skips the
+  // forward transforms.
+  bank_run_result run_pair_batch(const std::vector<polymul_pair>& jobs,
+                                 std::shared_ptr<kernel_library> ring, bool transformed);
 
   // A bank's subarray state is exclusive to one batch at a time.  The
   // runtime scheduler guarantees that by reserving disjoint bank subsets
@@ -106,7 +129,7 @@ class bp_ntt_bank {
   };
 
   bank_config cfg_;
-  ntt_params params_;
+  std::shared_ptr<kernel_library> ring_;
   std::vector<std::unique_ptr<bp_ntt_engine>> engines_;
   // Behind a pointer so the bank stays movable (vector storage).
   std::unique_ptr<std::atomic_flag> busy_ = std::make_unique<std::atomic_flag>();

@@ -1,8 +1,7 @@
 #include "bpntt/engine.h"
 
 #include <stdexcept>
-
-#include "common/bitutil.h"
+#include <utility>
 
 namespace bpntt::core {
 namespace {
@@ -15,36 +14,26 @@ enum kernel_kind : int {
 };
 }
 
-bp_ntt_engine::bp_ntt_engine(const engine_config& cfg, const ntt_params& params,
-                             u64 synthetic_seed)
-    : params_(params),
-      layout_{cfg.data_rows},
-      compiler_(params, row_layout{cfg.data_rows}, cfg.microcode) {
-  cfg.validate();
-  params_.validate();
-  if (params_.n > cfg.data_rows) {
-    throw std::invalid_argument(
-        "bp_ntt_engine: polynomial exceeds data rows; use the performance model's "
-        "multi-tile extrapolation for larger orders");
-  }
-  if (params_.k > 64) throw std::invalid_argument("bp_ntt_engine: k > 64 needs wide loads");
-
+bp_ntt_engine::bp_ntt_engine(std::shared_ptr<kernel_library> lib)
+    : layout_{lib->config().data_rows}, lib_(std::move(lib)) {
   sram::tile_geometry geom;
-  geom.cols = cfg.cols;
-  geom.tile_bits = params_.k;
+  geom.cols = lib_->config().cols;
+  geom.tile_bits = lib_->params().k;
   geom.validate();
-  array_ = std::make_unique<sram::subarray>(layout_.total_rows(), geom, cfg.tech);
-
-  if (params_.synthetic()) {
-    plan_ = make_synthetic_plan(params_, synthetic_seed);
-  } else if (params_.incomplete) {
-    itables_ = std::make_unique<math::incomplete_ntt_tables>(params_.n, params_.q);
-    plan_ = make_incomplete_twiddle_plan(params_, *itables_, compiler_.iterations());
-  } else {
-    tables_ = std::make_unique<math::ntt_tables>(params_.n, params_.q, /*negacyclic=*/true);
-    plan_ = make_twiddle_plan(params_, *tables_, compiler_.iterations());
-  }
+  array_ = std::make_unique<sram::subarray>(layout_.total_rows(), geom, lib_->config().tech);
   write_constants();
+}
+
+void bp_ntt_engine::bind(std::shared_ptr<kernel_library> lib) {
+  if (lib->config().data_rows != layout_.data_rows || lib->config().cols != array_->cols() ||
+      lib->params().k != array_->geometry().tile_bits) {
+    throw std::invalid_argument("bp_ntt_engine: bound library has another geometry");
+  }
+  // By value, not by library: the rows hold M (2^k - M follows from it at
+  // this k), whichever object carried it.
+  const bool rewrite = lib->plan().m != plan().m;
+  lib_ = std::move(lib);
+  if (rewrite) write_constants();
 }
 
 void bp_ntt_engine::write_constants() {
@@ -54,8 +43,8 @@ void bp_ntt_engine::write_constants() {
   sram::bitrow one(array_->cols());
   const auto& geom = array_->geometry();
   for (unsigned t = 0; t < geom.num_tiles(); ++t) {
-    m.deposit(geom.tile_base(t), geom.tile_bits, plan_.m);
-    mneg.deposit(geom.tile_base(t), geom.tile_bits, plan_.mneg);
+    m.deposit(geom.tile_base(t), geom.tile_bits, plan().m);
+    mneg.deposit(geom.tile_base(t), geom.tile_bits, plan().mneg);
     one.deposit(geom.tile_base(t), geom.tile_bits, 1);
   }
   array_->host_write_row(layout_.m_row(), m);
@@ -77,7 +66,7 @@ void bp_ntt_engine::load_polynomial(unsigned lane, std::span<const u64> coeffs,
     throw std::invalid_argument("bp_ntt_engine: coefficient count does not match region");
   }
   for (std::size_t i = 0; i < coeffs.size(); ++i) {
-    if (!params_.synthetic() && coeffs[i] >= params_.q) {
+    if (!params().synthetic() && coeffs[i] >= params().q) {
       throw std::invalid_argument("bp_ntt_engine: coefficient not canonical");
     }
     array_->host_write_word(lane, dst.base() + static_cast<unsigned>(i), coeffs[i]);
@@ -119,21 +108,25 @@ sram::op_stats bp_ntt_engine::execute(const isa::loaded_program& p) {
 }
 
 void bp_ntt_engine::require_poly_region(const region& r) const {
-  if (r.rows() != params_.n) {
+  if (r.rows() != params().n) {
     throw std::invalid_argument("bp_ntt_engine: transform kernels need an n-row region");
   }
 }
 
 sram::op_stats bp_ntt_engine::run_forward(const region& r) {
   require_poly_region(r);
-  return execute(cached({.kind = k_forward, .a = r.base()},
-                        [&] { return compiler_.compile_forward(plan_, r.base()); }));
+  return execute(lib_->program({.kind = k_forward, .a = r.base()}, *array_,
+                               [&](const auto& c, const auto& plan) {
+                                 return c.compile_forward(plan, r.base());
+                               }));
 }
 
 sram::op_stats bp_ntt_engine::run_inverse(const region& r) {
   require_poly_region(r);
-  return execute(cached({.kind = k_inverse, .a = r.base()},
-                        [&] { return compiler_.compile_inverse(plan_, r.base()); }));
+  return execute(lib_->program({.kind = k_inverse, .a = r.base()}, *array_,
+                               [&](const auto& c, const auto& plan) {
+                                 return c.compile_inverse(plan, r.base());
+                               }));
 }
 
 sram::op_stats bp_ntt_engine::run_pointwise(const region& a, const region& b, const region& dst,
@@ -141,24 +134,26 @@ sram::op_stats bp_ntt_engine::run_pointwise(const region& a, const region& b, co
   if (a.rows() != b.rows() || a.rows() != dst.rows()) {
     throw std::invalid_argument("bp_ntt_engine: pointwise regions must be equal-sized");
   }
-  return execute(cached({.kind = k_pointwise,
-                         .a = a.base(),
-                         .b = b.base(),
-                         .dst = dst.base(),
-                         .rows = a.rows(),
-                         .scale_b = scale_b},
-                        [&] {
-                          return compiler_.compile_pointwise(plan_, a.base(), b.base(),
-                                                             dst.base(), a.rows(), scale_b);
-                        }));
+  return execute(lib_->program({.kind = k_pointwise,
+                                .a = a.base(),
+                                .b = b.base(),
+                                .dst = dst.base(),
+                                .rows = a.rows(),
+                                .scale_b = scale_b},
+                               *array_, [&](const auto& c, const auto& plan) {
+                                 return c.compile_pointwise(plan, a.base(), b.base(),
+                                                            dst.base(), a.rows(), scale_b);
+                               }));
 }
 
 sram::op_stats bp_ntt_engine::run_basemul(const region& a, const region& b, bool scale_b) {
   require_poly_region(a);
   require_poly_region(b);
-  return execute(
-      cached({.kind = k_basemul, .a = a.base(), .b = b.base(), .scale_b = scale_b},
-             [&] { return compiler_.compile_basemul(plan_, a.base(), b.base(), scale_b); }));
+  return execute(lib_->program(
+      {.kind = k_basemul, .a = a.base(), .b = b.base(), .scale_b = scale_b}, *array_,
+      [&](const auto& c, const auto& plan) {
+        return c.compile_basemul(plan, a.base(), b.base(), scale_b);
+      }));
 }
 
 sram::op_stats bp_ntt_engine::run_modmul_rows(const region& a, const region& b,
@@ -166,9 +161,11 @@ sram::op_stats bp_ntt_engine::run_modmul_rows(const region& a, const region& b,
   if (a.rows() != 1 || b.rows() != 1 || dst.rows() != 1) {
     throw std::invalid_argument("bp_ntt_engine: run_modmul_rows needs single-row regions");
   }
-  return execute(
-      cached({.kind = k_modmul_rows, .a = a.base(), .b = b.base(), .dst = dst.base()},
-             [&] { return compiler_.compile_modmul_data(a.base(), b.base(), dst.base()); }));
+  return execute(lib_->program(
+      {.kind = k_modmul_rows, .a = a.base(), .b = b.base(), .dst = dst.base()}, *array_,
+      [&](const auto& c, const auto&) {
+        return c.compile_modmul_data(a.base(), b.base(), dst.base());
+      }));
 }
 
 }  // namespace bpntt::core

@@ -18,19 +18,19 @@
 //   eng.run_forward(ra); eng.run_forward(rb);
 //   eng.run_pointwise(ra, rb, ra, /*scale_b=*/true);
 //   eng.run_inverse(ra);
+//
+// The compiled kernels, the twiddle plan and the golden tables live in a
+// kernel_library (the CTRL/CMD subarray's contents for one ring).  The
+// (cfg, params) constructor builds a private one; a bank hands one library
+// to all its compute subarrays and rebinds them to another ring's library
+// (bind) to run that ring on the same arrays.
 #pragma once
 
-#include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
-#include "bpntt/compiler.h"
-#include "bpntt/config.h"
-#include "isa/executor.h"
-#include "nttmath/incomplete_ntt.h"
-#include "nttmath/ntt.h"
+#include "bpntt/kernel_library.h"
 #include "sram/subarray.h"
 
 namespace bpntt::core {
@@ -39,27 +39,33 @@ class bp_ntt_engine {
  public:
   // Non-synthetic params build golden twiddle tables internally; synthetic
   // params (q == 0) produce a performance-only engine.
-  bp_ntt_engine(const engine_config& cfg, const ntt_params& params, u64 synthetic_seed = 1);
+  bp_ntt_engine(const engine_config& cfg, const ntt_params& params, u64 synthetic_seed = 1)
+      : bp_ntt_engine(std::make_shared<kernel_library>(cfg, params, synthetic_seed)) {}
+  // A subarray of `lib`'s configured geometry running `lib`'s kernels.
+  explicit bp_ntt_engine(std::shared_ptr<kernel_library> lib);
 
-  [[nodiscard]] const ntt_params& params() const noexcept { return params_; }
+  // Runs `lib`'s kernels from now on.  `lib` must share this subarray's
+  // geometry (std::invalid_argument otherwise); the constant rows are
+  // rewritten when its M differs from the one they hold.
+  void bind(std::shared_ptr<kernel_library> lib);
+
+  [[nodiscard]] const ntt_params& params() const noexcept { return lib_->params(); }
   [[nodiscard]] const row_layout& layout() const noexcept { return layout_; }
   [[nodiscard]] unsigned lanes() const noexcept { return array_->geometry().num_tiles(); }
   [[nodiscard]] const sram::subarray& array() const noexcept { return *array_; }
   // Mutable access for fault-injection tests.
   [[nodiscard]] sram::subarray& mutable_array() noexcept { return *array_; }
-  [[nodiscard]] const twiddle_plan& plan() const noexcept { return plan_; }
-  // Golden tables (absent in synthetic mode; one of the two is set
-  // depending on params().incomplete).
-  [[nodiscard]] const math::ntt_tables* tables() const noexcept { return tables_.get(); }
+  [[nodiscard]] const twiddle_plan& plan() const noexcept { return lib_->plan(); }
+  [[nodiscard]] const math::ntt_tables* tables() const noexcept { return lib_->tables(); }
   [[nodiscard]] const math::incomplete_ntt_tables* incomplete_tables() const noexcept {
-    return itables_.get();
+    return lib_->incomplete_tables();
   }
 
   // Region handles over this engine's data rows.  poly_region(base) is the
   // n-row window a transform kernel operates on; arbitrary windows come from
   // layout().make_region(base, rows).
   [[nodiscard]] region poly_region(unsigned base = 0) const {
-    return layout_.make_region(base, params_.n);
+    return layout_.make_region(base, params().n);
   }
 
   // Host data movement.  Coefficients must be canonical (< q).  The
@@ -93,50 +99,18 @@ class bp_ntt_engine {
     return array_->stats();
   }
 
-  // Number of distinct loaded kernel programs held by the cache — a
-  // recompilation regression probe: repeating the same kernel sequence must
-  // leave this unchanged.
-  [[nodiscard]] std::size_t cached_programs() const noexcept { return cache_.size(); }
+  // The bound library's loaded-kernel count (kernel_library::cached_programs).
+  [[nodiscard]] std::size_t cached_programs() const { return lib_->cached_programs(); }
 
  private:
-  // Everything a compiled kernel program depends on besides the engine's
-  // fixed plan: which kernel, its operand row bases, the element count and
-  // the scale_b flag.  Unused fields stay 0/false for narrower kernels.
-  struct program_key {
-    int kind = 0;
-    unsigned a = 0;
-    unsigned b = 0;
-    unsigned dst = 0;
-    u64 rows = 0;
-    bool scale_b = false;
-    auto operator<=>(const program_key&) const = default;
-  };
-
   sram::op_stats execute(const isa::loaded_program& p);
-  // Compile-and-load-once lookup; `compile` is only invoked on a miss (no
-  // type erasure, so cache hits cost a map find and nothing else).  Only
-  // the loaded form is kept: the compiled program is dropped once loaded.
-  template <typename F>
-  const isa::loaded_program& cached(const program_key& key, F&& compile) {
-    auto it = cache_.find(key);
-    if (it == cache_.end()) it = cache_.emplace(key, isa::executor::load(compile(), *array_)).first;
-    return it->second;
-  }
   void write_constants();
   void require_poly_region(const region& r) const;
 
-  ntt_params params_;
   row_layout layout_;
-  std::unique_ptr<math::ntt_tables> tables_;
-  std::unique_ptr<math::incomplete_ntt_tables> itables_;
-  twiddle_plan plan_;
+  std::shared_ptr<kernel_library> lib_;
   std::unique_ptr<sram::subarray> array_;
-  microcode_compiler compiler_;
   isa::executor exec_;
-  // Loaded-program cache covering every kernel (forward, inverse,
-  // pointwise, basemul, modmul_rows) so repeated batches never recompile
-  // or revalidate.
-  std::map<program_key, isa::loaded_program> cache_;
 };
 
 }  // namespace bpntt::core

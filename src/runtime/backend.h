@@ -78,7 +78,7 @@ struct dispatch_hints {
   // that ring_q is an NTT-friendly prime inside the backend's modulus
   // envelope.  This is the RNS limb mechanism: each residue channel of a
   // big-modulus workload dispatches at its own word-sized prime, and
-  // backends retarget (sram: per-modulus bank engines, cpu/reference:
+  // backends retarget (sram: per-modulus kernel libraries, cpu/reference:
   // per-modulus twiddle tables) lazily and cache the result.
   u64 ring_q = 0;
 };

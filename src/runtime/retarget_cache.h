@@ -1,9 +1,9 @@
 // Bounded LRU for per-modulus retarget state.
 //
-// Ring-overridden (RNS limb) dispatches make a backend rebuild its
-// execution state for the limb prime — the sram backend a whole retargeted
-// bank array, the cpu backend a Montgomery fast-path, the reference
-// backend golden tables.  Those rebuilds were cached forever, so a
+// Ring-overridden (RNS limb) dispatches make a backend build execution
+// state for the limb prime — the sram backend a kernel library that it
+// binds to its existing banks, the cpu backend a Montgomery fast-path, the
+// reference backend golden tables.  Those rebuilds were cached forever, so a
 // long-lived context cycling through many limb primes (per-request bases,
 // key rotation) leaked one retarget entry per modulus it ever saw.  This
 // cache bounds them: least-recently-dispatched moduli are evicted past the
@@ -48,10 +48,10 @@ class retarget_lru {
       it->second.second = order_.begin();
       return it->second.first;
     }
-    // Build outside the lock: retargeting is expensive (twiddle tables, a
-    // whole bank array) and concurrent dispatches faulting in *different*
-    // moduli should not serialize on it.  Re-check after reacquiring — a
-    // racing dispatch may have installed the same modulus meanwhile.
+    // Build outside the lock: retargeting is expensive (twiddle tables) and
+    // concurrent dispatches faulting in *different* moduli should not
+    // serialize on it.  Re-check after reacquiring — a racing dispatch may
+    // have installed the same modulus meanwhile.
     lk.unlock();
     auto built = std::make_shared<T>(make());
     lk.lock();

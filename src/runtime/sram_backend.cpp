@@ -15,38 +15,28 @@ namespace bpntt::runtime {
 sram_backend::sram_backend(const runtime_options& opts)
     : channels_(opts.topo.channels),
       bank_cfg_(opts.bank()),
-      params_(opts.params),
+      primary_(std::make_shared<core::kernel_library>(bank_cfg_.array, opts.params)),
       retarget_(kRetargetCacheModuli) {
   const unsigned total = opts.topo.total_banks();
   banks_.reserve(total);
-  for (unsigned b = 0; b < total; ++b) {
-    banks_.emplace_back(bank_cfg_, params_);
-  }
+  for (unsigned b = 0; b < total; ++b) banks_.emplace_back(bank_cfg_, primary_);
 }
 
-std::shared_ptr<std::vector<core::bp_ntt_bank>> sram_backend::banks_for(u64 ring_q) {
-  // The primary array is a member, not a cache entry: alias it into a
-  // non-owning shared_ptr so both paths hand dispatches the same handle
-  // type (the member outlives every dispatch by construction).
-  const auto primary = std::shared_ptr<std::vector<core::bp_ntt_bank>>(
-      std::shared_ptr<void>(), &banks_);
-  if (ring_q == 0) return primary;
-  // The primary banks satisfy a same-modulus override only when they
-  // already run the full negacyclic transform — an incomplete primary ring
-  // must still retarget, or a ring-overridden dispatch would execute a
-  // different transform here than on the cpu/reference backends.
-  if (ring_q == params_.q && !params_.incomplete) return primary;
-  return retarget_.get(ring_q, [&] {
-    // Retarget: same chip, same tile width, twiddles/constants recompiled
-    // for the limb prime.  The limb ring is always a full negacyclic ring
-    // (the context validated 2n | q-1 at stream creation).
-    core::ntt_params limb = params_;
+std::shared_ptr<core::kernel_library> sram_backend::library_for(u64 ring_q) {
+  // The primary ring serves a same-modulus override only when it already
+  // runs the full negacyclic transform — an incomplete primary ring must
+  // still retarget, or a ring-overridden dispatch would execute a different
+  // transform here than on the cpu/reference backends.
+  const core::ntt_params& own = primary_->params();
+  if (ring_q == 0 || (ring_q == own.q && !own.incomplete)) return primary_;
+  return *retarget_.get(ring_q, [&] {
+    // Same tile width, twiddles and constants for the limb prime.  The
+    // limb ring is always a full negacyclic ring (the context validated
+    // 2n | q-1 at stream creation).
+    core::ntt_params limb = own;
     limb.q = ring_q;
     limb.incomplete = false;
-    std::vector<core::bp_ntt_bank> retargeted;
-    retargeted.reserve(banks_.size());
-    for (std::size_t b = 0; b < banks_.size(); ++b) retargeted.emplace_back(bank_cfg_, limb);
-    return retargeted;
+    return std::make_shared<core::kernel_library>(bank_cfg_.array, limb);
   });
 }
 
@@ -91,24 +81,23 @@ namespace {
 // the subset, so a given (jobs, bank_set) dispatch is deterministic at any
 // pool size — and a missed operand can be made resident on the bank whose
 // wave actually transformed it.
-std::size_t block_slot(std::size_t j, const std::vector<unsigned>& set,
-                       const std::vector<core::bp_ntt_bank>& banks) {
-  return (j / std::max(1u, banks[set.front()].lanes_per_wave())) % set.size();
+std::size_t block_slot(std::size_t j, const std::vector<unsigned>& set, unsigned wave) {
+  return (j / std::max(1u, wave)) % set.size();
 }
 
 }  // namespace
 
 template <typename Job, typename RunSlice>
-batch_result sram_backend::shard(std::vector<core::bp_ntt_bank>& banks,
-                                 const std::vector<Job>& jobs, const dispatch_hints& hints,
+batch_result sram_backend::shard(const std::vector<Job>& jobs, const dispatch_hints& hints,
                                  RunSlice&& run_slice) {
   batch_result out;
   out.outputs.resize(jobs.size());
-  if (jobs.empty() || banks.empty()) return out;
+  if (jobs.empty() || banks_.empty()) return out;
 
   const std::vector<unsigned> set = resolve_bank_set(hints);
+  const unsigned wave = banks_[set.front()].lanes_per_wave();
   std::vector<std::vector<std::size_t>> assigned(set.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) assigned[block_slot(j, set, banks)].push_back(j);
+  for (std::size_t j = 0; j < jobs.size(); ++j) assigned[block_slot(j, set, wave)].push_back(j);
 
   // Banks are independent models executing a broadcast command stream
   // (§IV-A), so their slices really do run concurrently: one pool task per
@@ -121,7 +110,7 @@ batch_result sram_backend::shard(std::vector<core::bp_ntt_bank>& banks,
     std::vector<Job> slice;
     slice.reserve(assigned[s].size());
     for (const auto j : assigned[s]) slice.push_back(jobs[j]);
-    per_bank[s] = run_slice(banks[set[s]], slice);
+    per_bank[s] = run_slice(banks_[set[s]], slice);
   });
 
   for (std::size_t s = 0; s < set.size(); ++s) {
@@ -141,7 +130,7 @@ batch_result sram_backend::shard(std::vector<core::bp_ntt_bank>& banks,
 
 sram_backend::resident_images sram_backend::resident_or_transform(
     const std::vector<const std::vector<u64>*>& operands, transform_dir dir,
-    const dispatch_hints& hints, std::vector<core::bp_ntt_bank>& banks) {
+    const dispatch_hints& hints, const std::shared_ptr<core::kernel_library>& ring) {
   resident_images r;
   r.images.resize(operands.size());
   const std::vector<unsigned> set = resolve_bank_set(hints);
@@ -167,13 +156,14 @@ sram_backend::resident_images sram_backend::resident_or_transform(
     }
     r.images[i] = std::move(cached->transformed);
   }
-  r.misses = shard(banks, pending, hints,
+  r.misses = shard(pending, hints,
                    [&](core::bp_ntt_bank& bank, const std::vector<std::vector<u64>>& slice) {
-                     return bank.run_ntt_batch(slice, dir);
+                     return bank.run_ntt_batch(slice, dir, ring);
                    });
+  const unsigned wave = banks_[set.front()].lanes_per_wave();
   for (std::size_t k = 0; k < miss.size(); ++k) {
     resman_->insert(hints.ring_q, dir, pending[k], r.misses.outputs[k],
-                    set[block_slot(k, set, banks)]);
+                    set[block_slot(k, set, wave)]);
     r.images[miss[k]] = std::move(r.misses.outputs[k]);
   }
   return r;
@@ -181,14 +171,14 @@ sram_backend::resident_images sram_backend::resident_or_transform(
 
 batch_result sram_backend::run_ntt(const std::vector<std::vector<u64>>& polys,
                                    transform_dir dir, const dispatch_hints& hints) {
-  const auto banks = banks_for(hints.ring_q);
+  const auto ring = library_for(hints.ring_q);
   batch_result out;
   if (hints.ring_q != 0 && resman_ != nullptr) {
     // Equal polys in one batch are looked up (and miss) independently.
     std::vector<const std::vector<u64>*> operands;
     operands.reserve(polys.size());
     for (const auto& p : polys) operands.push_back(&p);
-    resident_images r = resident_or_transform(operands, dir, hints, *banks);
+    resident_images r = resident_or_transform(operands, dir, hints, ring);
     out.outputs = std::move(r.images);
     out.wall_cycles = r.move_cycles + r.misses.wall_cycles;
     out.waves = r.misses.waves;
@@ -196,9 +186,9 @@ batch_result sram_backend::run_ntt(const std::vector<std::vector<u64>>& polys,
     out.stats += r.misses.stats;
     out.stats.cycles = out.wall_cycles;
   } else {
-    out = shard(*banks, polys, hints,
+    out = shard(polys, hints,
                 [&](core::bp_ntt_bank& bank, const std::vector<std::vector<u64>>& slice) {
-                  return bank.run_ntt_batch(slice, dir);
+                  return bank.run_ntt_batch(slice, dir, ring);
                 });
   }
   note_batch(polys.size(), out.wall_cycles);
@@ -207,12 +197,12 @@ batch_result sram_backend::run_ntt(const std::vector<std::vector<u64>>& polys,
 
 batch_result sram_backend::run_polymul(const std::vector<core::polymul_pair>& pairs,
                                        const dispatch_hints& hints) {
-  const auto banks = banks_for(hints.ring_q);
+  const auto ring = library_for(hints.ring_q);
   if (hints.ring_q == 0 || resman_ == nullptr) {
     batch_result out =
-        shard(*banks, pairs, hints,
-              [](core::bp_ntt_bank& bank, const std::vector<core::polymul_pair>& slice) {
-                return bank.run_polymul_batch(slice);
+        shard(pairs, hints,
+              [&](core::bp_ntt_bank& bank, const std::vector<core::polymul_pair>& slice) {
+                return bank.run_polymul_batch(slice, ring);
               });
     note_batch(pairs.size(), out.wall_cycles);
     return out;
@@ -235,16 +225,16 @@ batch_result sram_backend::run_polymul(const std::vector<core::polymul_pair>& pa
       if (slot.emplace(op, operands.size()).second) operands.push_back(op);
     }
   }
-  resident_images fwd = resident_or_transform(operands, transform_dir::forward, hints, *banks);
+  resident_images fwd = resident_or_transform(operands, transform_dir::forward, hints, ring);
 
   std::vector<core::polymul_pair> staged(pairs.size());
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     staged[i] = {fwd.images[slot.at(&pairs[i].a)], fwd.images[slot.at(&pairs[i].b)]};
   }
   batch_result out =
-      shard(*banks, staged, hints,
-            [](core::bp_ntt_bank& bank, const std::vector<core::polymul_pair>& slice) {
-              return bank.run_transformed_polymul_batch(slice);
+      shard(staged, hints,
+            [&](core::bp_ntt_bank& bank, const std::vector<core::polymul_pair>& slice) {
+              return bank.run_transformed_polymul_batch(slice, ring);
             });
   // The two phases (plus any cross-bank serves) run back-to-back on the
   // same bank subset: cycles add, waves and op counts accumulate.

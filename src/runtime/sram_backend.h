@@ -11,6 +11,12 @@
 // disjoint bank subsets (dispatch_hints::bank_set) are safe to run
 // concurrently — that is how the context overlaps independent streams.
 //
+// The backend builds its banks once.  Each ring is a kernel_library shared
+// by every bank: the configured ring's is built with the banks, and a
+// ring-overridden (RNS limb) dispatch binds its limb prime's library —
+// built lazily, LRU-bounded by kRetargetCacheModuli — to the banks it runs
+// on, so retargeting swaps the library, never the banks.
+//
 // Ring-overridden (RNS limb) dispatches additionally consult the runtime's
 // residency manager: a warm operand resident on one of the dispatch's own
 // banks is served in place (zero array cycles — the modelled win of operand
@@ -44,39 +50,35 @@ class sram_backend final : public backend {
   batch_result run_polymul(const std::vector<core::polymul_pair>& pairs,
                            const dispatch_hints& hints) override;
 
-  [[nodiscard]] unsigned banks() const noexcept { return static_cast<unsigned>(banks_.size()); }
-  [[nodiscard]] const core::bp_ntt_bank& bank(unsigned i) const { return banks_.at(i); }
   [[nodiscard]] std::size_t retarget_cache_size() const override { return retarget_.size(); }
+
+  // The kernel library a dispatch with this ring override runs: the
+  // configured ring's for 0 (or for its own modulus when that ring is the
+  // full negacyclic one), otherwise the limb prime's retargeted library.
+  // Retargeting models reloading the CTRL/CMD subarray's twiddle words for
+  // a different prime: same geometry, same tile width, different microcode
+  // constants.  The shared_ptr keeps a library alive across a concurrent
+  // eviction.
+  [[nodiscard]] std::shared_ptr<core::kernel_library> library_for(u64 ring_q);
 
  private:
   // Shard `jobs` into wave-width blocks round-robin over the dispatch's
   // bank subset; `run_slice(bank, slice)` executes one bank's slice and
   // the per-job outputs are stitched back into submission order.
   template <typename Job, typename RunSlice>
-  batch_result shard(std::vector<core::bp_ntt_bank>& banks, const std::vector<Job>& jobs,
-                     const dispatch_hints& hints, RunSlice&& run_slice);
+  batch_result shard(const std::vector<Job>& jobs, const dispatch_hints& hints,
+                     RunSlice&& run_slice);
 
   // The dispatch's bank subset: hints.bank_set when non-empty (validated),
   // every bank otherwise.
   [[nodiscard]] std::vector<unsigned> resolve_bank_set(const dispatch_hints& hints) const;
 
-  // The bank array a dispatch executes on: the primary banks, or — for a
-  // ring-overridden (RNS limb) dispatch — the retargeted bank array for
-  // that modulus.  Retargeting models reloading the CTRL/CMD subarray's
-  // twiddle words for a different prime: same geometry, same tile width,
-  // different microcode constants.  Built lazily per modulus, LRU-bounded
-  // by kRetargetCacheModuli (the shared_ptr keeps an array alive across a
-  // concurrent eviction); the scheduler's disjoint bank-id reservations
-  // keep a bank id exclusive across every array, so retargeted banks never
-  // run concurrently with their primary twin.
-  [[nodiscard]] std::shared_ptr<std::vector<core::bp_ntt_bank>> banks_for(u64 ring_q);
-
   // The resident-or-transform step of a residency-aware limb dispatch
   // (hints.ring_q != 0, manager attached): look up every operand's `dir`
   // image, price the warm serves against the dispatch's bank subset (zero
   // on a dispatch bank, an on-chip row move from a foreign one), transform
-  // the misses in one sharded bank batch and make each resident on the
-  // bank whose wave ran it.
+  // the misses on `ring` in one sharded bank batch and make each resident
+  // on the bank whose wave ran it.
   struct resident_images {
     std::vector<std::vector<u64>> images;  // one per operand, in operand order
     batch_result misses;                   // the array batch that transformed the misses
@@ -85,13 +87,15 @@ class sram_backend final : public backend {
   };
   resident_images resident_or_transform(const std::vector<const std::vector<u64>*>& operands,
                                         transform_dir dir, const dispatch_hints& hints,
-                                        std::vector<core::bp_ntt_bank>& banks);
+                                        const std::shared_ptr<core::kernel_library>& ring);
 
   unsigned channels_ = 1;
   core::bank_config bank_cfg_;
-  core::ntt_params params_;
+  std::shared_ptr<core::kernel_library> primary_;
   std::vector<core::bp_ntt_bank> banks_;
-  retarget_lru<std::vector<core::bp_ntt_bank>> retarget_;
+  // Libraries are shared with the banks they are bound to, so entries
+  // hold the library's own shared_ptr (a mutex makes it immovable).
+  retarget_lru<std::shared_ptr<core::kernel_library>> retarget_;
 };
 
 }  // namespace bpntt::runtime

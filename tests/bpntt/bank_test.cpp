@@ -152,5 +152,99 @@ TEST(Bank, PolymulRejectedWhenOperandRegionsDoNotFit) {
   EXPECT_THROW((void)bank.run_polymul_batch(one), std::invalid_argument);
 }
 
+// ---- rings bound to one bank ------------------------------------------------
+
+ntt_params ring(u64 q, bool incomplete = false) {
+  ntt_params p;
+  p.n = 32;
+  p.q = q;
+  p.k = 10;
+  p.incomplete = incomplete;
+  return p;
+}
+
+// Two 32-point operand regions per lane; 4 lanes of 10 bits per subarray.
+bank_config ring_bank() {
+  bank_config cfg;
+  cfg.subarrays = 4;
+  cfg.array.data_rows = 64;
+  cfg.array.cols = 40;
+  return cfg;
+}
+
+// Outputs, wall clock and every integer count must match exactly.  Energy
+// is a running double on each array, so a delta depends on the array's
+// prior total: each ~0.1 pJ op rounds to the ulp of a total that reaches
+// ~1e4 pJ here, which moves a batch's delta by ~6e-12 relative.  A missed
+// or extra op would move it by ~1e-5.
+void expect_same_run(const bank_run_result& got, const bank_run_result& want) {
+  EXPECT_EQ(got.outputs, want.outputs);
+  EXPECT_EQ(got.cycles, want.cycles);
+  EXPECT_EQ(got.waves, want.waves);
+  const sram::op_stats& g = got.stats;
+  const sram::op_stats& w = want.stats;
+  EXPECT_EQ(g.cycles, w.cycles);
+  EXPECT_EQ(g.binary_ops, w.binary_ops);
+  EXPECT_EQ(g.pair_ops, w.pair_ops);
+  EXPECT_EQ(g.copy_ops, w.copy_ops);
+  EXPECT_EQ(g.shift_ops, w.shift_ops);
+  EXPECT_EQ(g.check_ops, w.check_ops);
+  EXPECT_EQ(g.host_writes, w.host_writes);
+  EXPECT_EQ(g.host_reads, w.host_reads);
+  EXPECT_EQ(g.lossless_shift_violations, w.lossless_shift_violations);
+  EXPECT_NEAR(g.energy_pj, w.energy_pj, 1e-10 * w.energy_pj);
+}
+
+TEST(Bank, RingsBoundInTurnMatchFreshSingleRingBanks) {
+  // Rings A -> B -> A on one bank, every batch over all 3 compute
+  // subarrays (a full wave plus a ragged one), against a fresh bank built
+  // for each ring alone.  A is the bank's own ring (no library named); B
+  // is bound by library.  The second sequence puts a full limb ring over
+  // an incomplete (Kyber-mode) own ring: the bound ring, not the bank's,
+  // chooses pointwise over basemul.
+  const bank_config cfg = ring_bank();
+  for (const auto& [own, limb] : {std::pair{ring(257), ring(449)},
+                                  std::pair{ring(353, /*incomplete=*/true), ring(449)}}) {
+    bp_ntt_bank bank(cfg, own);
+    const auto limb_lib = std::make_shared<kernel_library>(cfg.array, limb);
+    common::xoshiro256ss rng(own.q);
+    for (const ntt_params& p : {own, limb, own}) {
+      SCOPED_TRACE("q = " + std::to_string(p.q));
+      std::vector<polymul_pair> pairs(bank.lanes_per_wave() + 2);
+      for (auto& j : pairs) {
+        j.a.resize(p.n);
+        j.b.resize(p.n);
+        for (auto& x : j.a) x = rng.below(p.q);
+        for (auto& x : j.b) x = rng.below(p.q);
+      }
+      const auto lib = p.q == own.q ? nullptr : limb_lib;
+      bp_ntt_bank fresh(cfg, p);
+      std::vector<std::vector<u64>> polys;
+      for (const auto& j : pairs) polys.push_back(j.a);
+      expect_same_run(bank.run_ntt_batch(polys, transform_dir::forward, lib),
+                      fresh.run_ntt_batch(polys, transform_dir::forward));
+      const auto product = bank.run_polymul_batch(pairs, lib);
+      expect_same_run(product, fresh.run_polymul_batch(pairs));
+      if (!p.incomplete) {
+        for (std::size_t i = 0; i < pairs.size(); ++i) {
+          ASSERT_EQ(product.outputs[i], math::schoolbook_negacyclic(pairs[i].a, pairs[i].b, p.q));
+        }
+      }
+    }
+  }
+}
+
+TEST(Bank, BindingRejectsALibraryOfAnotherGeometry) {
+  bp_ntt_bank bank(ring_bank(), ring(257));
+  engine_config narrow = ring_bank().array;
+  narrow.data_rows = 32;
+  const auto other = std::make_shared<kernel_library>(narrow, ring(449));
+  std::vector<std::vector<u64>> one(1, std::vector<u64>(32, 0));
+  EXPECT_THROW((void)bank.run_ntt_batch(one, transform_dir::forward, other),
+               std::invalid_argument);
+  // The rejected bind leaves the bank usable on its own ring.
+  EXPECT_EQ(bank.run_ntt_batch(one, transform_dir::forward).outputs, one);
+}
+
 }  // namespace
 }  // namespace bpntt::core

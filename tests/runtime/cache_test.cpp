@@ -1,17 +1,20 @@
 // Runtime cache tests: the residency_manager unit surface (slot budget,
 // exact keying, LRU eviction under capacity pressure, pinning,
-// invalidation) and the LRU-bounded per-modulus retarget caches of all
-// three backends (eviction, rebuild-on-reuse, the probe).
+// invalidation), the LRU-bounded per-modulus retarget caches of all three
+// backends (eviction, rebuild-on-reuse, the probe) and the sram backend's
+// one kernel library per ring.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "common/xoshiro.h"
+#include "nttmath/poly.h"
 #include "nttmath/primes.h"
 #include "runtime/context.h"
 #include "runtime/residency_manager.h"
 #include "runtime/retarget_cache.h"
+#include "runtime/sram_backend.h"
 
 namespace bpntt::runtime {
 namespace {
@@ -230,6 +233,58 @@ TEST(RetargetCacheBound, PrimaryRingDispatchesDoNotOccupyTheCache) {
   const auto id = ctx.submit(ntt_job{.coeffs = poly_of(7)});
   (void)ctx.wait(id);
   EXPECT_EQ(ctx.retarget_cache_size(), 0u);
+}
+
+// ---- one kernel library per ring -------------------------------------------
+
+TEST(SramKernelLibrary, LimbRingOnEveryBankCompilesEachKernelOnce) {
+  // One limb stream per bank (flat placement pins stream i to one bank),
+  // each batch more than a wave, so every compute subarray of both banks
+  // runs the limb ring from four pool threads at once.  The banks built
+  // with the context are bound to the limb's library, which holds one
+  // program per distinct kernel however many subarrays ran it.
+  const auto opts = small_options(backend_kind::sram).with_threads(4);
+  auto owned = make_backend(opts);
+  auto& sram = dynamic_cast<sram_backend&>(*owned);
+  context ctx(opts, std::move(owned));
+  const unsigned banks = ctx.capabilities().banks();
+  ASSERT_EQ(banks, 2u);
+  const u64 limb = math::first_k_ntt_primes(12, kOrder, 1, true).front();
+  const auto residue = [&](u64 seed) {
+    auto p = poly_of(seed);
+    for (auto& c : p) c %= limb;
+    return p;
+  };
+
+  std::vector<stream> streams;
+  std::vector<unsigned> covered;
+  for (unsigned b = 0; b < banks; ++b) {
+    streams.push_back(ctx.stream({.ring_q = limb}));
+    covered.push_back(streams.back().bank_set().at(0));
+  }
+  EXPECT_EQ(covered, (std::vector<unsigned>{0, 1}));
+  const unsigned per_bank = ctx.wave_width() / banks + 1;
+  std::vector<job_id> ntts;
+  std::vector<std::pair<job_id, polymul_job>> products;
+  for (auto& s : streams) {
+    for (unsigned j = 0; j < per_bank; ++j) {
+      ntts.push_back(s.submit(ntt_job{.coeffs = residue(100 + ntts.size())}));
+      polymul_job pj{residue(200 + products.size()), residue(300 + products.size())};
+      products.emplace_back(s.submit(pj), pj);
+    }
+    s.flush();
+  }
+  for (const auto id : ntts) EXPECT_EQ(ctx.wait(id).status, job_status::ok);
+  for (const auto& [id, pj] : products) {
+    EXPECT_EQ(ctx.wait(id).outputs.at(0), math::schoolbook_negacyclic(pj.a, pj.b, limb));
+  }
+
+  EXPECT_EQ(ctx.retarget_cache_size(), 1u);
+  // The forward transform at rows [0, n) serves both the NTT jobs and the
+  // products' resident operands; the products add pointwise and inverse.
+  EXPECT_EQ(sram.library_for(limb)->cached_programs(), 3u);
+  EXPECT_EQ(sram.library_for(0)->cached_programs(), 0u);
+  EXPECT_EQ(ctx.retarget_cache_size(), 1u);
 }
 
 }  // namespace
