@@ -109,30 +109,15 @@ std::size_t scheme::evk_index(std::size_t level, std::size_t u) const {
 }
 
 std::vector<std::vector<u64>> scheme::run_products(const std::vector<prod_spec>& ps) {
-  std::vector<runtime::job_id> ids;
-  ids.reserve(ps.size());
+  std::vector<u64> primes;
+  std::vector<runtime::job> jobs;
+  primes.reserve(ps.size());
+  jobs.reserve(ps.size());
   for (const prod_spec& p : ps) {
-    runtime::polymul_job j;
-    j.a = *p.a;
-    j.b = *p.b;
-    ids.push_back(ctx_.rns_stream(p.prime).submit(std::move(j)));
+    primes.push_back(p.prime);
+    jobs.emplace_back(runtime::polymul_job{*p.a, *p.b});
   }
-  // Flush every touched stream together, after all submissions, so each
-  // limb's jobs ride one dispatch group and the groups overlap across
-  // channels instead of trickling in one product at a time.
-  std::vector<u64> flushed;
-  for (const prod_spec& p : ps) {
-    if (std::find(flushed.begin(), flushed.end(), p.prime) == flushed.end()) {
-      flushed.push_back(p.prime);
-      ctx_.rns_stream(p.prime).flush();
-    }
-  }
-  std::vector<std::vector<u64>> outs;
-  outs.reserve(ps.size());
-  for (const runtime::job_id id : ids) {
-    outs.push_back(std::move(ctx_.wait(id).outputs.front()));
-  }
-  return outs;
+  return rns::fan_out(ctx_, primes, std::move(jobs));
 }
 
 void scheme::keygen() {

@@ -99,9 +99,8 @@ class scheme {
     const std::vector<u64>* b = nullptr;
   };
 
-  // The staged product fan-out every scheme operation rides: submit one
-  // polymul per spec on its limb's dedicated stream, flush every touched
-  // stream together (so limb groups overlap), wait in order.
+  // The staged product fan-out every scheme operation rides: one polymul
+  // per spec on its limb's dedicated stream, through rns::fan_out.
   [[nodiscard]] std::vector<std::vector<u64>> run_products(const std::vector<prod_spec>& ps);
   void keygen();
   void build_evaluation_key();

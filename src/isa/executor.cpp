@@ -248,7 +248,10 @@ loaded_program executor::load(const program& p, const sram::subarray& array) {
   return out;
 }
 
-run_result executor::run(const loaded_program& p, sram::subarray& array) const {
+// Cache-line aligned so host timing does not move with where the linker
+// happens to place the interpreter (interpret<4> is inlined here).
+[[gnu::aligned(64)]] run_result executor::run(const loaded_program& p,
+                                              sram::subarray& array) const {
   if (array.rows() != p.rows || array.geometry().tile_bits != p.tile_bits) {
     throw std::invalid_argument("executor: program was loaded for another geometry");
   }

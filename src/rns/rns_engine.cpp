@@ -45,33 +45,33 @@ void rns_engine::require_limbs(const rns_poly& p, const char* what) const {
   }
 }
 
-std::vector<std::vector<u64>> rns_engine::fan_out(const std::vector<u64>& primes,
-                                                  std::vector<runtime::job> jobs) {
-  // Open every limb stream before enqueueing anything, so an inadmissible
-  // prime rejects the whole fan-out instead of orphaning earlier limbs.
+std::vector<std::vector<u64>> fan_out(runtime::context& ctx, const std::vector<u64>& primes,
+                                      std::vector<runtime::job> jobs, fanout_stats* stats) {
   std::vector<runtime::stream> streams;
   streams.reserve(primes.size());
-  for (const u64 q : primes) streams.push_back(ctx_.rns_stream(q));
+  for (const u64 q : primes) streams.push_back(ctx.rns_stream(q));
   std::vector<runtime::job_id> ids;
   ids.reserve(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     ids.push_back(streams[i].submit(std::move(jobs[i])));
   }
-  // Flush the limb streams together so every limb group enters the ready
-  // queue before scheduling starts — that is what lets disjoint-channel
-  // groups overlap instead of trickling in one at a time.
-  for (auto& s : streams) s.flush();
-  last_ = fanout_stats{};
+  for (std::size_t i = 0; i < primes.size(); ++i) {
+    if (std::find(primes.begin(), primes.begin() + i, primes[i]) == primes.begin() + i) {
+      streams[i].flush();
+    }
+  }
+  fanout_stats agg;
   std::vector<std::vector<u64>> outputs;
   outputs.reserve(ids.size());
   for (const runtime::job_id id : ids) {
-    runtime::job_result r = ctx_.wait(id);
+    runtime::job_result r = ctx.wait(id);
     // One dispatch group per limb: amortize the batch wall-clock over the
     // jobs that rode in it so multi-job fan-outs do not double-count.
-    last_.serial_cycles += r.wall_cycles / r.jobs_in_batch;
-    ++last_.limb_jobs;
+    agg.serial_cycles += r.wall_cycles / r.jobs_in_batch;
+    ++agg.limb_jobs;
     outputs.push_back(std::move(r.outputs.front()));
   }
+  if (stats != nullptr) *stats = agg;
   return outputs;
 }
 
@@ -88,7 +88,7 @@ rns_poly rns_engine::polymul(const rns_poly& a, const rns_poly& b) {
   for (std::size_t i = 0; i < basis_.limbs(); ++i) {
     jobs.emplace_back(runtime::polymul_job{a.residues[i], b.residues[i]});
   }
-  return {fan_out(basis_.primes(), std::move(jobs))};
+  return {fan_out(ctx_, basis_.primes(), std::move(jobs), &last_)};
 }
 
 rns_poly rns_engine::transform(const rns_poly& p, core::transform_dir dir, const char* what) {
@@ -98,7 +98,7 @@ rns_poly rns_engine::transform(const rns_poly& p, core::transform_dir dir, const
   for (std::size_t i = 0; i < basis_.limbs(); ++i) {
     jobs.emplace_back(runtime::ntt_job{dir, p.residues[i]});
   }
-  return {fan_out(basis_.primes(), std::move(jobs))};
+  return {fan_out(ctx_, basis_.primes(), std::move(jobs), &last_)};
 }
 
 const rns_basis& rns_engine::dropped_basis() {
@@ -124,7 +124,7 @@ rns_poly rns_engine::rescale(const rns_poly& p, u64 congruence) {
                                                .dropped = p.residues[kept],
                                                .congruence = congruence});
   }
-  return {fan_out(primes, std::move(jobs))};
+  return {fan_out(ctx_, primes, std::move(jobs), &last_)};
 }
 
 rns_poly rns_engine::base_extend(const rns_poly& p, const rns_basis& target) {
@@ -163,7 +163,9 @@ rns_poly rns_engine::base_extend(const rns_poly& p, const rns_basis& target) {
   rns_poly out;
   out.residues = p.residues;
   out.residues.reserve(target.limbs());
-  for (auto& limb : fan_out(new_primes, std::move(jobs))) out.residues.push_back(std::move(limb));
+  for (auto& limb : fan_out(ctx_, new_primes, std::move(jobs), &last_)) {
+    out.residues.push_back(std::move(limb));
+  }
   return out;
 }
 

@@ -37,6 +37,19 @@ struct fanout_stats {
   u64 limb_jobs = 0;      // runtime jobs the fan-out produced
 };
 
+// The one limb fan-out every RNS caller shares: submit jobs[i] on the
+// dedicated stream of primes[i] (primes may repeat), flush each touched
+// stream once, in first-use order, after every submission (so the limb
+// groups enter the scheduler together and can overlap), then wait on the
+// ids in order and return their outputs.  Every stream opens before
+// anything is enqueued, so an inadmissible prime rejects the whole fan-out
+// instead of orphaning earlier limbs.  `stats`, when given, receives the
+// fan-out's aggregate.
+[[nodiscard]] std::vector<std::vector<u64>> fan_out(runtime::context& ctx,
+                                                    const std::vector<u64>& primes,
+                                                    std::vector<runtime::job> jobs,
+                                                    fanout_stats* stats = nullptr);
+
 class rns_engine {
  public:
   // The basis' order must match the context ring's n, and every limb prime
@@ -110,12 +123,6 @@ class rns_engine {
   [[nodiscard]] std::vector<math::wide_uint> lift(const rns_poly& p) const;
 
  private:
-  // The one per-limb loop every fan-out shares: submit jobs[i] on the
-  // dedicated stream of primes[i], flush those streams together (so the
-  // limb groups enter the scheduler together and can overlap), wait on
-  // the ids in order, and collect outputs + fan-out stats.
-  [[nodiscard]] std::vector<std::vector<u64>> fan_out(const std::vector<u64>& primes,
-                                                      std::vector<runtime::job> jobs);
   // One per-limb ntt_job fan-out in the given direction.
   [[nodiscard]] rns_poly transform(const rns_poly& p, core::transform_dir dir,
                                    const char* what);

@@ -28,35 +28,7 @@ rns_poly rns_decompose(std::span<const math::wide_uint> coeffs, const rns_basis&
 }
 
 std::vector<math::wide_uint> rns_recombine(const rns_poly& p, const rns_basis& basis) {
-  if (p.limbs() != basis.limbs()) {
-    throw std::invalid_argument("rns_recombine: polynomial carries " +
-                                std::to_string(p.limbs()) + " limbs for a basis of " +
-                                std::to_string(basis.limbs()));
-  }
-  const std::size_t n = p.residues.empty() ? 0 : p.residues.front().size();
-  for (std::size_t i = 0; i < p.limbs(); ++i) {
-    if (p.residues[i].size() != n) {
-      throw std::invalid_argument("rns_recombine: limb " + std::to_string(i) + " has " +
-                                  std::to_string(p.residues[i].size()) +
-                                  " coefficients, limb 0 has " + std::to_string(n));
-    }
-  }
-
-  std::vector<math::wide_uint> out(n, math::wide_uint(basis.wide_bits()));
-  for (std::size_t j = 0; j < n; ++j) {
-    // x = sum_i (x_i * y_i mod q_i) * M_i, reduced once at the end: every
-    // term t_i * M_i is below M (t_i < q_i, M_i = M / q_i), so the lazy
-    // accumulator stays below k*M — inside wide_bits() by construction —
-    // and at most k-1 conditional subtracts canonicalize it.
-    math::wide_uint acc(basis.wide_bits());
-    for (std::size_t i = 0; i < basis.limbs(); ++i) {
-      const u64 t = math::mul_mod(p.residues[i][j], basis.crt_weight(i), basis.prime(i));
-      acc = acc.add(basis.crt_term(i).mul_u64(t));
-    }
-    while (acc >= basis.modulus()) acc = acc.sub(basis.modulus());
-    out[j] = std::move(acc);
-  }
-  return out;
+  return basis.crt().lift(p.residues);
 }
 
 std::vector<math::wide_uint> schoolbook_negacyclic_wide(std::span<const math::wide_uint> a,

@@ -3,12 +3,7 @@
 // lift back.
 //
 // Decomposition is a per-coefficient word reduction (x mod q_i);
-// recombination uses the basis' precomputed CRT constants with *lazy*
-// reduction: the per-limb terms t_i * M_i (each < M) accumulate without
-// intermediate mod-M reductions — the accumulator stays below k*M, inside
-// the basis' working width — and a single conditional-subtract pass at the
-// end produces the canonical value.  That is the wide-width analogue of
-// the lazy Barrett/Montgomery style the word-sized kernels use.
+// recombination is the basis' crt::lift.
 #pragma once
 
 #include <span>

@@ -3,9 +3,8 @@
 #include <stdexcept>
 #include <string>
 
-#include "common/bitutil.h"
 #include "nttmath/modarith.h"
-#include "nttmath/wide_uint.h"
+#include "rns/rns_basis.h"
 #include "runtime/cpu_backend.h"
 #include "runtime/reference_backend.h"
 #include "runtime/sram_backend.h"
@@ -99,49 +98,11 @@ batch_result backend::run_base_extend(const std::vector<rns_base_extend_job>& jo
   out.outputs.reserve(jobs.size());
   out.waves = jobs.empty() ? 0 : 1;
   for (const rns_base_extend_job& j : jobs) {
-    if (j.residues.size() != j.source_primes.size()) {
-      throw std::logic_error("runtime: base-extend job carries " +
-                             std::to_string(j.residues.size()) + " residue vectors for " +
-                             std::to_string(j.source_primes.size()) + " source primes");
-    }
-    const std::size_t n = j.residues.empty() ? 0 : j.residues.front().size();
-    // Source-chain CRT precompute: M = prod q_i at a width that holds the
-    // lazy accumulator (sum of k terms each below M), M_i = M / q_i, and
-    // the weights y_i = M_i^{-1} mod q_i.
-    unsigned sum_bits = 0;
-    for (const u64 q : j.source_primes) sum_bits += common::bit_length(q);
-    unsigned lazy_bits = 0;
-    while ((1ULL << lazy_bits) < j.source_primes.size()) ++lazy_bits;
-    const unsigned wide_bits = sum_bits + lazy_bits + 1;
-    math::wide_uint m(wide_bits, 1);
-    for (const u64 q : j.source_primes) m = m.mul_u64(q);
-    std::vector<math::wide_uint> terms;
-    std::vector<u64> weights;
-    terms.reserve(j.source_primes.size());
-    weights.reserve(j.source_primes.size());
-    for (const u64 q : j.source_primes) {
-      const math::wide_divmod dm = m.divmod(math::wide_uint(64, q));
-      const u64 w = math::inv_mod(dm.quot.mod_u64(q), q);
-      if (!dm.rem.is_zero() || w == 0) {
-        throw std::logic_error("runtime: base-extend source chain is not pairwise coprime at "
-                               "prime " + std::to_string(q));
-      }
-      terms.push_back(dm.quot);
-      weights.push_back(w);
-    }
-    std::vector<u64> limb(n);
-    for (std::size_t c = 0; c < n; ++c) {
-      // Exact canonical lift [x]_M via lazily-reduced CRT, then one word
-      // reduction into the new limb.
-      math::wide_uint acc(wide_bits);
-      for (std::size_t i = 0; i < j.source_primes.size(); ++i) {
-        const u64 ti = math::mul_mod(j.residues[i][c], weights[i], j.source_primes[i]);
-        acc = acc.add(terms[i].mul_u64(ti));
-      }
-      while (acc >= m) acc = acc.sub(m);
-      limb[c] = acc.mod_u64(j.prime);
-    }
-    out.outputs.push_back(std::move(limb));
+    // The exact canonical lift [x]_M over the source chain, reduced into
+    // the new limb.  An empty, non-coprime or mis-sized source chain means
+    // the caller bypassed submit-side validation; the CRT record refuses it
+    // (std::invalid_argument, a std::logic_error).
+    out.outputs.push_back(rns::crt(j.source_primes).lift_mod(j.residues, j.prime));
   }
   return out;
 }

@@ -73,13 +73,15 @@ struct dispatch_hints {
   u64 deadline_cycles = 0;  // 0 = no deadline
   std::vector<unsigned> bank_set;
   // Ring override: run this batch at modulus ring_q instead of the
-  // configured ring modulus (0 = configured ring).  The polynomial order
-  // and tile width stay as configured; the context has already validated
-  // that ring_q is an NTT-friendly prime inside the backend's modulus
-  // envelope.  This is the RNS limb mechanism: each residue channel of a
-  // big-modulus workload dispatches at its own word-sized prime, and
-  // backends retarget (sram: per-modulus kernel libraries, cpu/reference:
-  // per-modulus twiddle tables) lazily and cache the result.
+  // configured ring modulus.  The polynomial order and tile width stay as
+  // configured; the context has already validated that ring_q is an
+  // NTT-friendly prime inside the backend's modulus envelope.  This is the
+  // RNS limb mechanism: each residue channel of a big-modulus workload
+  // dispatches at its own word-sized prime.  One rule, owned by
+  // ring_cache, holds on every backend: 0, or the configured q when the
+  // configured ring is full negacyclic, runs the configured ring; any
+  // other modulus runs a full negacyclic limb ring, built lazily (sram: a
+  // kernel library, cpu/reference: twiddle tables) and cached.
   u64 ring_q = 0;
 };
 
@@ -123,11 +125,14 @@ class backend {
   // new limb prime, at zero modelled cost — like the rescale correction,
   // this is scalar per-coefficient work the controller interleaves between
   // limb dispatches — so every backend supports base extension out of the
-  // box; backends may override to attach a cost model.
+  // box; backends may override to attach a cost model.  A job that
+  // submit-side validation would have refused (an empty or non-coprime
+  // source chain, residues that do not match it) throws rns::crt's
+  // std::invalid_argument, a std::logic_error.
   virtual batch_result run_base_extend(const std::vector<rns_base_extend_job>& jobs,
                                        const dispatch_hints& hints);
-  // Entries currently held by the backend's lazy per-modulus retarget cache
-  // (ring-overridden dispatch state); 0 for backends that never retarget.
+  // Limb rings currently held by the backend's ring cache (the configured
+  // ring is not counted); 0 for backends that never retarget.
   [[nodiscard]] virtual std::size_t retarget_cache_size() const { return 0; }
 
   // Installed once by the owning context.  Backends may fan batch-internal

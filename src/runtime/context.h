@@ -227,8 +227,9 @@ class context {
   // touches.  No-ops when residency is disabled or the backend has no
   // device rows.
   void pin_operand(const std::vector<u64>& coeffs) noexcept;
-  // The backend's lazy per-modulus retarget cache occupancy (LRU-bounded
-  // by kRetargetCacheModuli in runtime/retarget_cache.h).
+  // Limb rings held by the backend's ring cache (LRU-bounded by
+  // kRetargetCacheModuli in runtime/ring_cache.h); the configured ring is
+  // not counted.
   [[nodiscard]] std::size_t retarget_cache_size() const noexcept {
     return backend_->retarget_cache_size();
   }

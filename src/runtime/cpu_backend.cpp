@@ -9,56 +9,35 @@
 namespace bpntt::runtime {
 
 cpu_backend::cpu_backend(const runtime_options& opts)
-    : params_(opts.params), retarget_(kRetargetCacheModuli) {
-  if (params_.incomplete) {
-    itables_ = std::make_unique<math::incomplete_ntt_tables>(params_.n, params_.q);
+    : rings_(opts.params, [](const core::ntt_params& p) { return std::make_shared<ring>(p); }) {}
+
+cpu_backend::ring::ring(const core::ntt_params& params) {
+  if (params.incomplete) {
+    itables_ = std::make_unique<math::incomplete_ntt_tables>(params.n, params.q);
   } else {
-    tables_ = std::make_unique<math::ntt_tables>(params_.n, params_.q, /*negacyclic=*/true);
+    tables_ = std::make_unique<math::ntt_tables>(params.n, params.q, /*negacyclic=*/true);
     fast_ = std::make_unique<math::fast_ntt>(*tables_);
   }
 }
 
-std::shared_ptr<const cpu_backend::limb_ring> cpu_backend::ring_for(u64 ring_q) {
-  return retarget_.get(ring_q, [&] {
-    limb_ring ring;
-    ring.tables = std::make_unique<math::ntt_tables>(params_.n, ring_q, /*negacyclic=*/true);
-    ring.fast = std::make_unique<math::fast_ntt>(*ring.tables);
-    return ring;
-  });
-}
-
-void cpu_backend::transform(std::vector<u64>& a, transform_dir dir,
-                            const limb_ring* limb) const {
-  if (limb != nullptr) {
-    dir == transform_dir::forward ? limb->fast->forward(a) : limb->fast->inverse(a);
-  } else if (itables_) {
-    dir == transform_dir::forward ? math::incomplete_ntt_forward(a, *itables_)
-                                  : math::incomplete_ntt_inverse(a, *itables_);
+void cpu_backend::ring::transform(std::vector<u64>& a, transform_dir dir) const {
+  const bool fwd = dir == transform_dir::forward;
+  if (itables_) {
+    fwd ? math::incomplete_ntt_forward(a, *itables_) : math::incomplete_ntt_inverse(a, *itables_);
   } else {
-    dir == transform_dir::forward ? fast_->forward(a) : fast_->inverse(a);
+    fwd ? fast_->forward(a) : fast_->inverse(a);
   }
 }
 
-std::vector<u64> cpu_backend::multiply(const core::polymul_pair& pair,
-                                       const limb_ring* limb) const {
-  if (limb == nullptr && itables_) {
-    std::vector<u64> a = pair.a;
-    std::vector<u64> b = pair.b;
-    math::incomplete_ntt_forward(a, *itables_);
-    math::incomplete_ntt_forward(b, *itables_);
-    std::vector<u64> c(a.size());
-    math::incomplete_basemul(a, b, c, *itables_);
-    math::incomplete_ntt_inverse(c, *itables_);
-    return c;
-  }
-  // Montgomery fast path, at the limb modulus or the primary one.
+std::vector<u64> cpu_backend::ring::multiply(const core::polymul_pair& pair) const {
+  if (itables_) return math::polymul_incomplete(pair.a, pair.b, *itables_);
   std::vector<u64> a = pair.a;
   std::vector<u64> b = pair.b;
-  transform(a, transform_dir::forward, limb);
-  transform(b, transform_dir::forward, limb);
+  fast_->forward(a);
+  fast_->forward(b);
   std::vector<u64> c(a.size());
-  math::ntt_pointwise(a, b, c, limb != nullptr ? limb->tables->q() : params_.q);
-  transform(c, transform_dir::inverse, limb);
+  math::ntt_pointwise(a, b, c, tables_->q());
+  fast_->inverse(c);
   return c;
 }
 
@@ -80,16 +59,15 @@ batch_result cpu_backend::finish(std::vector<std::vector<u64>> outputs, double s
 
 batch_result cpu_backend::run_ntt(const std::vector<std::vector<u64>>& polys,
                                   transform_dir dir, const dispatch_hints& hints) {
-  // Resolve a ring override before the clock starts: retarget table
-  // construction is setup, not per-batch work.
-  const std::shared_ptr<const limb_ring> limb =
-      hints.ring_q != 0 ? ring_for(hints.ring_q) : nullptr;
+  // Resolve the ring before the clock starts: building a limb ring's
+  // tables is setup, not per-batch work.
+  const auto ring = rings_.get(hints.ring_q);
   std::vector<std::vector<u64>> outputs = polys;
   const auto start = std::chrono::steady_clock::now();
   // Tables are immutable after construction, so jobs chunk freely across
   // the pool; each task owns its output slot.
   parallel_for(pool_, outputs.size(),
-               [&](std::size_t i) { transform(outputs[i], dir, limb.get()); });
+               [&](std::size_t i) { ring->transform(outputs[i], dir); });
   const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
   batch_result out = finish(std::move(outputs), elapsed.count());
   note_batch(polys.size(), out.wall_cycles);
@@ -98,12 +76,11 @@ batch_result cpu_backend::run_ntt(const std::vector<std::vector<u64>>& polys,
 
 batch_result cpu_backend::run_polymul(const std::vector<core::polymul_pair>& pairs,
                                       const dispatch_hints& hints) {
-  const std::shared_ptr<const limb_ring> limb =
-      hints.ring_q != 0 ? ring_for(hints.ring_q) : nullptr;
+  const auto ring = rings_.get(hints.ring_q);
   std::vector<std::vector<u64>> outputs(pairs.size());
   const auto start = std::chrono::steady_clock::now();
   parallel_for(pool_, pairs.size(),
-               [&](std::size_t i) { outputs[i] = multiply(pairs[i], limb.get()); });
+               [&](std::size_t i) { outputs[i] = ring->multiply(pairs[i]); });
   const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
   batch_result out = finish(std::move(outputs), elapsed.count());
   note_batch(pairs.size(), out.wall_cycles);

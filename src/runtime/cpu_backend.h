@@ -16,7 +16,7 @@
 #include "nttmath/incomplete_ntt.h"
 #include "runtime/backend.h"
 #include "runtime/options.h"
-#include "runtime/retarget_cache.h"
+#include "runtime/ring_cache.h"
 
 namespace bpntt::runtime {
 
@@ -44,31 +44,28 @@ class cpu_backend final : public backend {
   batch_result run_polymul(const std::vector<core::polymul_pair>& pairs,
                            const dispatch_hints& hints) override;
 
-  [[nodiscard]] std::size_t retarget_cache_size() const override { return retarget_.size(); }
+  [[nodiscard]] std::size_t retarget_cache_size() const override { return rings_.size(); }
 
  private:
-  // Montgomery fast path for one ring-override modulus (RNS limb
-  // dispatches) — the same competitive software path the primary ring
-  // uses, built lazily and LRU-bounded (kRetargetCacheModuli); a dispatch
-  // holds its shared_ptr, so eviction mid-flight is safe.
-  struct limb_ring {
-    std::unique_ptr<math::ntt_tables> tables;
-    std::unique_ptr<math::fast_ntt> fast;
-  };
-  [[nodiscard]] std::shared_ptr<const limb_ring> ring_for(u64 ring_q);
+  // One ring of the software path: the Montgomery fast path for a full
+  // negacyclic ring, the exact table-driven incomplete transform otherwise.
+  // Immutable after construction, so pool tasks share it freely.
+  class ring {
+   public:
+    explicit ring(const core::ntt_params& params);
+    void transform(std::vector<u64>& a, transform_dir dir) const;
+    [[nodiscard]] std::vector<u64> multiply(const core::polymul_pair& pair) const;
 
-  // `limb` selects a retargeted ring; nullptr = the primary configured ring.
-  void transform(std::vector<u64>& a, transform_dir dir, const limb_ring* limb) const;
-  [[nodiscard]] std::vector<u64> multiply(const core::polymul_pair& pair,
-                                          const limb_ring* limb) const;
+   private:
+    std::unique_ptr<math::ntt_tables> tables_;
+    std::unique_ptr<math::fast_ntt> fast_;
+    std::unique_ptr<math::incomplete_ntt_tables> itables_;
+  };
+
   [[nodiscard]] batch_result finish(std::vector<std::vector<u64>> outputs,
                                     double seconds) const;
 
-  core::ntt_params params_;
-  std::unique_ptr<math::ntt_tables> tables_;
-  std::unique_ptr<math::incomplete_ntt_tables> itables_;
-  std::unique_ptr<math::fast_ntt> fast_;
-  retarget_lru<limb_ring> retarget_;
+  ring_cache<ring> rings_;
 };
 
 }  // namespace bpntt::runtime

@@ -6,17 +6,28 @@
 namespace bpntt::runtime {
 
 reference_backend::reference_backend(const runtime_options& opts)
-    : params_(opts.params), retarget_(kRetargetCacheModuli) {
-  if (params_.incomplete) {
-    itables_ = std::make_unique<math::incomplete_ntt_tables>(params_.n, params_.q);
+    : rings_(opts.params, [](const core::ntt_params& p) { return std::make_shared<ring>(p); }) {}
+
+reference_backend::ring::ring(const core::ntt_params& params) {
+  if (params.incomplete) {
+    itables_ = std::make_unique<math::incomplete_ntt_tables>(params.n, params.q);
   } else {
-    tables_ = std::make_unique<math::ntt_tables>(params_.n, params_.q, /*negacyclic=*/true);
+    tables_ = std::make_unique<math::ntt_tables>(params.n, params.q, /*negacyclic=*/true);
   }
 }
 
-std::shared_ptr<const math::ntt_tables> reference_backend::tables_for(u64 ring_q) {
-  return retarget_.get(
-      ring_q, [&] { return math::ntt_tables(params_.n, ring_q, /*negacyclic=*/true); });
+void reference_backend::ring::transform(std::vector<u64>& a, transform_dir dir) const {
+  const bool fwd = dir == transform_dir::forward;
+  if (itables_) {
+    fwd ? math::incomplete_ntt_forward(a, *itables_) : math::incomplete_ntt_inverse(a, *itables_);
+  } else {
+    fwd ? math::ntt_forward(a, *tables_) : math::ntt_inverse(a, *tables_);
+  }
+}
+
+std::vector<u64> reference_backend::ring::multiply(const core::polymul_pair& pair) const {
+  return itables_ ? math::polymul_incomplete(pair.a, pair.b, *itables_)
+                  : math::polymul_ntt(pair.a, pair.b, *tables_);
 }
 
 batch_result reference_backend::run_ntt(const std::vector<std::vector<u64>>& polys,
@@ -24,24 +35,12 @@ batch_result reference_backend::run_ntt(const std::vector<std::vector<u64>>& pol
   batch_result out;
   out.outputs = polys;
   out.waves = polys.empty() ? 0 : 1;
-  // Ring-overridden (RNS limb) dispatches always run the full negacyclic
-  // transform at the limb modulus; resolve the tables before the parallel
-  // region so pool tasks only ever read them (the shared_ptr keeps the
-  // entry alive across a concurrent eviction).
-  const std::shared_ptr<const math::ntt_tables> limb =
-      hints.ring_q != 0 ? tables_for(hints.ring_q) : nullptr;
-  const math::ntt_tables* t = limb != nullptr ? limb.get() : tables_.get();
-  const bool fwd = dir == transform_dir::forward;
-  // The golden tables are read-only; jobs chunk freely across the pool.
-  parallel_for(pool_, out.outputs.size(), [&](std::size_t i) {
-    auto& a = out.outputs[i];
-    if (t == nullptr) {
-      fwd ? math::incomplete_ntt_forward(a, *itables_)
-          : math::incomplete_ntt_inverse(a, *itables_);
-    } else {
-      fwd ? math::ntt_forward(a, *t) : math::ntt_inverse(a, *t);
-    }
-  });
+  // Resolve the ring before the parallel region so pool tasks only ever
+  // read it (the shared_ptr keeps a limb ring alive across a concurrent
+  // eviction).
+  const auto ring = rings_.get(hints.ring_q);
+  parallel_for(pool_, out.outputs.size(),
+               [&](std::size_t i) { ring->transform(out.outputs[i], dir); });
   note_batch(polys.size(), out.wall_cycles);
   return out;
 }
@@ -51,13 +50,9 @@ batch_result reference_backend::run_polymul(const std::vector<core::polymul_pair
   batch_result out;
   out.outputs.resize(pairs.size());
   out.waves = pairs.empty() ? 0 : 1;
-  const std::shared_ptr<const math::ntt_tables> limb =
-      hints.ring_q != 0 ? tables_for(hints.ring_q) : nullptr;
-  const math::ntt_tables* t = limb != nullptr ? limb.get() : tables_.get();
-  parallel_for(pool_, pairs.size(), [&](std::size_t i) {
-    out.outputs[i] = t != nullptr ? math::polymul_ntt(pairs[i].a, pairs[i].b, *t)
-                                  : math::polymul_incomplete(pairs[i].a, pairs[i].b, *itables_);
-  });
+  const auto ring = rings_.get(hints.ring_q);
+  parallel_for(pool_, pairs.size(),
+               [&](std::size_t i) { out.outputs[i] = ring->multiply(pairs[i]); });
   note_batch(pairs.size(), out.wall_cycles);
   return out;
 }

@@ -11,7 +11,7 @@
 #include "nttmath/ntt.h"
 #include "runtime/backend.h"
 #include "runtime/options.h"
-#include "runtime/retarget_cache.h"
+#include "runtime/ring_cache.h"
 
 namespace bpntt::runtime {
 
@@ -32,18 +32,24 @@ class reference_backend final : public backend {
   batch_result run_polymul(const std::vector<core::polymul_pair>& pairs,
                            const dispatch_hints& hints) override;
 
-  [[nodiscard]] std::size_t retarget_cache_size() const override { return retarget_.size(); }
+  [[nodiscard]] std::size_t retarget_cache_size() const override { return rings_.size(); }
 
  private:
-  // The full-negacyclic tables for one ring-override modulus (RNS limb
-  // dispatches), built lazily and LRU-bounded (kRetargetCacheModuli); a
-  // dispatch holds its shared_ptr, so eviction mid-flight is safe.
-  [[nodiscard]] std::shared_ptr<const math::ntt_tables> tables_for(u64 ring_q);
+  // One ring's golden tables: the full negacyclic transform, or the
+  // incomplete one for an incomplete configured ring.  Read-only after
+  // construction, so pool tasks share it freely.
+  class ring {
+   public:
+    explicit ring(const core::ntt_params& params);
+    void transform(std::vector<u64>& a, transform_dir dir) const;
+    [[nodiscard]] std::vector<u64> multiply(const core::polymul_pair& pair) const;
 
-  core::ntt_params params_;
-  std::unique_ptr<math::ntt_tables> tables_;
-  std::unique_ptr<math::incomplete_ntt_tables> itables_;
-  retarget_lru<math::ntt_tables> retarget_;
+   private:
+    std::unique_ptr<math::ntt_tables> tables_;
+    std::unique_ptr<math::incomplete_ntt_tables> itables_;
+  };
+
+  ring_cache<ring> rings_;
 };
 
 }  // namespace bpntt::runtime

@@ -15,29 +15,12 @@ namespace bpntt::runtime {
 sram_backend::sram_backend(const runtime_options& opts)
     : channels_(opts.topo.channels),
       bank_cfg_(opts.bank()),
-      primary_(std::make_shared<core::kernel_library>(bank_cfg_.array, opts.params)),
-      retarget_(kRetargetCacheModuli) {
+      rings_(opts.params, [this](const core::ntt_params& p) {
+        return std::make_shared<core::kernel_library>(bank_cfg_.array, p);
+      }) {
   const unsigned total = opts.topo.total_banks();
   banks_.reserve(total);
-  for (unsigned b = 0; b < total; ++b) banks_.emplace_back(bank_cfg_, primary_);
-}
-
-std::shared_ptr<core::kernel_library> sram_backend::library_for(u64 ring_q) {
-  // The primary ring serves a same-modulus override only when it already
-  // runs the full negacyclic transform — an incomplete primary ring must
-  // still retarget, or a ring-overridden dispatch would execute a different
-  // transform here than on the cpu/reference backends.
-  const core::ntt_params& own = primary_->params();
-  if (ring_q == 0 || (ring_q == own.q && !own.incomplete)) return primary_;
-  return *retarget_.get(ring_q, [&] {
-    // Same tile width, twiddles and constants for the limb prime.  The
-    // limb ring is always a full negacyclic ring (the context validated
-    // 2n | q-1 at stream creation).
-    core::ntt_params limb = own;
-    limb.q = ring_q;
-    limb.incomplete = false;
-    return std::make_shared<core::kernel_library>(bank_cfg_.array, limb);
-  });
+  for (unsigned b = 0; b < total; ++b) banks_.emplace_back(bank_cfg_, rings_.get(0));
 }
 
 backend_caps sram_backend::capabilities() const {
@@ -171,7 +154,7 @@ sram_backend::resident_images sram_backend::resident_or_transform(
 
 batch_result sram_backend::run_ntt(const std::vector<std::vector<u64>>& polys,
                                    transform_dir dir, const dispatch_hints& hints) {
-  const auto ring = library_for(hints.ring_q);
+  const auto ring = rings_.get(hints.ring_q);
   batch_result out;
   if (hints.ring_q != 0 && resman_ != nullptr) {
     // Equal polys in one batch are looked up (and miss) independently.
@@ -197,7 +180,7 @@ batch_result sram_backend::run_ntt(const std::vector<std::vector<u64>>& polys,
 
 batch_result sram_backend::run_polymul(const std::vector<core::polymul_pair>& pairs,
                                        const dispatch_hints& hints) {
-  const auto ring = library_for(hints.ring_q);
+  const auto ring = rings_.get(hints.ring_q);
   if (hints.ring_q == 0 || resman_ == nullptr) {
     batch_result out =
         shard(pairs, hints,

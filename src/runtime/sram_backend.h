@@ -34,7 +34,7 @@
 
 #include "runtime/backend.h"
 #include "runtime/options.h"
-#include "runtime/retarget_cache.h"
+#include "runtime/ring_cache.h"
 
 namespace bpntt::runtime {
 
@@ -50,16 +50,15 @@ class sram_backend final : public backend {
   batch_result run_polymul(const std::vector<core::polymul_pair>& pairs,
                            const dispatch_hints& hints) override;
 
-  [[nodiscard]] std::size_t retarget_cache_size() const override { return retarget_.size(); }
+  [[nodiscard]] std::size_t retarget_cache_size() const override { return rings_.size(); }
 
-  // The kernel library a dispatch with this ring override runs: the
-  // configured ring's for 0 (or for its own modulus when that ring is the
-  // full negacyclic one), otherwise the limb prime's retargeted library.
-  // Retargeting models reloading the CTRL/CMD subarray's twiddle words for
-  // a different prime: same geometry, same tile width, different microcode
-  // constants.  The shared_ptr keeps a library alive across a concurrent
-  // eviction.
-  [[nodiscard]] std::shared_ptr<core::kernel_library> library_for(u64 ring_q);
+  // The kernel library a dispatch with this ring override runs, by the
+  // ring_cache rule.  Retargeting models reloading the CTRL/CMD subarray's
+  // twiddle words for a different prime: same geometry, same tile width,
+  // different microcode constants.
+  [[nodiscard]] std::shared_ptr<core::kernel_library> library_for(u64 ring_q) {
+    return rings_.get(ring_q);
+  }
 
  private:
   // Shard `jobs` into wave-width blocks round-robin over the dispatch's
@@ -91,11 +90,8 @@ class sram_backend final : public backend {
 
   unsigned channels_ = 1;
   core::bank_config bank_cfg_;
-  std::shared_ptr<core::kernel_library> primary_;
+  ring_cache<core::kernel_library> rings_;
   std::vector<core::bp_ntt_bank> banks_;
-  // Libraries are shared with the banks they are bound to, so entries
-  // hold the library's own shared_ptr (a mutex makes it immovable).
-  retarget_lru<std::shared_ptr<core::kernel_library>> retarget_;
 };
 
 }  // namespace bpntt::runtime

@@ -1,5 +1,6 @@
 // RNS base extension tests: the exact-lift differential against the
-// wide_uint CRT oracle across backends and limb counts, the
+// wide_uint CRT oracle across backends and limb counts, source chains
+// outside rns_basis's domain and the direct-call bypass check, the
 // congruence-preserving (BGV-style) rescale against a brute-force
 // minimal-lift oracle, the submit_base_extend validation surface, and the
 // switch_to divergence diagnostics.
@@ -109,6 +110,67 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(to_string(std::get<0>(info.param))) + "_limbs" +
              std::to_string(std::get<1>(info.param));
     });
+
+// ---- base extension outside rns_basis's domain ------------------------------
+
+class BaseExtendAnyCoprimeChain : public ::testing::TestWithParam<backend_kind> {};
+
+TEST_P(BaseExtendAnyCoprimeChain, LiftsExactlyAgainstAGarnerOracle) {
+  // Submit validation asks only for distinct odd primes, so the source
+  // chain may hold a prime with no 2n-th root of unity (11: 64 does not
+  // divide 10) and one above the 2^62 limb limit — neither of which an
+  // rns_basis admits.  The lift must still be exact.
+  u64 big = (1ULL << 62) + 1;
+  while (!math::is_prime(big)) big += 2;
+  const auto ntt = math::first_k_ntt_primes(kLimbBits, kOrder, 2, /*negacyclic=*/true);
+  const std::vector<u64> sources = {11, big, ntt[0]};
+  const u64 target = ntt[1];
+  runtime::context ctx(small_options(GetParam(), ntt[0]));
+
+  common::xoshiro256ss rng(1500);
+  std::vector<std::vector<u64>> residues;
+  for (const u64 p : sources) {
+    std::vector<u64> r(kOrder);
+    for (auto& c : r) c = rng() % p;
+    residues.push_back(std::move(r));
+  }
+  const auto id = ctx.rns_stream(target).submit(runtime::rns_base_extend_job{
+      .prime = target, .source_primes = sources, .residues = residues});
+  const auto got = ctx.wait(id).outputs.at(0);
+
+  // Garner's mixed-radix reconstruction: x = r_0 + p_0 * (k_1 + p_1 * k_2),
+  // a different formula from the backend's sum of CRT terms.
+  const unsigned bits = 192;
+  for (u64 c = 0; c < kOrder; ++c) {
+    math::wide_uint x(bits, residues[0][c]);
+    math::wide_uint m(bits, sources[0]);
+    for (std::size_t i = 1; i < sources.size(); ++i) {
+      const u64 p = sources[i];
+      const u64 k = math::mul_mod(math::sub_mod(residues[i][c], x.mod_u64(p), p),
+                                  math::inv_mod(m.mod_u64(p), p), p);
+      x = x.add(m.mul_u64(k));
+      m = m.mul_u64(p);
+    }
+    ASSERT_EQ(got[c], x.mod_u64(target)) << "backend " << to_string(GetParam())
+                                         << ", coefficient " << c;
+  }
+}
+
+TEST_P(BaseExtendAnyCoprimeChain, DirectCallWithAnEmptySourceChainThrows) {
+  // The context rejects this at submit; a caller driving the backend
+  // directly skips that check and must not get a zero limb back as output.
+  const auto ntt = math::first_k_ntt_primes(kLimbBits, kOrder, 2, /*negacyclic=*/true);
+  const runtime_options opts = small_options(GetParam(), ntt[0]);
+  opts.validate();
+  const auto be = runtime::make_backend(opts);
+  const std::vector<runtime::rns_base_extend_job> jobs = {{.prime = ntt[1]}};
+  EXPECT_THROW((void)be->run_base_extend(jobs, {}), std::logic_error);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, BaseExtendAnyCoprimeChain,
+                         ::testing::Values(backend_kind::sram, backend_kind::cpu,
+                                           backend_kind::reference),
+                         [](const auto& info) { return std::string(to_string(info.param)); });
 
 // ---- congruence-preserving rescale -----------------------------------------
 

@@ -47,7 +47,7 @@ TEST(RnsBasis, CrtConstantsSatisfyTheReconstructionIdentity) {
   // And each M_i must be divisible by every other prime but not its own.
   for (std::size_t i = 0; i < basis.limbs(); ++i) {
     for (std::size_t j = 0; j < basis.limbs(); ++j) {
-      const u64 rem = basis.crt_term(i).mod_u64(basis.prime(j));
+      const u64 rem = basis.crt().term(i).mod_u64(basis.prime(j));
       if (i == j) {
         EXPECT_NE(rem, 0u);
       } else {

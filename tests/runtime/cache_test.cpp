@@ -1,19 +1,21 @@
 // Runtime cache tests: the residency_manager unit surface (slot budget,
 // exact keying, LRU eviction under capacity pressure, pinning,
 // invalidation), the LRU-bounded per-modulus retarget caches of all three
-// backends (eviction, rebuild-on-reuse, the probe) and the sram backend's
-// one kernel library per ring.
+// backends (eviction, rebuild-on-reuse, the probe), the one same-modulus
+// rule every backend's ring cache applies, and the sram backend's one
+// kernel library per ring.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "common/xoshiro.h"
+#include "nttmath/ntt.h"
 #include "nttmath/poly.h"
 #include "nttmath/primes.h"
 #include "runtime/context.h"
 #include "runtime/residency_manager.h"
-#include "runtime/retarget_cache.h"
+#include "runtime/ring_cache.h"
 #include "runtime/sram_backend.h"
 
 namespace bpntt::runtime {
@@ -234,6 +236,44 @@ TEST(RetargetCacheBound, PrimaryRingDispatchesDoNotOccupyTheCache) {
   (void)ctx.wait(id);
   EXPECT_EQ(ctx.retarget_cache_size(), 0u);
 }
+
+// ---- the same-modulus rule -------------------------------------------------
+
+class RingRule : public ::testing::TestWithParam<backend_kind> {};
+
+TEST_P(RingRule, FullConfiguredRingServesAnOverrideAtItsOwnModulus) {
+  context ctx(small_options(GetParam()));
+  auto own = ctx.stream({.ring_q = 3137});
+  const auto a = poly_of(21);
+  const auto b = poly_of(22);
+  const auto ntt_own = own.submit(ntt_job{.coeffs = a});
+  const auto mul_own = own.submit(polymul_job{a, b});
+  own.flush();
+  const auto ntt_default = ctx.submit(ntt_job{.coeffs = a});
+  const auto mul_default = ctx.submit(polymul_job{a, b});
+  EXPECT_EQ(ctx.wait(ntt_own).outputs, ctx.wait(ntt_default).outputs);
+  EXPECT_EQ(ctx.wait(mul_own).outputs, ctx.wait(mul_default).outputs);
+  EXPECT_EQ(ctx.retarget_cache_size(), 0u);
+}
+
+TEST_P(RingRule, IncompleteConfiguredRingRetargetsAtItsOwnModulus) {
+  // q = 7681 carries both transforms at n = 32 (64 | q-1): the configured
+  // ring runs the incomplete one, an override at q the full negacyclic one.
+  constexpr u64 q = 7681;
+  context ctx(small_options(GetParam()).with_ring(kOrder, q, 14, /*incomplete=*/true)
+                  .with_array(64, 42));
+  std::vector<u64> a = poly_of(23);
+  const auto id = ctx.stream({.ring_q = q}).submit(ntt_job{.coeffs = a});
+  const auto got = ctx.wait(id).outputs.at(0);
+  math::ntt_forward(a, math::ntt_tables(kOrder, q, /*negacyclic=*/true));
+  EXPECT_EQ(got, a);
+  EXPECT_EQ(ctx.retarget_cache_size(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, RingRule,
+                         ::testing::Values(backend_kind::sram, backend_kind::cpu,
+                                           backend_kind::reference),
+                         [](const auto& info) { return std::string(to_string(info.param)); });
 
 // ---- one kernel library per ring -------------------------------------------
 
