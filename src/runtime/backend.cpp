@@ -89,6 +89,7 @@ batch_result backend::run_rescale(const std::vector<rns_rescale_job>& jobs,
     }
     out.outputs.push_back(std::move(limb));
   }
+  note_batch(jobs.size(), out.wall_cycles);
   return out;
 }
 
@@ -104,6 +105,7 @@ batch_result backend::run_base_extend(const std::vector<rns_base_extend_job>& jo
     // (std::invalid_argument, a std::logic_error).
     out.outputs.push_back(rns::crt(j.source_primes).lift_mod(j.residues, j.prime));
   }
+  note_batch(jobs.size(), out.wall_cycles);
   return out;
 }
 

@@ -51,7 +51,7 @@ void context::finish_construction() {
   // Tracing is opt-in: without it no recorder exists and every
   // instrumentation site degenerates to one null test.
   if (opts_.tracing) {
-    recorder_ = std::make_unique<telemetry::trace_recorder>(kTraceCapacity);
+    recorder_ = std::make_unique<telemetry::trace_recorder>();
   }
   backend_->attach_recorder(recorder_.get());
 
@@ -410,8 +410,8 @@ void context::export_trace(std::ostream& os) const {
         "runtime: tracing is disabled — construct the context with "
         "runtime_options::with_tracing() to record a timeline");
   }
-  // The recorder's rings are drained without synchronization against the
-  // pool, so the export needs every job done and every claim released.
+  // The timeline is complete only once every job is done and every claim
+  // released, so the export refuses a busy context.
   // Queued or in-flight jobs are the caller's to finish; a group whose jobs
   // are all done can still hold its claim for a moment, so wait that out.
   bool busy = pending() != 0;
@@ -750,13 +750,14 @@ void context::distribute(const dispatch_group& host, const std::vector<member_sl
 }
 
 void context::fail(const std::vector<member_slice>& slices, const std::string& what) {
+  const std::size_t total = slices.back().offset + slices.back().ids.size();
   std::lock_guard<std::mutex> lk(mu_);
   for (const auto& s : slices) {
     for (const job_id id : s.ids) {
       job_result res;
       res.status = job_status::failed;
       res.error = what;
-      res.jobs_in_batch = s.ids.size();
+      res.jobs_in_batch = total;
       res.stream = s.g->hints.stream;
       done_.emplace(id, std::move(res));
       in_flight_.erase(id);

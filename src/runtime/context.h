@@ -68,7 +68,7 @@
 // threads are internal.  A context is not a multi-producer queue — the
 // multi-tenant front door over it is service::service (src/service/),
 // whose single drainer thread is the one client of the context while any
-// number of application threads submit through lock-free session handles.
+// number of application threads submit through session handles.
 // Exception: stats(), pending() and the cache/stream observability probes
 // are safe to call from any thread (a stats or monitoring thread can watch
 // a live context).
@@ -190,8 +190,8 @@ class context {
   // Export the recorded virtual-timeline trace as Chrome trace-event JSON
   // (Perfetto / chrome://tracing open it directly).  Throws
   // std::logic_error when the context was built without with_tracing(),
-  // and while any job is queued or in flight: the recorder's rings are
-  // drained without synchronization against the pool, so call it after
+  // and while any job is queued or in flight: the timeline is complete only
+  // once every dispatch has been accounted, so call it after
   // sync()/wait_all().
   void export_trace(const std::string& path) const;
   void export_trace(std::ostream& os) const;

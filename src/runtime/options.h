@@ -18,9 +18,6 @@ namespace bpntt::runtime {
 
 using u64 = core::u64;
 
-// Trace events each recording thread retains when tracing is on.
-inline constexpr unsigned kTraceCapacity = 1u << 16;
-
 enum class backend_kind {
   sram,       // cycle-level in-SRAM model (bp_ntt_bank / bp_ntt_engine)
   cpu,        // measured software baseline (Montgomery fast_ntt)
@@ -108,8 +105,9 @@ struct runtime_options {
   // marks — exportable as Chrome trace-event JSON via
   // context::export_trace().  Off by default: a context without tracing
   // allocates no recorder and records nothing (every instrumentation site
-  // is one null-pointer test).  Each recording thread keeps the last
-  // kTraceCapacity events; a full ring drops its oldest event and counts it.
+  // is one null-pointer test).  The recorder keeps the last
+  // trace_recorder::kDefaultCapacity events; a full ring drops its oldest
+  // event and counts it.
   bool tracing = false;
 
   runtime_options& with_backend(backend_kind k) {

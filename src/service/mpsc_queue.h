@@ -1,131 +1,95 @@
-// Bounded lock-free multi-producer / single-consumer queue — the service
-// layer's submission ring.
+// Bounded multi-producer / single-consumer queue — the service layer's
+// submission ring.
 //
-// Any number of client threads push typed submissions concurrently with a
-// CAS on the tail cursor; exactly one consumer (the service's drainer
-// thread) pops from the head with plain loads and stores.  No mutex is
-// taken on either path, so a tenant submitting a job never contends on the
-// runtime context's scheduler lock — admission is an atomic increment and
-// a ring slot, nothing more.
+// Any number of client threads push typed submissions; one consumer (the
+// service's drainer thread) pops them in arrival order.  A std::deque
+// behind one mutex carries the traffic: a push or a pop holds the lock for
+// one move, far below the cost of the job it carries.
 //
-// The design is the classic bounded ring of cells with per-cell sequence
-// counters (Vyukov): cell i carries seq = i when empty and seq = i + 1
-// when full, both advancing by capacity per lap.  A producer claims slot
-// `pos` by CAS-ing tail from pos to pos + 1 once it has observed
-// seq == pos, then moves its payload in and publishes with a release store
-// of seq = pos + 1.  The consumer reads head (it is the only writer of
-// head, so no CAS), waits for seq == head + 1, moves the payload out and
-// recycles the cell with seq = head + capacity.  Capacity is rounded up to
-// a power of two so the lap arithmetic is a mask.
+// try_push fails (returns false) when the queue holds capacity() items —
+// the service turns that into a typed admission_error instead of blocking a
+// client thread or growing without bound.
 //
-// try_push fails (returns false) when the ring is full — the service turns
-// that into a typed admission_error instead of blocking a client thread or
-// growing without bound.
+// The consumer sleeps in wait_for(), which checks for queued items under
+// the same lock a push takes, so a submission that lands just before the
+// wait is never slept through.  wake() ends one wait (or the next, when no
+// one is waiting yet) for reasons outside the queue, e.g. shutdown.
 #pragma once
 
-#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <memory>
-#include <new>
+#include <deque>
+#include <mutex>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
 namespace bpntt::service {
 
 template <typename T>
 class mpsc_queue {
  public:
-  // Capacity is rounded up to the next power of two, with a floor of two
-  // cells: a one-cell ring is degenerate — the "full" marker seq = pos + 1
-  // and the next lap's "empty" marker seq = pos + capacity coincide, so a
-  // producer could claim (and overwrite) the occupied slot.
-  explicit mpsc_queue(std::size_t capacity) {
+  explicit mpsc_queue(std::size_t capacity) : capacity_(capacity) {
     if (capacity == 0) {
       throw std::invalid_argument("mpsc_queue: capacity must be >= 1");
-    }
-    std::size_t cap = 2;
-    while (cap < capacity) cap <<= 1;
-    mask_ = cap - 1;
-    cells_ = std::make_unique<cell[]>(cap);
-    for (std::size_t i = 0; i < cap; ++i) {
-      cells_[i].seq.store(i, std::memory_order_relaxed);
     }
   }
 
   mpsc_queue(const mpsc_queue&) = delete;
   mpsc_queue& operator=(const mpsc_queue&) = delete;
 
-  [[nodiscard]] std::size_t capacity() const noexcept { return mask_ + 1; }
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
-  // Multi-producer enqueue: true on success, false when the ring is full.
-  // Lock-free: a producer either claims a slot with one successful CAS or
-  // observes a full ring and returns.
+  // Enqueue: true on success, false when the queue is full.
   bool try_push(T&& v) {
-    std::size_t pos = tail_.load(std::memory_order_relaxed);
-    for (;;) {
-      cell& c = cells_[pos & mask_];
-      const std::size_t seq = c.seq.load(std::memory_order_acquire);
-      if (seq == pos) {
-        // Slot is empty for this lap; try to claim it.
-        if (tail_.compare_exchange_weak(pos, pos + 1, std::memory_order_relaxed)) {
-          c.value = std::move(v);
-          c.seq.store(pos + 1, std::memory_order_release);
-          return true;
-        }
-        // CAS failure reloaded pos; retry with the fresh tail.
-      } else if (seq < pos) {
-        // The cell still holds last lap's value: the ring is full.  Re-read
-        // the tail once — if it moved we raced a producer, not a full ring.
-        const std::size_t cur = tail_.load(std::memory_order_relaxed);
-        if (cur == pos) return false;
-        pos = cur;
-      } else {
-        // Another producer claimed this slot first; chase the tail.
-        pos = tail_.load(std::memory_order_relaxed);
-      }
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (items_.size() == capacity_) return false;
+      items_.push_back(std::move(v));
     }
-  }
-
-  // Single-consumer dequeue: true with the popped value, false when empty.
-  // Must only ever be called from one thread at a time.
-  bool try_pop(T& out) {
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    cell& c = cells_[head & mask_];
-    const std::size_t seq = c.seq.load(std::memory_order_acquire);
-    if (seq != head + 1) return false;  // slot not yet published
-    out = std::move(c.value);
-    c.value = T{};  // drop payload-owned memory now, not a lap later
-    c.seq.store(head + capacity(), std::memory_order_release);
-    head_.store(head + 1, std::memory_order_relaxed);
+    cv_.notify_one();
     return true;
   }
 
-  // Approximate occupancy (producers race it; exact only when quiescent).
-  [[nodiscard]] std::size_t size_approx() const noexcept {
-    const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    return tail >= head ? tail - head : 0;
+  // Dequeue: true with the front value, false when empty.  The queue keeps
+  // no reference to a popped payload.
+  bool try_pop(T& out) {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (items_.empty()) return false;
+    out = std::move(items_.front());
+    items_.pop_front();
+    return true;
+  }
+
+  [[nodiscard]] bool empty() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return items_.empty();
+  }
+
+  // End the consumer's current wait_for, or its next one if it is not
+  // waiting yet.
+  void wake() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      woken_ = true;
+    }
+    cv_.notify_all();
+  }
+
+  // Sleep until an item is queued, wake() is called or the timeout lapses;
+  // returns at once if either already happened.  Consumes the wake().
+  void wait_for(std::chrono::microseconds timeout) {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait_for(lk, timeout, [&] { return woken_ || !items_.empty(); });
+    woken_ = false;
   }
 
  private:
-  // A fixed 64 sidesteps gcc's ABI warning on
-  // std::hardware_destructive_interference_size; every target this builds
-  // on has 64-byte destructive interference.
-  static constexpr std::size_t kCacheLine = 64;
-
-  struct cell {
-    std::atomic<std::size_t> seq{0};
-    T value{};
-  };
-
-  std::size_t mask_ = 0;
-  std::unique_ptr<cell[]> cells_;
-  // Producers CAS the tail; only the consumer touches the head.  Separate
-  // cache lines keep producer traffic off the consumer's line.
-  alignas(kCacheLine) std::atomic<std::size_t> tail_{0};
-  alignas(kCacheLine) std::atomic<std::size_t> head_{0};
+  const std::size_t capacity_;
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<T> items_;
+  bool woken_ = false;
 };
 
 }  // namespace bpntt::service

@@ -86,10 +86,7 @@ service::service(runtime::runtime_options ropts,
 service::~service() {
   closed_.store(true, std::memory_order_release);
   stopping_.store(true, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lk(wake_mu_);
-    wake_cv_.notify_all();
-  }
+  queue_.wake();
   if (drainer_.joinable()) drainer_.join();
 }
 
@@ -122,11 +119,10 @@ void service::close_session(unsigned sid) {
   session_of(sid)->closed.store(true, std::memory_order_release);
   // Nudge the drainer so the tenant's stream retires promptly even when
   // the service is otherwise idle.
-  std::lock_guard<std::mutex> lk(wake_mu_);
-  wake_cv_.notify_all();
+  queue_.wake();
 }
 
-// ---- admission (client threads, lock-free) ---------------------------------
+// ---- admission (client threads) --------------------------------------------
 
 ticket service::admit(unsigned sid, runtime::job j) {
   auto sess = session_of(sid);
@@ -176,13 +172,6 @@ ticket service::admit(unsigned sid, runtime::job j) {
   }
   sess->admitted.fetch_add(1, std::memory_order_relaxed);
   admitted_.add();
-
-  // Wake the drainer only when it declared itself idle — the common-case
-  // submit never touches a mutex.
-  if (drainer_idle_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lk(wake_mu_);
-    wake_cv_.notify_one();
-  }
   return ticket(st);
 }
 
@@ -328,18 +317,14 @@ void service::drain_loop() {
 
     retire_idle_streams();
     if (progress) continue;
-    if (stopping_.load(std::memory_order_acquire) && queue_.size_approx() == 0 &&
-        inflight.empty()) {
+    if (stopping_.load(std::memory_order_acquire) && queue_.empty() && inflight.empty()) {
       break;
     }
-    // Idle: sleep until a producer wakes us or the poll interval lapses
-    // (in-flight work completes on pool threads without a notification, so
-    // the timeout doubles as the completion poll).
-    std::unique_lock<std::mutex> lk(wake_mu_);
-    drainer_idle_.store(true, std::memory_order_release);
-    wake_cv_.wait_for(lk, inflight.empty() ? std::chrono::microseconds(500)
-                                           : std::chrono::microseconds(50));
-    drainer_idle_.store(false, std::memory_order_release);
+    // Idle: sleep until a submission or wake() arrives or the poll interval
+    // lapses (in-flight work completes on pool threads without a
+    // notification, so the timeout doubles as the completion poll).
+    queue_.wait_for(inflight.empty() ? std::chrono::microseconds(500)
+                                     : std::chrono::microseconds(50));
   }
 }
 

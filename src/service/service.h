@@ -8,17 +8,18 @@
 //   auto fast = svc.open_session({.priority = 10, .deadline_cycles = 50'000});
 //   auto bulk = svc.open_session({.max_queued = 128});
 //   // ...any number of application threads, concurrently:
-//   auto t = fast.submit(runtime::ntt_job{.coeffs = p});  // lock-free admission
+//   auto t = fast.submit(runtime::ntt_job{.coeffs = p});  // admission
 //   auto r = t.get();                                     // blocks for the result
 //
 // A runtime::context is a single-client API: one thread submits, flushes
 // and waits.  The service wraps one context and makes it a service: any
 // number of client threads submit typed jobs through session handles; a
-// bounded lock-free MPSC ring (mpsc_queue.h) carries the submissions to
-// one dedicated *drainer* thread, which is the context's single client —
-// it maps sessions onto context streams, batches each session's
-// jobs into dispatch groups, flushes, harvests completions and fulfills
-// tickets.  Client threads never touch the context's scheduler lock.
+// bounded MPSC ring behind one mutex (mpsc_queue.h) carries the
+// submissions to one dedicated *drainer* thread, which is the context's
+// single client — it maps sessions onto context streams, batches each
+// session's jobs into dispatch groups, flushes, harvests completions and
+// fulfills tickets.  Client threads never touch the context's scheduler
+// lock.
 //
 // Sessions are tenants: each carries a priority, an optional deadline
 // budget (per dispatch group, on the virtual timeline), an optional RNS
@@ -101,8 +102,8 @@ struct session_options {
 };
 
 struct service_options {
-  // Slots in the lock-free submission ring (rounded up to a power of two).
-  // A full ring rejects with admission_reason::queue_full.
+  // Slots in the submission ring, exactly.  A full ring rejects with
+  // admission_reason::queue_full.
   std::size_t queue_capacity = 1024;
 };
 
@@ -169,7 +170,7 @@ class ticket {
 };
 
 // A tenant handle.  Lightweight view (copying shares the tenant), safe to
-// use from any thread — submit() is the lock-free front door.
+// use from any thread — submit() is the front door.
 class session {
  public:
   session() = default;
@@ -325,12 +326,6 @@ class service {
   mutable std::mutex stats_mu_;
   std::condition_variable drained_cv_;
   std::atomic<u64> outstanding_{0};  // admitted - delivered
-
-  // Drainer wakeup: producers notify only when the drainer declared
-  // itself idle, so the submit hot path stays lock-free.
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;
-  std::atomic<bool> drainer_idle_{false};
 
   std::atomic<bool> closed_{false};    // front door
   std::atomic<bool> stopping_{false};  // drainer exit once drained

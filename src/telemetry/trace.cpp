@@ -1,7 +1,7 @@
 #include "telemetry/trace.h"
 
 #include <algorithm>
-#include <bit>
+#include <stdexcept>
 
 namespace bpntt::telemetry {
 
@@ -32,87 +32,30 @@ const char* to_string(trace_op op) noexcept {
   return "unknown";
 }
 
-namespace {
-
-// Thread-local producer-slot cache.  One entry per (recorder, thread) pair
-// this thread has recorded into; recorders are identified by a unique id
-// (never a reused address).  The common case — one live traced context —
-// hits `last` with a single compare.  The vector is trimmed if a thread
-// outlives many recorders; losing a mapping merely re-registers the thread
-// into a fresh slot (the abandoned ring is never written again, so the
-// SPSC ownership invariant holds).
-struct tl_slot_entry {
-  u64 recorder_id = 0;
-  unsigned slot = 0;
-};
-
-thread_local tl_slot_entry tl_last{};
-thread_local std::vector<tl_slot_entry> tl_slots;
-
-std::atomic<u64> g_next_recorder_id{1};
-
-constexpr std::size_t kTlTrim = 64;
-
-std::size_t round_up_pow2(std::size_t v) {
-  if (v < 2) return 2;
-  return std::bit_ceil(v);
-}
-
-}  // namespace
-
-trace_recorder::trace_recorder(std::size_t capacity)
-    : cap_(round_up_pow2(capacity)),
-      recorder_id_(g_next_recorder_id.fetch_add(1, std::memory_order_relaxed)) {
-  for (ring& r : rings_) r.slots.resize(cap_);
-}
-
-unsigned trace_recorder::slot_of_this_thread() noexcept {
-  if (tl_last.recorder_id == recorder_id_) return tl_last.slot;
-  for (const tl_slot_entry& e : tl_slots) {
-    if (e.recorder_id == recorder_id_) {
-      tl_last = e;
-      return e.slot;
-    }
+trace_recorder::trace_recorder(std::size_t capacity) : slots_(capacity) {
+  if (capacity == 0) {
+    throw std::invalid_argument("trace_recorder: capacity must be >= 1");
   }
-  // First record from this thread: claim a ring (or learn that none are
-  // left and remember that, so the overflow path stays one compare too).
-  const unsigned claimed = next_slot_.fetch_add(1, std::memory_order_relaxed);
-  const unsigned slot = claimed < kMaxProducers ? claimed : kNoSlot;
-  if (tl_slots.size() >= kTlTrim) {
-    tl_slots.erase(tl_slots.begin(), tl_slots.begin() + static_cast<std::ptrdiff_t>(kTlTrim / 2));
-  }
-  tl_slots.push_back({recorder_id_, slot});
-  tl_last = tl_slots.back();
-  return slot;
 }
 
 void trace_recorder::record(const trace_event& e) noexcept {
-  const unsigned slot = slot_of_this_thread();
-  if (slot == kNoSlot) {
-    unslotted_dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
+  std::lock_guard<std::mutex> lk(mu_);
+  slots_[next_] = e;
+  next_ = next_ + 1 == slots_.size() ? 0 : next_ + 1;
+  if (size_ == slots_.size()) {
+    dropped_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    ++size_;
   }
-  ring& r = rings_[slot];
-  if (r.tail - r.head == cap_) {
-    // Full: drop the oldest retained event, keep the newest.
-    ++r.head;
-    r.dropped.fetch_add(1, std::memory_order_relaxed);
-  }
-  r.slots[r.tail & (cap_ - 1)] = e;
-  ++r.tail;
-  r.recorded.fetch_add(1, std::memory_order_relaxed);
+  recorded_.fetch_add(1, std::memory_order_relaxed);
 }
 
 u64 trace_recorder::events_recorded() const noexcept {
-  u64 total = 0;
-  for (const ring& r : rings_) total += r.recorded.load(std::memory_order_relaxed);
-  return total;
+  return recorded_.load(std::memory_order_relaxed);
 }
 
 u64 trace_recorder::events_dropped() const noexcept {
-  u64 total = unslotted_dropped_.load(std::memory_order_relaxed);
-  for (const ring& r : rings_) total += r.dropped.load(std::memory_order_relaxed);
-  return total;
+  return dropped_.load(std::memory_order_relaxed);
 }
 
 void trace_recorder::set_watermark(u64 vtime) noexcept {
@@ -128,8 +71,13 @@ u64 trace_recorder::watermark() const noexcept {
 
 std::vector<trace_event> trace_recorder::snapshot_events() const {
   std::vector<trace_event> out;
-  for (const ring& r : rings_) {
-    for (u64 i = r.head; i != r.tail; ++i) out.push_back(r.slots[i & (cap_ - 1)]);
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    out.reserve(size_);
+    const std::size_t cap = slots_.size();
+    for (std::size_t i = cap + next_ - size_; out.size() < size_; ++i) {
+      out.push_back(slots_[i % cap]);
+    }
   }
   std::stable_sort(out.begin(), out.end(),
                    [](const trace_event& a, const trace_event& b) { return a.ts < b.ts; });
@@ -137,7 +85,8 @@ std::vector<trace_event> trace_recorder::snapshot_events() const {
 }
 
 void trace_recorder::clear() noexcept {
-  for (ring& r : rings_) r.head = r.tail;
+  std::lock_guard<std::mutex> lk(mu_);
+  size_ = 0;
 }
 
 }  // namespace bpntt::telemetry

@@ -1,5 +1,5 @@
-// bpntt::telemetry::trace_recorder — a bounded, lock-free span recorder
-// for the runtime's virtual timeline.
+// bpntt::telemetry::trace_recorder — a bounded span recorder for the
+// runtime's virtual timeline.
 //
 // Aggregate counters say *that* a soak run missed deadlines or stopped
 // merging; a trace says *which dispatch on which bank* did it.  Every
@@ -8,16 +8,11 @@
 // trace_event records here; export_trace() turns the buffer into Chrome
 // trace-event JSON that opens directly in Perfetto.
 //
-// Design (per-producer rings, in the style of service/mpsc_queue.h):
-// recording threads — the client thread, the executor pool, the service
-// drainer — each own a private SPSC ring of power-of-two capacity.
-// record() is wait-free on the hot path: locate the calling thread's ring
-// (one thread-local compare in the common case), write the slot, bump the
-// tail.  A full ring *drops its oldest event* and counts it in
-// events_dropped() — tracing is an observability aid, it must never block
-// or unboundedly allocate under load.  Producer slots are handed out by an
-// atomic counter; past kMaxProducers additional threads' events are
-// dropped (and counted) rather than contended over.
+// Design: one bounded ring under one mutex.  Recording threads — the
+// client thread, the executor pool, the service drainer — each take the
+// lock for a struct copy.  A full ring *drops its oldest event* and counts
+// it in events_dropped() — tracing is an observability aid, it must never
+// block on a consumer or allocate under load.
 //
 // Virtual-time watermark: layers that do not see frontier values flow past
 // them (the operand cache, backend batch hooks) stamp instants at
@@ -25,14 +20,9 @@
 // far, maintained via set_watermark(). It is monotonic and approximate by
 // construction; spans, which carry exact start/duration, never use it.
 //
-// Threading contract: record(), set_watermark() and the counter probes
-// (events_recorded / events_dropped / watermark) are safe from any thread
-// at any time.  snapshot_events() and clear() are *quiescent-only*: call
-// them after the producing context has gone idle (sync()/wait_all(), pool
-// joined behind a flush) — they read the producer-owned ring cursors
-// without synchronization, relying on the caller's happens-before edge.
-// This is the same contract as context::export_trace(), whose
-// documentation repeats it.
+// Threading: every member is safe from any thread at any time.  The lock
+// is a leaf — nothing else is acquired while it is held.  The counters and
+// the watermark are atomics, read without the lock.
 //
 // The disabled path is zero-cost by absence: a context without
 // runtime_options::with_tracing() holds no recorder at all — every
@@ -40,10 +30,10 @@
 // event is ever constructed.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 namespace bpntt::telemetry {
@@ -110,22 +100,18 @@ struct trace_event {
 
 class trace_recorder {
  public:
-  static constexpr std::size_t kMaxProducers = 64;
-  static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 16;
+  static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 18;
 
-  // capacity = events retained *per producer thread*; rounded up to a
-  // power of two (minimum 2 — a one-slot ring cannot distinguish full
-  // from empty under the cursor scheme, same floor as mpsc_queue).
+  // capacity = events retained, exactly; must be >= 1.
   explicit trace_recorder(std::size_t capacity = kDefaultCapacity);
 
   trace_recorder(const trace_recorder&) = delete;
   trace_recorder& operator=(const trace_recorder&) = delete;
 
-  // Wait-free on the hot path; drops the ring's oldest event when full.
+  // Drops the ring's oldest event when full.
   void record(const trace_event& e) noexcept;
 
-  // Cumulative events accepted into a ring (drops excluded) / dropped
-  // (ring overflow + producers past kMaxProducers).  Any thread.
+  // Cumulative events accepted into the ring / overwritten by a newer one.
   [[nodiscard]] u64 events_recorded() const noexcept;
   [[nodiscard]] u64 events_dropped() const noexcept;
 
@@ -133,40 +119,25 @@ class trace_recorder {
   void set_watermark(u64 vtime) noexcept;
   [[nodiscard]] u64 watermark() const noexcept;
 
-  [[nodiscard]] std::size_t capacity_per_producer() const noexcept { return cap_; }
+  [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
 
-  // Quiescent-only: merge every ring's retained events, sorted by ts
-  // (stable: producer order preserved within a tick).  Non-destructive —
-  // exporting a trace does not consume it.
+  // The retained events, sorted by ts (stable: record order preserved
+  // within a tick).  Non-destructive — exporting a trace does not consume
+  // it.
   [[nodiscard]] std::vector<trace_event> snapshot_events() const;
 
-  // Quiescent-only: discard retained events (drop/record counters are
-  // cumulative and survive).
+  // Discard retained events (drop/record counters are cumulative and
+  // survive).
   void clear() noexcept;
 
  private:
-  struct ring {
-    std::vector<trace_event> slots;
-    // Producer-owned cursors: head = oldest retained, tail = next write.
-    // Only the owning thread touches them while recording; snapshot reads
-    // rely on the quiescent contract.
-    u64 head = 0;
-    u64 tail = 0;
-    std::atomic<u64> recorded{0};
-    std::atomic<u64> dropped{0};
-  };
-
-  static constexpr unsigned kNoSlot = ~0u;
-
-  // The calling thread's ring slot, registering it on first use.
-  [[nodiscard]] unsigned slot_of_this_thread() noexcept;
-
-  const std::size_t cap_;   // power of two
-  const u64 recorder_id_;   // distinguishes recorders in the thread-local cache
-  std::atomic<unsigned> next_slot_{0};
-  std::atomic<u64> unslotted_dropped_{0};
+  mutable std::mutex mu_;
+  std::vector<trace_event> slots_;
+  std::size_t next_ = 0;  // slot the next event is written to
+  std::size_t size_ = 0;  // retained events, ending just before next_
+  std::atomic<u64> recorded_{0};
+  std::atomic<u64> dropped_{0};
   std::atomic<u64> watermark_{0};
-  std::array<ring, kMaxProducers> rings_;
 };
 
 }  // namespace bpntt::telemetry

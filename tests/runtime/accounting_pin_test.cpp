@@ -274,6 +274,8 @@ TEST(AccountingPin, BackToBackFlushesScheduleOnReleasedBanks) {
 // A stub whose third dispatch throws: the failed dispatch's jobs fail, every
 // sibling dispatch still completes, and the counters account only for the
 // dispatches that ran.  Every dispatch costs 100 cycles plus 10 per job.
+// The failed dispatch merges two streams' jobs (2 + 1); each failed job
+// reports all 3, as a completed job of a merged dispatch does.
 class failing_backend final : public backend {
  public:
   [[nodiscard]] std::string_view name() const noexcept override { return "stub"; }
@@ -325,7 +327,7 @@ TEST(AccountingPin, StubBackendWithOneThrowingDispatch) {
   context ctx(pin_options(config), std::make_unique<failing_backend>());
   const pinned want = {
       10, 10, 3, 1, 2, 1060, 0, 18,
-      "0/2x 0/2x 250/3 380/3 120/2 120/2 0/1x 250/3 250/3 380/3 380/3 490/1 600/1 120/2 "
+      "0/3x 0/3x 250/3 380/3 120/2 120/2 0/3x 250/3 250/3 380/3 380/3 490/1 600/1 120/2 "
       "120/2 710/1 830/2 830/2 950/2 950/2 1060/1"};
   expect_pinned(run_pinned_workload(ctx, config.budget), want, "stub/" + label_of(config));
 }

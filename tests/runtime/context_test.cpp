@@ -336,6 +336,28 @@ TEST(RuntimeContext, WaitAllReportsFailedJobsThroughJobResult) {
   EXPECT_EQ(all[1].status, job_status::ok);
 }
 
+TEST(RuntimeContext, FailedJobsOfAMergedDispatchReportTheWholeDispatch) {
+  // Two streams of 2 and 3 transforms flushed together ride one merged
+  // dispatch; when it throws, every failed job reports the dispatch's 5
+  // jobs, as a completed job of the same dispatch would.
+  context ctx(small_sram().with_cross_stream_batching(),
+              std::make_unique<scripted_backend>(scripted_backend::mode::throw_on_ntt));
+  common::xoshiro256ss rng(14);
+  auto a = ctx.stream();
+  auto b = ctx.stream();
+  std::vector<job_id> ids;
+  for (int i = 0; i < 2; ++i) ids.push_back(a.submit(ntt_job{.coeffs = random_poly(32, 193, rng)}));
+  for (int i = 0; i < 3; ++i) ids.push_back(b.submit(ntt_job{.coeffs = random_poly(32, 193, rng)}));
+  ctx.sync();
+  ASSERT_EQ(ctx.stats().groups_merged, 1u);
+  for (const job_id id : ids) {
+    const auto r = ctx.try_wait(id);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->status, job_status::failed);
+    EXPECT_EQ(r->jobs_in_batch, 5u) << "job " << id;
+  }
+}
+
 TEST(RuntimeContext, ShortBackendResultFailsLoudlyInsteadOfMisrouting) {
   auto ctx = stub_context(scripted_backend::mode::short_outputs);
   common::xoshiro256ss rng(14);

@@ -1,11 +1,15 @@
-// mpsc_queue tests: FIFO semantics, bounded-backpressure behavior, payload
-// lifetime, and a multi-producer stress that checks every pushed item is
-// popped exactly once and in per-producer order.
+// mpsc_queue tests: FIFO semantics, exact bounded-backpressure behavior,
+// payload lifetime, the consumer's wait (no lost wakeup), and a
+// multi-producer stress that checks every pushed item is popped exactly
+// once and in per-producer order.  The stress runs under TSan in CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -25,11 +29,13 @@ TEST(MpscQueue, FifoWithinCapacity) {
   EXPECT_FALSE(q.try_pop(out));  // empty again
 }
 
-TEST(MpscQueue, CapacityRoundsUpToPowerOfTwoWithAFloorOfTwo) {
-  EXPECT_EQ(mpsc_queue<int>(1).capacity(), 2u);  // a 1-cell ring is degenerate
-  EXPECT_EQ(mpsc_queue<int>(3).capacity(), 4u);
-  EXPECT_EQ(mpsc_queue<int>(8).capacity(), 8u);
-  EXPECT_EQ(mpsc_queue<int>(1000).capacity(), 1024u);
+TEST(MpscQueue, CapacityIsExact) {
+  for (const std::size_t cap : {1u, 3u, 8u, 1000u}) {
+    mpsc_queue<int> q(cap);
+    EXPECT_EQ(q.capacity(), cap);
+    for (std::size_t i = 0; i < cap; ++i) ASSERT_TRUE(q.try_push(1)) << cap;
+    EXPECT_FALSE(q.try_push(1)) << "a queue of " << cap << " takes no more than " << cap;
+  }
   EXPECT_THROW(mpsc_queue<int>(0), std::invalid_argument);
 }
 
@@ -37,16 +43,17 @@ TEST(MpscQueue, FullRingRejectsUntilAPopFreesASlot) {
   mpsc_queue<int> q(4);
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(q.try_push(int(i)));
   EXPECT_FALSE(q.try_push(99));
-  EXPECT_EQ(q.size_approx(), 4u);
+  EXPECT_FALSE(q.empty());
 
   int out = -1;
   ASSERT_TRUE(q.try_pop(out));
   EXPECT_EQ(out, 0);
-  EXPECT_TRUE(q.try_push(99));  // the freed slot is reusable (lap arithmetic)
+  EXPECT_TRUE(q.try_push(99));  // the freed slot is reusable
   for (const int want : {1, 2, 3, 99}) {
     ASSERT_TRUE(q.try_pop(out));
     EXPECT_EQ(out, want);
   }
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(MpscQueue, WrapsAroundManyLaps) {
@@ -60,8 +67,8 @@ TEST(MpscQueue, WrapsAroundManyLaps) {
 }
 
 TEST(MpscQueue, PopReleasesThePayloadImmediately) {
-  // A popped cell must not keep the payload alive until the slot's next
-  // lap — the service's submissions hold tickets and session refs.
+  // The queue must not keep a popped payload alive — the service's
+  // submissions hold tickets and session refs.
   mpsc_queue<std::shared_ptr<int>> q(4);
   auto p = std::make_shared<int>(42);
   ASSERT_TRUE(q.try_push(std::shared_ptr<int>(p)));
@@ -79,6 +86,57 @@ TEST(MpscQueue, MoveOnlyPayloadsWork) {
   ASSERT_TRUE(q.try_pop(out));
   ASSERT_NE(out, nullptr);
   EXPECT_EQ(*out, 7);
+}
+
+// A wait whose timeout the test would notice: each test below must return
+// long before it lapses.
+constexpr std::chrono::seconds kLongWait{30};
+
+std::chrono::steady_clock::duration time_to_wait(mpsc_queue<int>& q) {
+  const auto t0 = std::chrono::steady_clock::now();
+  q.wait_for(kLongWait);
+  return std::chrono::steady_clock::now() - t0;
+}
+
+TEST(MpscQueue, WaitForReturnsAtOnceWhenAnItemWasPushedBeforeTheWait) {
+  // The lost-wakeup case: the push lands between the consumer's last empty
+  // try_pop and its sleep.  The wait must see the item, not sleep it out.
+  mpsc_queue<int> q(4);
+  int out = -1;
+  EXPECT_FALSE(q.try_pop(out));
+  ASSERT_TRUE(q.try_push(7));
+  EXPECT_LT(time_to_wait(q), std::chrono::seconds(5));
+  ASSERT_TRUE(q.try_pop(out));
+  EXPECT_EQ(out, 7);
+}
+
+TEST(MpscQueue, WaitForReturnsAtOnceWhenWakeWasCalledBeforeTheWait) {
+  mpsc_queue<int> q(4);
+  q.wake();
+  EXPECT_LT(time_to_wait(q), std::chrono::seconds(5));
+  // The wake is consumed: an empty queue with no new wake waits the
+  // timeout out.
+  const auto t0 = std::chrono::steady_clock::now();
+  q.wait_for(std::chrono::milliseconds(20));
+  EXPECT_GE(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(20));
+}
+
+TEST(MpscQueue, WaitForEndsWhenAnotherThreadPushesOrWakes) {
+  mpsc_queue<int> q(4);
+  for (const bool push : {true, false}) {
+    std::thread other([&q, push] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      if (push) {
+        ASSERT_TRUE(q.try_push(1));
+      } else {
+        q.wake();
+      }
+    });
+    EXPECT_LT(time_to_wait(q), std::chrono::seconds(5)) << (push ? "push" : "wake");
+    other.join();
+    int out = -1;
+    EXPECT_EQ(q.try_pop(out), push);
+  }
 }
 
 TEST(MpscQueue, ManyProducersOneConsumerLosesNothing) {

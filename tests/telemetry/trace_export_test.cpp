@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/xoshiro.h"
+#include "nttmath/primes.h"
 #include "runtime/context.h"
 #include "telemetry/trace.h"
 
@@ -278,6 +279,35 @@ TEST(TraceExport, ExportRefusesWhileJobsAreQueuedOrInFlight) {
   ctx.sync();
   EXPECT_NO_THROW(ctx.export_trace(os));
   EXPECT_EQ(ctx.wait(id).status, job_status::ok);
+}
+
+TEST(TraceExport, HostCrtDispatchesStampABackendBatch) {
+  // Rescale and base-extend dispatches run on the host, in the backend base
+  // class; they stamp one backend_batch instant each, like the transforms.
+  context ctx(small_sram().with_tracing());
+  const u64 limb = math::first_k_ntt_primes(12, 32, 1, true).front();
+  auto limbs = ctx.rns_stream(limb);
+  common::xoshiro256ss rng(6);
+  for (int i = 0; i < 2; ++i) {
+    (void)limbs.submit(rns_rescale_job{.prime = limb,
+                                       .drop_prime = 3137,
+                                       .x = random_poly(32, limb, rng),
+                                       .dropped = random_poly(32, 3137, rng)});
+  }
+  (void)limbs.submit(rns_base_extend_job{
+      .prime = limb, .source_primes = {3137}, .residues = {random_poly(32, 3137, rng)}});
+  limbs.flush();
+  ctx.sync();
+  ASSERT_EQ(ctx.stats().batches, 2u);  // one rescale and one base-extend dispatch
+  std::vector<u64> batch_jobs;
+  for (const auto& e : ctx.tracer()->snapshot_events()) {
+    if (e.op == telemetry::trace_op::backend_batch) {
+      EXPECT_EQ(e.track, telemetry::kTrackBackend);
+      batch_jobs.push_back(e.arg);
+    }
+  }
+  std::sort(batch_jobs.begin(), batch_jobs.end());
+  EXPECT_EQ(batch_jobs, (std::vector<u64>{1, 2}));
 }
 
 }  // namespace
