@@ -47,11 +47,12 @@ kernel ctrl_kernel(ctrl_kind c) {
   throw std::invalid_argument("executor: malformed ctrl op");
 }
 
-constexpr std::size_t kernel_count = static_cast<std::size_t>(kernel::branch_zero) + 1;
+constexpr std::size_t kernel_count = static_cast<std::size_t>(kernel::ripple) + 1;
 
 constexpr std::size_t index(kernel k) noexcept { return static_cast<std::size_t>(k); }
 
-// Energy of one issued op by kernel id.  Ctrl ops cost +0.0, which leaves
+// Energy of one issued op by kernel id.  Ctrl ops and the ripple record
+// (which accounts for the ops it stands for itself) cost +0.0, which leaves
 // a (non-negative) running sum bit for bit unchanged.
 std::array<double, kernel_count> energy_by_kernel(const sram::op_energy& e) {
   std::array<double, kernel_count> pj{};
@@ -88,6 +89,49 @@ run_result interpret(const loaded_program& p, const sram::subarray::kernel_view&
   std::uint64_t dropped = 0;
   bool halted = false;
   bool exhausted = false;
+
+  // A ripple record's loop, one op at a time as its records would run;
+  // false when the budget runs out.  The head's shift spent an op of the
+  // budget on dispatch, which the loop spends again itself.  Its issue
+  // counts stay in locals until it exits (a row store may alias `issued`),
+  // and it is forced inline so that they and the budget live in registers.
+  const auto ripple = [&] [[gnu::always_inline]] (const loaded_op& op) {
+    word* const c = row[op.dst];
+    word* const sum = row[op.dst2];
+    const bool lossless = op.arg != 0;
+    std::uint64_t shifts = 0;
+    std::uint64_t pairs = 0;
+    std::uint64_t checks = 0;
+    std::uint64_t branches = 0;
+    const auto iterate = [&] [[gnu::always_inline]] {
+      do {
+        for (unsigned i = 0; i < op.src1; ++i) {
+          if (budget-- == 0) return false;
+          dropped += kern::shift<Words>(s, c, c, shift_dir::left, true, lossless);
+          ++shifts;
+          energy += cost[index(kernel::shift_left)];
+          if (budget-- == 0) return false;
+          kern::pair<Words>(s, c, sum, sum, c, write_mask::none);
+          ++pairs;
+          energy += cost[index(kernel::pair)];
+        }
+        if (budget-- == 0) return false;
+        zero = kern::is_zero<Words>(s, c);
+        ++checks;
+        energy += cost[index(kernel::check_zero)];
+        if (budget-- == 0) return false;
+        ++branches;
+      } while (!zero);
+      return true;
+    };
+    ++budget;
+    const bool done = iterate();
+    issued[index(kernel::shift_left)] += shifts;
+    issued[index(kernel::pair)] += pairs;
+    issued[index(kernel::check_zero)] += checks;
+    issued[index(kernel::branch_nonzero)] += branches;
+    return done;
+  };
 
   const loaded_op* const ops = p.ops.data();
   const std::size_t end = p.ops.size();
@@ -141,6 +185,14 @@ run_result interpret(const loaded_program& p, const sram::subarray::kernel_view&
       case kernel::branch_zero:
         if (zero) pc = op.target;
         break;
+      case kernel::ripple:
+        if (ripple(op)) {
+          pc = op.target;
+        } else {
+          exhausted = true;
+          pc = end;
+        }
+        break;
     }
   }
 
@@ -165,6 +217,48 @@ run_result interpret(const loaded_program& p, const sram::subarray::kernel_view&
   return {.executed_ops = array_ops,
           .executed_ctrl = sum(kernel::halt, kernel::branch_zero),
           .halted = halted};
+}
+
+// Lowers each carry-ripple loop the compiler emits with fused pairs, at
+// any period p,
+//   h:          p x {shift_left c <- c (segmented), pair c,s <- s,c}
+//   h + 2p:     check_zero c
+//   h + 2p + 1: branch_nonzero h
+// to one ripple record at h.  A loop that another branch enters after its
+// head stays as it is.
+void fuse_ripples(std::vector<loaded_op>& ops) {
+  std::vector<bool> entered(ops.size() + 1);
+  for (const loaded_op& op : ops) {
+    if (op.id == kernel::jump || op.id == kernel::branch_nonzero ||
+        op.id == kernel::branch_zero) {
+      entered[op.target] = true;
+    }
+  }
+  for (std::size_t b = 0; b < ops.size(); ++b) {
+    if (ops[b].id != kernel::branch_nonzero || ops[b].target >= b) continue;
+    const std::size_t h = ops[b].target;
+    const std::size_t steps = (b - h - 1) / 2;
+    if (steps == 0 || steps > UINT16_MAX || h + 2 * steps + 1 != b) continue;
+    const std::uint16_t c = ops[h].dst;
+    const std::uint16_t sum = ops[h + 1].dst2;
+    const std::uint8_t lossless = ops[h].arg;
+    bool match = ops[b - 1].id == kernel::check_zero && ops[b - 1].src0 == c;
+    for (std::size_t i = h; match && i < b - 1; i += 2) {
+      const loaded_op& shift = ops[i];
+      const loaded_op& pair = ops[i + 1];
+      match = shift.id == kernel::shift_left && shift.dst == c && shift.src0 == c &&
+              shift.arg == lossless && pair.id == kernel::pair && pair.dst == c &&
+              pair.dst2 == sum && pair.src0 == sum && pair.src1 == c;
+    }
+    for (std::size_t i = h + 1; match && i <= b; ++i) match = !entered[i];
+    if (!match) continue;
+    ops[h] = {.id = kernel::ripple,
+              .arg = lossless,
+              .dst = c,
+              .src1 = static_cast<std::uint16_t>(steps),
+              .dst2 = sum,
+              .target = static_cast<std::uint32_t>(b + 1)};
+  }
 }
 
 }  // namespace
@@ -245,6 +339,7 @@ loaded_program executor::load(const program& p, const sram::subarray& array) {
     }
     out.ops.push_back(l);
   }
+  fuse_ripples(out.ops);
   return out;
 }
 

@@ -10,6 +10,16 @@
 // absolute branch targets.  Running the loaded form then needs no per-op
 // checks, and one interpreter, instantiated on the row's limb count, runs
 // the same word kernels as `sram::subarray::op_*`.
+//
+// Load also lowers each carry-ripple loop of the compiler's fused form
+// (p x {shift_left c <- c, pair c,s <- s,c}, check_zero c, branch_nonzero
+// back to the first shift; no other branch entering its body) to one
+// `kernel::ripple` record at the loop's head.  The body's records stay in
+// place, so op indices and branch targets do not move.  The interpreter
+// runs a ripple record's iterations with the same kernels and, per op and
+// in program order, spends the watchdog budget, counts the issue and adds
+// the energy, so every statistic, and the op the watchdog fires at, are
+// those of running the records one by one.
 #pragma once
 
 #include <cstdint>
@@ -49,16 +59,17 @@ enum class kernel : std::uint8_t {
   jump,
   branch_nonzero,
   branch_zero,
+  ripple,  // a whole carry-ripple loop; see the header comment
 };
 
 struct loaded_op {
   kernel id = kernel::halt;
-  std::uint8_t arg = 0;  // check_pred: the predicate bit; shifts: 1 if expect_lossless
-  std::uint16_t dst = 0;
+  std::uint8_t arg = 0;  // check_pred: the predicate bit; shifts, ripple: 1 if expect_lossless
+  std::uint16_t dst = 0;     // ripple: the carry row
   std::uint16_t src0 = 0;
-  std::uint16_t src1 = 0;
-  std::uint16_t dst2 = 0;    // pair: the XOR (sum) destination
-  std::uint32_t target = 0;  // jump / branches: absolute op index
+  std::uint16_t src1 = 0;    // ripple: shift-and-add steps per zero check
+  std::uint16_t dst2 = 0;    // pair, ripple: the XOR (sum) destination
+  std::uint32_t target = 0;  // jump / branches: absolute op index; ripple: the op after the loop
 };
 static_assert(sizeof(loaded_op) <= 16, "the loaded form keeps an op in 16 bytes");
 

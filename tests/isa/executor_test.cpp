@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
+#include "bpntt/compiler.h"
+#include "bpntt/twiddle.h"
+#include "nttmath/ntt.h"
+
 namespace bpntt::isa {
 namespace {
 
@@ -236,6 +243,50 @@ TEST(ExecutorAliasing, InPlaceOpsAcrossLimbBoundaries) {
   run_one(flat, a);
   EXPECT_FALSE(a.peek(2).get(63));
   EXPECT_TRUE(a.peek(2).get(64));
+}
+
+// --- Ripple lowering: each carry-ripple loop of a compiled kernel loads as
+// one ripple record, so a lost fusion fails here and not only as a slower
+// benchmark. ---
+
+std::size_t ripple_records(const loaded_program& p) {
+  return static_cast<std::size_t>(std::ranges::count(p.ops, kernel::ripple, &loaded_op::id));
+}
+
+// The Table I forward and inverse kernels (n = 256, q = 12289, k = 16),
+// loaded on their 256-column array.
+std::pair<loaded_program, loaded_program> load_table1(const core::compile_options& o) {
+  core::ntt_params p;
+  p.n = 256;
+  p.q = 12289;
+  p.k = 16;
+  const core::row_layout layout{256};
+  const core::microcode_compiler comp(p, layout, o);
+  const core::twiddle_plan plan =
+      core::make_twiddle_plan(p, math::ntt_tables(p.n, p.q, true), comp.iterations());
+  const sram::subarray a(layout.total_rows(), sram::tile_geometry{256, 16}, sram::tech_45nm());
+  return {executor::load(comp.compile_forward(plan), a),
+          executor::load(comp.compile_inverse(plan), a)};
+}
+
+TEST(ExecutorRipple, EveryTable1RippleLoopLoadsAsOneRecord) {
+  // Six loops per butterfly, 1,024 butterflies; the inverse adds two per
+  // coefficient in its n^-1 scaling.
+  for (const unsigned period : {1u, 2u}) {
+    core::compile_options o;
+    o.ripple_check_period = period;
+    const auto [forward, inverse] = load_table1(o);
+    EXPECT_EQ(ripple_records(forward), 6'144u) << "period " << period;
+    EXPECT_EQ(ripple_records(inverse), 6'656u) << "period " << period;
+  }
+}
+
+TEST(ExecutorRipple, UnfusedPairsLoadOpByOp) {
+  core::compile_options o;
+  o.fuse_pairs = false;
+  const auto [forward, inverse] = load_table1(o);
+  EXPECT_EQ(ripple_records(forward), 0u);
+  EXPECT_EQ(ripple_records(inverse), 0u);
 }
 
 TEST(Executor, EmptyProgram) {

@@ -5,9 +5,12 @@
 // row, the predicate latch, the zero flag and every op_stats field
 // (energy_pj included) must be equal with `==`.  The geometries cover four
 // limbs (the interpreter's fixed width), one and five limbs (its dynamic
-// extent) and limb-straddling tiles, each with and without a stuck column.
+// extent) and limb-straddling tiles, each with and without a stuck column,
+// and a ripple check period above one on both widths.  Hand-built ripple
+// loops check the fused ripple record where the watchdog fires mid-loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <ostream>
 #include <optional>
@@ -263,8 +266,92 @@ INSTANTIATE_TEST_SUITE_P(
                       setup{"cols320", 320, 128, ring(64, 7681, 16)},
                       setup{"cols64_unfused", 64, 64, ring(32, 7681, 16), unfused()},
                       setup{"cols320_check3", 320, 64, ring(32, 7681, 16), check_every(3)},
+                      setup{"cols256_table1_check2", 256, 256, ring(256, 12289, 16),
+                            check_every(2)},
                       setup{"cols256_reduced", 256, 64, ring(64, 257, 16), reduced()}),
     [](const ::testing::TestParamInfo<setup>& param) { return param.param.name; });
+
+// --- Hand-built ripple loops: the interpreter runs a fused loop as one
+// record, and must still stop where the reference stops. ---
+
+// 16 tiles of 16 bits on 256 columns (four limbs).  Row 0 holds 2^t - 1 in
+// tile t (0xFFFF in tile 15, whose carry leaves the tile), row 1 holds 1.
+std::unique_ptr<sram::subarray> ripple_array(int fault) {
+  auto a = std::make_unique<sram::subarray>(4, sram::tile_geometry{256, 16}, sram::tech_45nm());
+  for (unsigned t = 0; t < 16; ++t) {
+    a->host_write_word(t, 0, t == 15 ? 0xFFFF : (u64{1} << t) - 1);
+    a->host_write_word(t, 1, 1);
+  }
+  // A stuck-at-1 column keeps the carry row nonzero: the loop never ends.
+  if (fault >= 0) a->inject_stuck_column(100, fault == 1);
+  return a;
+}
+
+std::size_t ripple_records(const loaded_program& p) {
+  return static_cast<std::size_t>(std::ranges::count(p.ops, kernel::ripple, &loaded_op::id));
+}
+
+// Runs `prog` from fresh arrays under every budget from 1 to `max_budget`,
+// so the watchdog fires on each op of the loop (shift, pair, check and
+// branch) in turn, and compares the interpreter with the reference.
+void expect_matches_under_every_budget(const program& prog, std::uint64_t max_budget) {
+  for (const int fault : {-1, 0, 1}) {
+    bool completed = false;
+    for (std::uint64_t budget = 1; budget <= max_budget; ++budget) {
+      SCOPED_TRACE("fault " + std::to_string(fault) + ", budget " + std::to_string(budget));
+      auto interp = ripple_array(fault);
+      auto ref = ripple_array(fault);
+      const auto got = run_guarded([&] { return executor(budget).run(prog, *interp); });
+      const auto want = run_guarded([&] { return step(prog, *ref, budget); });
+      ASSERT_EQ(got.has_value(), want.has_value());
+      if (got) {
+        EXPECT_EQ(got->executed_ops, want->executed_ops);
+        EXPECT_EQ(got->executed_ctrl, want->executed_ctrl);
+        EXPECT_EQ(got->halted, want->halted);
+        completed = true;
+      }
+      expect_same_state(*interp, *ref);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_EQ(completed, fault != 1) << "fault " << fault;
+  }
+}
+
+TEST(InterpreterRipple, WatchdogOnEachOpOfAFusedLoopMatchesTheReference) {
+  for (const unsigned period : {1u, 2u, 3u}) {
+    SCOPED_TRACE("period " + std::to_string(period));
+    program_builder b;
+    b.pair(1, 0, 0, 1);
+    const auto loop = b.here();
+    for (unsigned i = 0; i < period; ++i) {
+      b.shift(1, 1, sram::shift_dir::left, /*expect_lossless=*/true);
+      b.pair(1, 0, 0, 1);
+    }
+    b.check_zero(1);
+    b.branch_nonzero_to(loop);
+    b.halt();
+    const program prog = b.take();
+    ASSERT_EQ(ripple_records(executor::load(prog, *ripple_array(-1))), 1u);
+    expect_matches_under_every_budget(prog, 100);
+  }
+}
+
+TEST(InterpreterRipple, ALoopEnteredMidBodyStaysUnfusedAndMatches) {
+  program_builder b;
+  b.pair(1, 0, 0, 1);
+  b.check_zero(2);  // row 2 is clear: the branch below is taken
+  const auto into_body = b.reserve_branch_zero();
+  const auto loop = b.here();
+  b.shift(1, 1, sram::shift_dir::left, /*expect_lossless=*/true);
+  b.patch_to_here(into_body);
+  b.pair(1, 0, 0, 1);
+  b.check_zero(1);
+  b.branch_nonzero_to(loop);
+  b.halt();
+  const program prog = b.take();
+  ASSERT_EQ(ripple_records(executor::load(prog, *ripple_array(-1))), 0u);
+  expect_matches_under_every_budget(prog, 100);
+}
 
 }  // namespace
 }  // namespace bpntt::isa
