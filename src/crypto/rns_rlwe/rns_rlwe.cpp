@@ -94,15 +94,6 @@ const rns::rns_basis& scheme::basis_at(std::size_t level) const {
   return q_bases_[level];
 }
 
-const rns::rns_basis& scheme::union_basis_at(std::size_t level) const {
-  if (level >= u_bases_.size()) {
-    throw std::invalid_argument("rns_rlwe: level " + std::to_string(level) +
-                                " is past the floor of a " + std::to_string(u_bases_.size()) +
-                                "-level chain");
-  }
-  return u_bases_[level];
-}
-
 std::size_t scheme::evk_index(std::size_t level, std::size_t u) const {
   const std::size_t kq = params_.primes.size() - level;
   return u < kq ? u : params_.primes.size() + (u - kq);

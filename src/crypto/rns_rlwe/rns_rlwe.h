@@ -67,8 +67,6 @@ class scheme {
   // Chain length: a k-limb set has k levels and supports k-1 multiplies.
   [[nodiscard]] std::size_t levels() const noexcept { return q_bases_.size(); }
   [[nodiscard]] const rns::rns_basis& basis_at(std::size_t level) const;
-  // The union basis Q_level ∪ P relinearization lifts into at this level.
-  [[nodiscard]] const rns::rns_basis& union_basis_at(std::size_t level) const;
 
   // Encrypt n message residues (each < plain_modulus) at the top level.
   [[nodiscard]] ciphertext encrypt(const std::vector<u64>& message);
@@ -104,7 +102,8 @@ class scheme {
   [[nodiscard]] std::vector<std::vector<u64>> run_products(const std::vector<prod_spec>& ps);
   void keygen();
   void build_evaluation_key();
-  // Index into the full-union evk arrays for limb u of union_basis_at(level).
+  // Index into the full-union evk arrays for limb u of the union basis
+  // Q_level ∪ P at this level (u_bases_[level]).
   [[nodiscard]] std::size_t evk_index(std::size_t level, std::size_t u) const;
   void require_ciphertext(const ciphertext& ct, const char* what) const;
   // phase = c0 - c1*s lifted to wide coefficients over the level basis.

@@ -56,12 +56,10 @@ void context::finish_construction() {
   backend_->attach_recorder(recorder_.get());
 
   // On-array residency exists only where device rows do: banked backends
-  // get a manager whose placement domains are their banks, with the
-  // configured subarrays minus the CTRL/CMD one per bank; it sizes its own
-  // slots from operand_cache_entries.  Host backends ignore the option.
+  // get a manager whose placement domains are their banks; it splits
+  // operand_cache_entries over them.  Host backends ignore the option.
   if (caps_.banks() != 0 && opts_.operand_cache_entries != 0) {
     const residency_manager::config rc{.banks = caps_.banks(),
-                                       .data_subarrays = std::max(1u, opts_.topo.subarrays - 1),
                                        .entries = opts_.operand_cache_entries,
                                        .rows_per_operand = static_cast<unsigned>(opts_.params.n)};
     resman_ = std::make_unique<residency_manager>(rc, registry_, recorder_.get());

@@ -210,8 +210,8 @@ class context {
   // residency is disabled or the backend has no device rows).
   [[nodiscard]] std::size_t operand_cache_size() const noexcept;
   // Device rows currently held by resident operands, and the rows the
-  // residency slots can hold (slots x n; see residency_manager.h).  Safe
-  // from any thread.
+  // residency slots can hold (operand_cache_entries x n; see
+  // residency_manager.h).  Safe from any thread.
   [[nodiscard]] u64 resident_rows() const noexcept;
   [[nodiscard]] u64 resident_row_capacity() const noexcept;
   // Drop the resident images of one operand (across every limb prime and

@@ -34,16 +34,15 @@ void note_instant(telemetry::trace_recorder* rec, telemetry::trace_op op, core::
                .arg = arg, .op = op});
 }
 
-// The budget's entries x n rows spread evenly over every data subarray;
-// each subarray holds the whole operands that fit in its share.
-unsigned slots_per_bank(const residency_manager::config& cfg) {
-  if (cfg.banks == 0 || cfg.data_subarrays == 0 || cfg.rows_per_operand == 0) {
-    throw std::invalid_argument("residency_manager: banks/subarrays/rows must be >= 1");
+// Each bank's exact share of the budget: entries / banks slots, plus one
+// more for each of the first entries % banks banks.
+std::vector<unsigned> slots_per_bank(const residency_manager::config& cfg) {
+  if (cfg.banks == 0 || cfg.rows_per_operand == 0) {
+    throw std::invalid_argument("residency_manager: banks/rows must be >= 1");
   }
-  const core::u64 regions = static_cast<core::u64>(cfg.banks) * cfg.data_subarrays;
-  const core::u64 rows_per_subarray =
-      (static_cast<core::u64>(cfg.entries) * cfg.rows_per_operand + regions - 1) / regions;
-  return cfg.data_subarrays * static_cast<unsigned>(rows_per_subarray / cfg.rows_per_operand);
+  std::vector<unsigned> slots(cfg.banks, cfg.entries / cfg.banks);
+  for (unsigned b = 0; b < cfg.entries % cfg.banks; ++b) ++slots[b];
+  return slots;
 }
 
 }  // namespace
@@ -51,7 +50,7 @@ unsigned slots_per_bank(const residency_manager::config& cfg) {
 residency_manager::residency_manager(const config& cfg, telemetry::metrics_registry& registry,
                                      telemetry::trace_recorder* rec)
     : cfg_(cfg),
-      slots_per_bank_(slots_per_bank(cfg)),
+      slots_(slots_per_bank(cfg)),
       used_(cfg.banks, 0),
       hits_(registry.make_counter("cache.hits")),
       misses_(registry.make_counter("cache.misses")),
@@ -100,50 +99,30 @@ void residency_manager::publish_rows_locked() {
   }
 }
 
-bool residency_manager::evict_one_locked(std::optional<unsigned> bank) {
+bool residency_manager::evict_one_locked(unsigned bank) {
   // order_ front = most recent; evict from the back, skipping pinned
-  // entries (and, when the caller is relieving pressure on one bank,
-  // entries resident elsewhere).
+  // entries and entries resident on other banks.
   for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
     const auto ent = entries_.find(*it);
     if (ent == entries_.end()) continue;  // unreachable; defensive
-    if (bank && ent->second.bank != *bank) continue;
+    if (ent->second.bank != bank) continue;
     if (pinned_registered_locked(ent->first.digest, ent->second.coeffs)) continue;
     const core::u64 ring_q = ent->first.ring_q;
-    const unsigned freed_bank = ent->second.bank;
     erase_locked(ent);
     evictions_.add();
-    note_instant(rec_, telemetry::trace_op::resident_evict, ring_q, freed_bank);
+    note_instant(rec_, telemetry::trace_op::resident_evict, ring_q, bank);
     publish_rows_locked();
     return true;
   }
   return false;
 }
 
-std::optional<unsigned> residency_manager::place_locked(unsigned want_bank) {
-  const auto take = [this](unsigned b) {
-    if (used_[b] == slots_per_bank_) return false;
-    ++used_[b];
-    return true;
-  };
-  // The preferred bank first; then spill to any bank with a free slot —
-  // a resident on a foreign bank serves warm as a cheap on-chip row move,
-  // which always beats evicting a still-useful entry and recomputing it.
-  if (take(want_bank)) return want_bank;
-  for (unsigned b = 0; b < cfg_.banks; ++b) {
-    if (b != want_bank && take(b)) return b;
+bool residency_manager::place_locked(unsigned bank) {
+  while (used_[bank] == slots_[bank]) {
+    if (!evict_one_locked(bank)) return false;
   }
-  // Capacity pressure: evict the preferred bank's own LRU unpinned entries.
-  while (evict_one_locked(want_bank)) {
-    if (take(want_bank)) return want_bank;
-  }
-  // Global pressure: evict the coldest unpinned entry anywhere, retry.
-  while (evict_one_locked(std::nullopt)) {
-    for (unsigned b = 0; b < cfg_.banks; ++b) {
-      if (take(b)) return b;
-    }
-  }
-  return std::nullopt;  // every slot pinned (or the operand outsizes every subarray)
+  ++used_[bank];
+  return true;
 }
 
 std::optional<residency_manager::hit> residency_manager::lookup(
@@ -183,10 +162,9 @@ void residency_manager::insert(core::u64 ring_q, core::transform_dir dir,
     touch_locked(it->second, k);
     return;
   }
-  const auto home = place_locked(bank);
-  if (!home) return;  // no placement even after eviction: drop, never misfile
+  if (!place_locked(bank)) return;  // a zero share or all pinned: drop, never misfile
   order_.push_front(k);
-  entries_.emplace(k, entry{coeffs, std::move(transformed), *home, order_.begin()});
+  entries_.emplace(k, entry{coeffs, std::move(transformed), bank, order_.begin()});
   publish_rows_locked();
 }
 

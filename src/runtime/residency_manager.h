@@ -7,21 +7,24 @@
 // manager owns that story for the whole runtime: every cached transform is
 // keyed by (operand digest, limb prime, direction) and mapped to the bank
 // holding its rows.  A resident operand is always exactly n rows, so each
-// bank is a count of n-row slots: the configured `entries` operands are
-// spread evenly over every data subarray, ceil(entries·n / (banks·data
-// subarrays)) rows each, and a subarray holds the whole operands that fit
-// in its share.  Capacity pressure is resolved by LRU eviction within the
-// unpinned pressure class (pinned entries — evaluation keys, long-lived
-// constants — are exempt); an insert that cannot place even after eviction
-// is dropped, never misfiled.
+// bank is a count of n-row slots, and each bank's count is its exact share
+// of the configured `entries`: entries / banks, plus one for each of the
+// first entries % banks banks.
 //
-// Placement follows execution: an image is made resident on the bank whose
-// wave transformed it (the rows are written where the transform ran), and
-// spills to another bank only when that one is full.  A limb stream keeps
-// dispatching to the same banks, so a fixed evaluation key's per-limb
-// images stay warm where they are used.  Only a backend with device rows
-// has residency: the context builds a manager for banked backends alone,
-// and the host backends (cpu/reference) transform every operand.
+// Residency is bank-local: an image is made resident only on the bank whose
+// wave transformed it (the rows are written where the transform ran).  When
+// that bank is full, its own least recently used unpinned entry is evicted
+// (pinned entries — evaluation keys, long-lived constants — are exempt);
+// when nothing on it can be evicted, the insert is dropped, never misfiled.
+// Placement and eviction on a bank therefore happen only inside dispatches
+// that hold the bank, which the scheduler runs in admission order, so they
+// do not depend on host timing.  (A cross-bank warm serve, when two
+// streams of one prime run on different banks, still reads another bank's
+// entry and can race with its eviction.)  A limb stream keeps dispatching
+// to the same banks, so a fixed evaluation key's per-limb images stay warm
+// where they are used.  Only a backend with device rows has residency: the
+// context builds a manager for banked backends alone, and the host
+// backends (cpu/reference) transform every operand.
 //
 // Correctness contract is unchanged from the operand cache it replaces:
 // a 64-bit FNV-1a digest qualified by modulus and direction, exact-match
@@ -62,8 +65,7 @@ class residency_manager {
  public:
   struct config {
     unsigned banks = 1;             // placement domains (the device's banks)
-    unsigned data_subarrays = 1;    // reservable subarrays per bank (CTRL/CMD excluded)
-    unsigned entries = 0;           // operand budget to spread; 0 disables residency
+    unsigned entries = 0;           // operand budget to split; 0 disables residency
     unsigned rows_per_operand = 1;  // rows one resident operand occupies (= ring order n)
   };
 
@@ -89,14 +91,14 @@ class residency_manager {
   [[nodiscard]] std::optional<hit> lookup(core::u64 ring_q, core::transform_dir dir,
                                           const std::vector<core::u64>& coeffs);
 
-  // Make transformed = NTT_{ring_q,dir}(coeffs) resident.  Placement
-  // prefers `bank` (the bank the transform executed on) and spills to any
-  // bank with a free slot; capacity pressure evicts LRU unpinned entries
-  // (`bank` first, then anywhere).  When nothing can be evicted — every
-  // slot holds a pinned entry, or an operand outsizes every subarray — the
-  // insert is dropped.  Re-inserting a resident key refreshes recency (and,
-  // on a digest collision, the payload) in place.  std::logic_error if the
-  // device has no such bank or `coeffs` is not rows_per_operand long.
+  // Make transformed = NTT_{ring_q,dir}(coeffs) resident on `bank`, the
+  // bank the transform executed on, and nowhere else.  When `bank` is full,
+  // its least recently used unpinned entry is evicted; when it has none
+  // (a zero share, or every slot pinned) the insert is dropped.  No other
+  // bank's entry is ever evicted for it.  Re-inserting a resident key
+  // refreshes recency (and, on a digest collision, the payload) in place.
+  // std::logic_error if the device has no such bank or `coeffs` is not
+  // rows_per_operand long.
   void insert(core::u64 ring_q, core::transform_dir dir, const std::vector<core::u64>& coeffs,
               std::vector<core::u64> transformed, unsigned bank);
 
@@ -123,10 +125,11 @@ class residency_manager {
   void note_move(core::u64 ring_q, unsigned from_bank);
 
   [[nodiscard]] std::size_t size() const;
-  // Rows held by resident operands, and the rows every slot could hold.
+  // Rows held by resident operands, and the rows every slot could hold
+  // (entries x n: the shares add up to the whole budget).
   [[nodiscard]] core::u64 resident_rows() const;
   [[nodiscard]] core::u64 capacity_rows() const noexcept {
-    return static_cast<core::u64>(cfg_.banks) * slots_per_bank_ * cfg_.rows_per_operand;
+    return static_cast<core::u64>(cfg_.entries) * cfg_.rows_per_operand;
   }
   [[nodiscard]] core::u64 hits() const noexcept { return hits_.value(); }
   [[nodiscard]] core::u64 misses() const noexcept { return misses_.value(); }
@@ -154,17 +157,17 @@ class residency_manager {
   void touch_locked(entry& e, const key& k);
   [[nodiscard]] bool pinned_registered_locked(core::u64 digest,
                                               const std::vector<core::u64>& coeffs) const;
-  // Evict the least recently used unpinned entry (confined to `bank` when
-  // set); returns whether anything was evicted.
-  bool evict_one_locked(std::optional<unsigned> bank);
-  // Take a slot for a new entry near `want_bank`, evicting under pressure;
-  // returns its bank.  std::nullopt when no placement exists.
-  [[nodiscard]] std::optional<unsigned> place_locked(unsigned want_bank);
+  // Evict `bank`'s least recently used unpinned entry; returns whether
+  // anything was evicted.
+  bool evict_one_locked(unsigned bank);
+  // Take a slot on `bank`, evicting its own entries under pressure; false
+  // when the bank has no slot to give.
+  [[nodiscard]] bool place_locked(unsigned bank);
   void erase_locked(std::map<key, entry>::iterator it);
   void publish_rows_locked();
 
   const config cfg_;
-  const unsigned slots_per_bank_;
+  const std::vector<unsigned> slots_;  // each bank's share of the budget
   mutable std::mutex mu_;
   std::vector<unsigned> used_;  // occupied slots per bank
   std::map<key, entry> entries_;

@@ -1,6 +1,7 @@
-// Runtime cache tests: the residency_manager unit surface (slot budget,
-// exact keying, LRU eviction under capacity pressure, pinning,
-// invalidation), the LRU-bounded per-modulus retarget caches of all three
+// Runtime cache tests: the residency_manager unit surface (the slot budget
+// and its exact split over the banks, exact keying, bank-local placement
+// and LRU eviction under capacity pressure, pinning, invalidation), the
+// LRU-bounded per-modulus retarget caches of all three
 // backends (eviction, rebuild-on-reuse, the probe), the one same-modulus
 // rule every backend's ring cache applies, and the sram backend's one
 // kernel library per ring.
@@ -23,13 +24,12 @@ namespace {
 
 constexpr u64 kOrder = 32;
 
-// A one-bank, one-subarray manager with room for exactly `entries`
-// operands of order kOrder — the residency equivalent of the old
+// A one-bank manager with room for exactly `entries` operands of order
+// kOrder — the residency equivalent of the old
 // operand_cache(entries).
 residency_manager::config slots(unsigned entries) {
   residency_manager::config cfg;
   cfg.banks = 1;
-  cfg.data_subarrays = 1;
   cfg.entries = entries;
   cfg.rows_per_operand = static_cast<unsigned>(kOrder);
   return cfg;
@@ -161,7 +161,6 @@ TEST(ResidencyManagerUnit, InsertResidesOnTheExecutingBank) {
   // rather than a silent fallback.
   residency_manager::config cfg;
   cfg.banks = 4;
-  cfg.data_subarrays = 1;
   cfg.entries = 16;
   cfg.rows_per_operand = static_cast<unsigned>(kOrder);
   telemetry::metrics_registry reg;
@@ -189,6 +188,90 @@ TEST(ResidencyManagerUnit, InsertResidesOnTheExecutingBank) {
                             poly_of(15), 0),
                std::logic_error);
   EXPECT_EQ(cache.size(), 3u);
+}
+
+// A four-bank manager splitting `entries` operands of order kOrder.
+residency_manager::config four_banks(unsigned entries) {
+  residency_manager::config cfg = slots(entries);
+  cfg.banks = 4;
+  return cfg;
+}
+
+TEST(ResidencyManagerUnit, TheBudgetSplitsExactlyOverTheBanks) {
+  // 5 entries over 4 banks: 2, 1, 1, 1 slots, and every entry is a slot.
+  telemetry::metrics_registry reg;
+  residency_manager cache(four_banks(5), reg);
+  EXPECT_EQ(cache.capacity_rows(), 5 * kOrder);
+  cache.insert(97, core::transform_dir::forward, poly_of(1), poly_of(11), 0);
+  cache.insert(97, core::transform_dir::forward, poly_of(2), poly_of(12), 0);
+  for (unsigned bank = 1; bank < 4; ++bank) {
+    cache.insert(97, core::transform_dir::forward, poly_of(2 + bank), poly_of(12 + bank), bank);
+  }
+  EXPECT_EQ(cache.size(), 5u);
+  EXPECT_EQ(cache.evictions(), 0u);
+  EXPECT_EQ(cache.resident_rows(), cache.capacity_rows());
+
+  // Bank 0's third operand and bank 1's second each evict one.
+  cache.insert(97, core::transform_dir::forward, poly_of(6), poly_of(16), 0);
+  EXPECT_EQ(cache.evictions(), 1u);
+  cache.insert(97, core::transform_dir::forward, poly_of(7), poly_of(17), 1);
+  EXPECT_EQ(cache.evictions(), 2u);
+  EXPECT_EQ(cache.size(), 5u);
+}
+
+TEST(ResidencyManagerUnit, AFullBankEvictsItsOwnColdestEntryAndNeverPlacesElsewhere) {
+  // Two slots per bank.  c on bank 1 is the coldest entry overall, and
+  // banks 1-3 have free slots, yet the pressure on bank 0 evicts bank 0's
+  // own LRU entry a and the new image resides on bank 0.
+  telemetry::metrics_registry reg;
+  residency_manager cache(four_banks(8), reg);
+  const auto a = poly_of(1), b = poly_of(2), c = poly_of(3), d = poly_of(4);
+  cache.insert(97, core::transform_dir::forward, c, poly_of(13), 1);
+  cache.insert(97, core::transform_dir::forward, a, poly_of(11), 0);
+  cache.insert(97, core::transform_dir::forward, b, poly_of(12), 0);
+  cache.insert(97, core::transform_dir::forward, d, poly_of(14), 0);
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_FALSE(cache.lookup(97, core::transform_dir::forward, a).has_value());
+  const auto hc = cache.lookup(97, core::transform_dir::forward, c);
+  ASSERT_TRUE(hc.has_value());
+  EXPECT_EQ(hc->home_bank, 1u);
+  const auto hd = cache.lookup(97, core::transform_dir::forward, d);
+  ASSERT_TRUE(hd.has_value());
+  EXPECT_EQ(hd->home_bank, 0u);
+  EXPECT_EQ(cache.banks_holding(97), (std::vector<unsigned>{0u, 1u}));
+}
+
+TEST(ResidencyManagerUnit, ABankWithAZeroShareDropsItsInserts) {
+  // 2 entries over 4 banks: banks 0 and 1 get one slot each, banks 2 and 3
+  // none, and their inserts neither evict nor land on a bank with room.
+  telemetry::metrics_registry reg;
+  residency_manager cache(four_banks(2), reg);
+  EXPECT_EQ(cache.capacity_rows(), 2 * kOrder);
+  const auto a = poly_of(1);
+  cache.insert(97, core::transform_dir::forward, a, poly_of(11), 2);
+  cache.insert(97, core::transform_dir::forward, poly_of(2), poly_of(12), 3);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.evictions(), 0u);
+  EXPECT_FALSE(cache.lookup(97, core::transform_dir::forward, a).has_value());
+  cache.insert(97, core::transform_dir::forward, a, poly_of(11), 0);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.banks_holding(97), std::vector<unsigned>{0u});
+}
+
+TEST(ResidencyManagerUnit, ABankFullOfPinnedEntriesDropsItsInserts) {
+  // One slot per bank; bank 0's holds a pinned operand, so b is dropped
+  // rather than evicting the pin or moving to a free bank.
+  telemetry::metrics_registry reg;
+  residency_manager cache(four_banks(4), reg);
+  const auto a = poly_of(1), b = poly_of(2);
+  cache.pin(a);
+  cache.insert(97, core::transform_dir::forward, a, poly_of(11), 0);
+  cache.insert(97, core::transform_dir::forward, b, poly_of(12), 0);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.evictions(), 0u);
+  EXPECT_TRUE(cache.lookup(97, core::transform_dir::forward, a).has_value());
+  EXPECT_FALSE(cache.lookup(97, core::transform_dir::forward, b).has_value());
 }
 
 // ---- retarget cache bound --------------------------------------------------

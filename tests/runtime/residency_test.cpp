@@ -2,11 +2,13 @@
 // residency on vs off, the sram cost ladder (warm same-bank = 0 cycles,
 // warm cross-bank strictly between 0 and cold), eviction under a small row
 // budget, the budget the he_mul workload runs with and its pinned cycles
-// at one thread, the pin lifecycle at the context surface, and concurrent
-// probe safety (TSan-checked in CI).
+// at one thread and at one thread per channel, the same level under
+// pressure budgets, the pin lifecycle at the context surface, and
+// concurrent probe safety (TSan-checked in CI).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -168,70 +170,117 @@ TEST(ResidencySram, EvictionUnderPressureKeepsBitIdentity) {
 // ---- the budget the he_mul workload runs with -------------------------------
 
 TEST(ResidencyBudget, HeMulLevelOnFourBanksKeepsTheDefaultOperandBudget) {
-  // The default 64-operand budget at n = 128, spread over 4 banks x 3 data
-  // subarrays: ceil(64 * 128 / 12) = 683 rows per subarray hold 5 whole
-  // operands, so 60 slots of 128 rows — 7680 rows, not the 8196 the 683-row
-  // shares add up to.
+  // The default 64-operand budget at n = 128, split exactly over 4 banks:
+  // 16 slots each, 64 x 128 = 8192 rows.
   const auto opts =
       runtime_options::for_rns_param_set(crypto::he_rns_rlwe_level(20, 2, 128).level_set())
           .with_backend(backend_kind::sram)
           .with_topology(4, 1, 4)
           .with_threads(1);
   context ctx(opts);
-  EXPECT_EQ(ctx.resident_row_capacity(), 7680u);
+  EXPECT_EQ(ctx.resident_row_capacity(), 8192u);
+}
+
+// What one he_mul level measures: the modelled cycles of a cold and a warm
+// multiply and the residency counters after the warm one.
+struct he_mul_level {
+  u64 cold_cycles, warm_cycles, warm_hits;
+  u64 resident_rows_peak, evictions, moves;
+  bool operator==(const he_mul_level&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const he_mul_level& m) {
+  return os << "{cold " << m.cold_cycles << ", warm " << m.warm_cycles << ", hits "
+            << m.warm_hits << ", rows peak " << m.resident_rows_peak << ", evictions "
+            << m.evictions << ", moves " << m.moves << "}";
+}
+
+// The channel count of a `limbs`-limb level: one bank per chain and
+// key-switching prime.
+unsigned channels_of(unsigned limbs) {
+  const auto params = crypto::he_rns_rlwe_level(20, limbs, 128);
+  return static_cast<unsigned>(params.primes.size() + params.ks_primes.size());
 }
 
 // bench_rns_rlwe's run_one without the walk down the chain: encrypt, a cold
-// top-level multiply and its decryption, then the warm repeat.  At one
-// executor thread the groups complete in admission order, so every
-// placement, spill and eviction — and with them the modelled cycles — is
-// deterministic.
-TEST(ResidencyBudget, HeMulLevelsAtOneThreadArePinned) {
-  struct pin {
-    unsigned limbs;
-    u64 cold_cycles, warm_cycles, warm_hits;
-    u64 resident_rows_peak, evictions, moves;
-  };
-  for (const pin& want : {pin{2, 836'339, 521'400, 16, 3'456, 0, 0},
-                          pin{3, 848'795, 519'431, 24, 5'248, 0, 0},
-                          pin{4, 848'684, 686'903, 30, 6'144, 9, 17}}) {
-    SCOPED_TRACE("limbs = " + std::to_string(want.limbs));
-    const auto params = crypto::he_rns_rlwe_level(20, want.limbs, 128);
-    const auto channels = static_cast<unsigned>(params.primes.size() + params.ks_primes.size());
-    const auto opts = runtime_options::for_rns_param_set(params.level_set())
-                          .with_backend(backend_kind::sram)
-                          .with_topology(channels, 1, 4)
-                          .with_threads(1);
-    context ctx(opts);
-    crypto::rns_rlwe::scheme sch(ctx, params, 6060 + want.limbs);
-    common::xoshiro256ss rng(17 + want.limbs);
-    std::vector<u64> plain(128);
-    for (auto& b : plain) b = rng() & 1ULL;
-    const auto ct = sch.encrypt(plain);
+// top-level multiply and its decryption, then the warm repeat, on one bank
+// per channel with `threads` executor threads and a budget of `entries`
+// operands (the default when 0).
+he_mul_level run_he_mul_level(unsigned limbs, unsigned threads, unsigned entries = 0) {
+  const auto params = crypto::he_rns_rlwe_level(20, limbs, 128);
+  auto opts = runtime_options::for_rns_param_set(params.level_set())
+                  .with_backend(backend_kind::sram)
+                  .with_topology(channels_of(limbs), 1, 4)
+                  .with_threads(threads);
+  if (entries != 0) opts = opts.with_operand_cache(entries);
+  context ctx(opts);
+  crypto::rns_rlwe::scheme sch(ctx, params, 6060 + limbs);
+  common::xoshiro256ss rng(17 + limbs);
+  std::vector<u64> plain(128);
+  for (auto& b : plain) b = rng() & 1ULL;
+  const auto ct = sch.encrypt(plain);
 
-    const auto cold_start = ctx.stats();
-    const auto first = sch.multiply(ct, ct);
-    const auto cold_end = ctx.stats();
-    std::vector<u64> square(plain.size(), 0);  // the GF(2) negacyclic square
-    for (std::size_t i = 0; i < plain.size(); ++i) {
-      for (std::size_t j = 0; j < plain.size(); ++j) {
-        square[(i + j) % plain.size()] ^= plain[i] & plain[j];
-      }
+  const auto cold_start = ctx.stats();
+  const auto first = sch.multiply(ct, ct);
+  const auto cold_end = ctx.stats();
+  std::vector<u64> square(plain.size(), 0);  // the GF(2) negacyclic square
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    for (std::size_t j = 0; j < plain.size(); ++j) {
+      square[(i + j) % plain.size()] ^= plain[i] & plain[j];
     }
-    ASSERT_EQ(sch.decrypt(first), square);
+  }
+  EXPECT_EQ(sch.decrypt(first), square);
 
-    const auto warm_start = ctx.stats();
-    const auto second = sch.multiply(ct, ct);
-    const auto warm_end = ctx.stats();
-    ASSERT_EQ(second.c0.residues, first.c0.residues);
-    ASSERT_EQ(second.c1.residues, first.c1.residues);
+  const auto warm_start = ctx.stats();
+  const auto second = sch.multiply(ct, ct);
+  const auto warm_end = ctx.stats();
+  EXPECT_EQ(second.c0.residues, first.c0.residues);
+  EXPECT_EQ(second.c1.residues, first.c1.residues);
 
-    EXPECT_EQ(cold_end.wall_cycles - cold_start.wall_cycles, want.cold_cycles);
-    EXPECT_EQ(warm_end.wall_cycles - warm_start.wall_cycles, want.warm_cycles);
-    EXPECT_EQ(warm_end.operand_cache_hits - warm_start.operand_cache_hits, want.warm_hits);
-    EXPECT_EQ(warm_end.resident_rows_peak, want.resident_rows_peak);
-    EXPECT_EQ(warm_end.residency_evictions, want.evictions);
-    EXPECT_EQ(warm_end.residency_moves, want.moves);
+  return {cold_end.wall_cycles - cold_start.wall_cycles,
+          warm_end.wall_cycles - warm_start.wall_cycles,
+          warm_end.operand_cache_hits - warm_start.operand_cache_hits,
+          warm_end.resident_rows_peak,
+          warm_end.residency_evictions,
+          warm_end.residency_moves};
+}
+
+// The pins of every bench_rns_rlwe row at the default budget.  Each image
+// resides on the bank that transformed it, and a bank's placement and
+// eviction happen only inside dispatches holding it, which run in
+// admission order — so the pins hold at any executor thread count.
+struct level_pin {
+  unsigned limbs;
+  he_mul_level want;
+};
+const level_pin kLevelPins[] = {{2, {836'339, 521'400, 16, 3'456, 0, 0}},
+                                {3, {848'795, 519'431, 24, 5'248, 0, 0}},
+                                {4, {848'684, 527'180, 32, 6'144, 10, 0}}};
+
+TEST(ResidencyBudget, HeMulLevelsAtOneThreadArePinned) {
+  for (const auto& pin : kLevelPins) {
+    SCOPED_TRACE("limbs = " + std::to_string(pin.limbs));
+    EXPECT_EQ(run_he_mul_level(pin.limbs, 1), pin.want);
+  }
+}
+
+TEST(ResidencyBudget, HeMulLevelsAtOneThreadPerChannelMatchTheSamePins) {
+  for (const auto& pin : kLevelPins) {
+    SCOPED_TRACE("limbs = " + std::to_string(pin.limbs));
+    EXPECT_EQ(run_he_mul_level(pin.limbs, channels_of(pin.limbs)), pin.want);
+  }
+}
+
+TEST(ResidencyBudget, PressureBudgetsGiveTheSameLevelAtOneThreadAndOnePerChannel) {
+  // Budgets small enough to evict on the 4-limb level's 8 banks: 24 slots
+  // (3 a bank) and 12 (2 on banks 0-3, 1 on banks 4-7).
+  for (const unsigned entries : {24u, 12u}) {
+    SCOPED_TRACE("entries = " + std::to_string(entries));
+    const auto serial = run_he_mul_level(4, 1, entries);
+    EXPECT_EQ(run_he_mul_level(4, channels_of(4), entries), serial);
+    EXPECT_GT(serial.evictions, 0u);
+    EXPECT_GT(serial.warm_hits, 0u);
+    EXPECT_LE(serial.resident_rows_peak, u64{entries} * 128);
   }
 }
 
