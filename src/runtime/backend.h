@@ -144,9 +144,9 @@ class backend {
   // no device rows, or residency disabled).  The sram backend consults it
   // on ring-overridden dispatches to serve resident operands instead of
   // re-transforming: a warm operand on an executing bank costs zero array
-  // cycles, a warm operand on a foreign bank costs an on-chip row move, a
-  // miss transforms and takes up residence.  Residency may only change
-  // cycles, never outputs.
+  // cycles; anything else, an operand resident only on another bank
+  // included, is a miss that transforms and takes up residence on the bank
+  // that ran it.  Residency may only change cycles, never outputs.
   void attach_residency(residency_manager* resman) noexcept { resman_ = resman; }
 
   // Installed once by the owning context when tracing is enabled (nullptr =

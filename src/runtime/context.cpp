@@ -394,7 +394,6 @@ scheduler_stats context::stats() const {
     s.operand_cache_hits = resman_->hits();
     s.operand_cache_misses = resman_->misses();
     s.residency_evictions = resman_->evictions();
-    s.residency_moves = resman_->moves();
     s.resident_rows = resman_->resident_rows();
     s.resident_rows_peak = resman_->resident_rows_peak();
   }

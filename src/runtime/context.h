@@ -121,8 +121,9 @@ struct scheduler_stats {
   // Residents dropped under capacity pressure (LRU within the unpinned
   // class, charged against each bank's operand slots).
   u64 residency_evictions = 0;
-  // Warm serves paid as on-chip cross-bank row moves (operand resident,
-  // but not on a bank the dispatch held).
+  // Always 0: a dispatch is served only from banks it holds, and an image
+  // resident on another bank is a miss, so operands never move between
+  // banks.  Kept because external metric readers still read the field.
   u64 residency_moves = 0;
   // Scheduler claims that landed a group on a bank already holding its
   // limb operands.

@@ -24,7 +24,7 @@ void note_lookup(telemetry::trace_recorder* rec, bool hit, core::u64 ring_q) {
                .op = hit ? telemetry::trace_op::cache_hit : telemetry::trace_op::cache_miss});
 }
 
-// A residency lifecycle instant (evict / pin / move) on the cache
+// A residency lifecycle instant (evict / pin) on the cache
 // track; a = the limb prime (or digest for pins, which are ring-agnostic),
 // arg = the bank involved.
 void note_instant(telemetry::trace_recorder* rec, telemetry::trace_op op, core::u64 a,
@@ -51,11 +51,10 @@ residency_manager::residency_manager(const config& cfg, telemetry::metrics_regis
                                      telemetry::trace_recorder* rec)
     : cfg_(cfg),
       slots_(slots_per_bank(cfg)),
-      used_(cfg.banks, 0),
+      order_(cfg.banks),
       hits_(registry.make_counter("cache.hits")),
       misses_(registry.make_counter("cache.misses")),
       evictions_(registry.make_counter("residency.evictions")),
-      moves_(registry.make_counter("residency.moves")),
       resident_rows_(registry.make_gauge("residency.resident_rows")),
       resident_rows_peak_(registry.make_gauge("residency.resident_rows_peak")),
       rec_(rec) {}
@@ -75,9 +74,8 @@ core::u64 residency_manager::digest_of(const std::vector<core::u64>& coeffs) noe
 }
 
 void residency_manager::touch_locked(entry& e, const key& k) {
-  order_.erase(e.lru);
-  order_.push_front(k);
-  e.lru = order_.begin();
+  auto& order = order_[k.bank];
+  order.splice(order.begin(), order, e.lru);
 }
 
 bool residency_manager::pinned_registered_locked(core::u64 digest,
@@ -100,12 +98,11 @@ void residency_manager::publish_rows_locked() {
 }
 
 bool residency_manager::evict_one_locked(unsigned bank) {
-  // order_ front = most recent; evict from the back, skipping pinned
-  // entries and entries resident on other banks.
-  for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
+  // The bank's list front = most recent; evict from the back, skipping
+  // pinned entries.
+  const auto& order = order_[bank];
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const auto ent = entries_.find(*it);
-    if (ent == entries_.end()) continue;  // unreachable; defensive
-    if (ent->second.bank != bank) continue;
     if (pinned_registered_locked(ent->first.digest, ent->second.coeffs)) continue;
     const core::u64 ring_q = ent->first.ring_q;
     erase_locked(ent);
@@ -118,27 +115,29 @@ bool residency_manager::evict_one_locked(unsigned bank) {
 }
 
 bool residency_manager::place_locked(unsigned bank) {
-  while (used_[bank] == slots_[bank]) {
+  while (order_[bank].size() == slots_[bank]) {
     if (!evict_one_locked(bank)) return false;
   }
-  ++used_[bank];
   return true;
 }
 
-std::optional<residency_manager::hit> residency_manager::lookup(
-    core::u64 ring_q, core::transform_dir dir, const std::vector<core::u64>& coeffs) {
-  const key k{ring_q, static_cast<int>(dir), digest_of(coeffs)};
+std::optional<std::vector<core::u64>> residency_manager::lookup(
+    core::u64 ring_q, core::transform_dir dir, const std::vector<core::u64>& coeffs,
+    const std::vector<unsigned>& banks) {
+  const core::u64 digest = digest_of(coeffs);
   std::lock_guard<std::mutex> lk(mu_);
-  const auto it = entries_.find(k);
-  if (it == entries_.end() || it->second.coeffs != coeffs) {
-    misses_.add();
-    note_lookup(rec_, /*hit=*/false, ring_q);
-    return std::nullopt;
+  for (const unsigned bank : banks) {
+    const key k{bank, ring_q, static_cast<int>(dir), digest};
+    const auto it = entries_.find(k);
+    if (it == entries_.end() || it->second.coeffs != coeffs) continue;
+    touch_locked(it->second, k);
+    hits_.add();
+    note_lookup(rec_, /*hit=*/true, ring_q);
+    return it->second.transformed;
   }
-  touch_locked(it->second, k);
-  hits_.add();
-  note_lookup(rec_, /*hit=*/true, ring_q);
-  return hit{it->second.transformed, it->second.bank};
+  misses_.add();
+  note_lookup(rec_, /*hit=*/false, ring_q);
+  return std::nullopt;
 }
 
 void residency_manager::insert(core::u64 ring_q, core::transform_dir dir,
@@ -153,7 +152,7 @@ void residency_manager::insert(core::u64 ring_q, core::transform_dir dir,
                            "-coefficient operand, resident operands are " +
                            std::to_string(cfg_.rows_per_operand) + " rows");
   }
-  const key k{ring_q, static_cast<int>(dir), digest_of(coeffs)};
+  const key k{bank, ring_q, static_cast<int>(dir), digest_of(coeffs)};
   std::lock_guard<std::mutex> lk(mu_);
   const auto it = entries_.find(k);
   if (it != entries_.end()) {
@@ -163,8 +162,8 @@ void residency_manager::insert(core::u64 ring_q, core::transform_dir dir,
     return;
   }
   if (!place_locked(bank)) return;  // a zero share or all pinned: drop, never misfile
-  order_.push_front(k);
-  entries_.emplace(k, entry{coeffs, std::move(transformed), bank, order_.begin()});
+  order_[bank].push_front(k);
+  entries_.emplace(k, entry{coeffs, std::move(transformed), order_[bank].begin()});
   publish_rows_locked();
 }
 
@@ -196,8 +195,7 @@ std::size_t residency_manager::invalidate(const std::vector<core::u64>& coeffs) 
 }
 
 void residency_manager::erase_locked(std::map<key, entry>::iterator it) {
-  --used_[it->second.bank];
-  order_.erase(it->second.lru);
+  order_[it->first.bank].erase(it->second.lru);
   entries_.erase(it);
 }
 
@@ -212,15 +210,9 @@ std::vector<unsigned> residency_manager::banks_holding(core::u64 ring_q) const {
   std::lock_guard<std::mutex> lk(mu_);
   std::set<unsigned> banks;
   for (const auto& [k, e] : entries_) {
-    if (k.ring_q == ring_q) banks.insert(e.bank);
+    if (k.ring_q == ring_q) banks.insert(k.bank);
   }
   return {banks.begin(), banks.end()};
-}
-
-void residency_manager::note_move(core::u64 ring_q, unsigned from_bank) {
-  std::lock_guard<std::mutex> lk(mu_);
-  moves_.add();
-  note_instant(rec_, telemetry::trace_op::resident_move, ring_q, from_bank);
 }
 
 std::size_t residency_manager::size() const {

@@ -164,7 +164,8 @@ void scheduler::age_passed_over() {
 void scheduler::note_affinity(const dispatch_group& g) {
   // One hit per claimed group whose banks intersect the residency hint:
   // the group will find (some of) its limb operands already resident on
-  // banks it holds — the zero-cost warm path, not a cross-bank move.
+  // banks it holds — the zero-cost warm path (a resident image on any other
+  // bank is a miss).
   if (g.affinity_banks.empty()) return;
   bool intersects = false;
   for (const unsigned r : g.resources) {

@@ -8,7 +8,6 @@
 
 #include "runtime/executor.h"
 #include "runtime/residency_manager.h"
-#include "sram/tech_model.h"
 
 namespace bpntt::runtime {
 
@@ -111,44 +110,32 @@ batch_result sram_backend::shard(const std::vector<Job>& jobs, const dispatch_hi
   return out;
 }
 
-sram_backend::resident_images sram_backend::resident_or_transform(
+batch_result sram_backend::resident_or_transform(
     const std::vector<const std::vector<u64>*>& operands, transform_dir dir,
     const dispatch_hints& hints, const std::shared_ptr<core::kernel_library>& ring) {
-  resident_images r;
-  r.images.resize(operands.size());
   const std::vector<unsigned> set = resolve_bank_set(hints);
-  const auto& tech = bank_cfg_.array.tech;
+  std::vector<std::vector<u64>> images(operands.size());
   std::vector<std::size_t> miss;
   std::vector<std::vector<u64>> pending;
   for (std::size_t i = 0; i < operands.size(); ++i) {
-    auto cached = resman_->lookup(hints.ring_q, dir, *operands[i]);
-    if (!cached) {
+    auto cached = resman_->lookup(hints.ring_q, dir, *operands[i], set);
+    if (cached) {
+      images[i] = std::move(*cached);
+    } else {
       miss.push_back(i);
       pending.push_back(*operands[i]);
-      continue;
     }
-    if (std::find(set.begin(), set.end(), cached->home_bank) == set.end()) {
-      // Resident, but on a bank this dispatch does not hold: serve it over
-      // the shared data bus — one on-chip row move per operand row,
-      // serialized (the bus is one resource), still far below a cold
-      // re-transform.
-      const auto rows = static_cast<unsigned>(operands[i]->size());
-      r.move_stats.energy_pj += sram::energy_row_move_pj(tech, bank_cfg_.array.cols, rows);
-      resman_->note_move(hints.ring_q, cached->home_bank);
-      r.move_cycles += sram::row_move_cycles(tech, rows);
-    }
-    r.images[i] = std::move(cached->transformed);
   }
-  r.misses = shard(pending, hints,
-                   [&](core::bp_ntt_bank& bank, const std::vector<std::vector<u64>>& slice) {
-                     return bank.run_ntt_batch(slice, dir, ring);
-                   });
+  batch_result r = shard(pending, hints,
+                         [&](core::bp_ntt_bank& bank, const std::vector<std::vector<u64>>& slice) {
+                           return bank.run_ntt_batch(slice, dir, ring);
+                         });
   const unsigned wave = banks_[set.front()].lanes_per_wave();
   for (std::size_t k = 0; k < miss.size(); ++k) {
-    resman_->insert(hints.ring_q, dir, pending[k], r.misses.outputs[k],
-                    set[block_slot(k, set, wave)]);
-    r.images[miss[k]] = std::move(r.misses.outputs[k]);
+    resman_->insert(hints.ring_q, dir, pending[k], r.outputs[k], set[block_slot(k, set, wave)]);
+    images[miss[k]] = std::move(r.outputs[k]);
   }
+  r.outputs = std::move(images);
   return r;
 }
 
@@ -161,13 +148,7 @@ batch_result sram_backend::run_ntt(const std::vector<std::vector<u64>>& polys,
     std::vector<const std::vector<u64>*> operands;
     operands.reserve(polys.size());
     for (const auto& p : polys) operands.push_back(&p);
-    resident_images r = resident_or_transform(operands, dir, hints, ring);
-    out.outputs = std::move(r.images);
-    out.wall_cycles = r.move_cycles + r.misses.wall_cycles;
-    out.waves = r.misses.waves;
-    out.stats = r.move_stats;
-    out.stats += r.misses.stats;
-    out.stats.cycles = out.wall_cycles;
+    out = resident_or_transform(operands, dir, hints, ring);
   } else {
     out = shard(polys, hints,
                 [&](core::bp_ntt_bank& bank, const std::vector<std::vector<u64>>& slice) {
@@ -208,23 +189,22 @@ batch_result sram_backend::run_polymul(const std::vector<core::polymul_pair>& pa
       if (slot.emplace(op, operands.size()).second) operands.push_back(op);
     }
   }
-  resident_images fwd = resident_or_transform(operands, transform_dir::forward, hints, ring);
+  const batch_result fwd = resident_or_transform(operands, transform_dir::forward, hints, ring);
 
   std::vector<core::polymul_pair> staged(pairs.size());
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    staged[i] = {fwd.images[slot.at(&pairs[i].a)], fwd.images[slot.at(&pairs[i].b)]};
+    staged[i] = {fwd.outputs[slot.at(&pairs[i].a)], fwd.outputs[slot.at(&pairs[i].b)]};
   }
   batch_result out =
       shard(staged, hints,
             [&](core::bp_ntt_bank& bank, const std::vector<core::polymul_pair>& slice) {
               return bank.run_transformed_polymul_batch(slice, ring);
             });
-  // The two phases (plus any cross-bank serves) run back-to-back on the
-  // same bank subset: cycles add, waves and op counts accumulate.
-  out.wall_cycles += fwd.misses.wall_cycles + fwd.move_cycles;
-  out.waves += fwd.misses.waves;
-  out.stats += fwd.misses.stats;
-  out.stats += fwd.move_stats;
+  // The two phases run back-to-back on the same bank subset: cycles add,
+  // waves and op counts accumulate.
+  out.wall_cycles += fwd.wall_cycles;
+  out.waves += fwd.waves;
+  out.stats += fwd.stats;
   out.stats.cycles = out.wall_cycles;
   note_batch(pairs.size(), out.wall_cycles);
   return out;

@@ -20,10 +20,9 @@
 // Ring-overridden (RNS limb) dispatches additionally consult the runtime's
 // residency manager: a warm operand resident on one of the dispatch's own
 // banks is served in place (zero array cycles — the modelled win of operand
-// reuse), a warm operand resident on a foreign bank pays an on-chip
-// bank-to-bank row move (tech_model::row_move_cycles — strictly between
-// free and a cold re-transform), and a miss transforms on the array and
-// takes up residence on the bank that ran it.  A limb product splits into
+// reuse); anything else, including an operand resident only on a bank the
+// dispatch does not hold, is a miss that transforms on the array and takes
+// up residence on the bank that ran it.  A limb product splits into
 // "forward-transform the missing operands" + "pointwise and inverse on
 // transformed operands" so repeated multiplicands pay the forward NTT
 // exactly once.
@@ -74,19 +73,13 @@ class sram_backend final : public backend {
 
   // The resident-or-transform step of a residency-aware limb dispatch
   // (hints.ring_q != 0, manager attached): look up every operand's `dir`
-  // image, price the warm serves against the dispatch's bank subset (zero
-  // on a dispatch bank, an on-chip row move from a foreign one), transform
-  // the misses on `ring` in one sharded bank batch and make each resident
-  // on the bank whose wave ran it.
-  struct resident_images {
-    std::vector<std::vector<u64>> images;  // one per operand, in operand order
-    batch_result misses;                   // the array batch that transformed the misses
-    u64 move_cycles = 0;                   // serialized cross-bank serves
-    sram::op_stats move_stats;             // their row-move energy
-  };
-  resident_images resident_or_transform(const std::vector<const std::vector<u64>*>& operands,
-                                        transform_dir dir, const dispatch_hints& hints,
-                                        const std::shared_ptr<core::kernel_library>& ring);
+  // image on the dispatch's bank subset, transform the misses on `ring` in
+  // one sharded bank batch and make each resident on the bank whose wave
+  // ran it.  Returns one output per operand, in operand order, with the
+  // miss batch's cycles, waves and stats (all zero when every operand hit).
+  batch_result resident_or_transform(const std::vector<const std::vector<u64>*>& operands,
+                                     transform_dir dir, const dispatch_hints& hints,
+                                     const std::shared_ptr<core::kernel_library>& ring);
 
   unsigned channels_ = 1;
   core::bank_config bank_cfg_;

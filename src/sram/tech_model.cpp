@@ -1,6 +1,5 @@
 #include "sram/tech_model.h"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace bpntt::sram {
@@ -46,21 +45,6 @@ double energy_shift_op_pj(const tech_params& t, unsigned cols) {
 double energy_check_op_pj(const tech_params& t, unsigned cols) {
   // Check reads one row and latches one bit per tile; no write back.
   return energy_compute_op_pj(t, cols, 1, false);
-}
-
-std::uint64_t row_move_cycles(const tech_params& t, unsigned rows) {
-  if (rows == 0) return 0;
-  const double c = t.move_cycles_per_row * rows;
-  const auto cycles = static_cast<std::uint64_t>(std::llround(c));
-  return cycles < 1 ? 1 : cycles;
-}
-
-double energy_row_move_pj(const tech_params& t, unsigned cols, unsigned rows) {
-  // Per moved row: one read of the source (no write back) plus one
-  // write-back into the destination — the same micro-op energies the
-  // compute model charges, so node projection needs no extra scaling rule.
-  return rows * (energy_compute_op_pj(t, cols, 1, false) +
-                 energy_compute_op_pj(t, cols, 1, true));
 }
 
 }  // namespace bpntt::sram

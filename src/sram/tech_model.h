@@ -11,7 +11,6 @@
 // behaviour the paper's claims rest on (see DESIGN.md §4).
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 namespace bpntt::sram {
@@ -27,12 +26,6 @@ struct tech_params {
 
   // Timing: one micro-op per array cycle.
   double freq_ghz = 3.8;           // Table I "Max f" for the 256x256 array
-  // On-chip row move (bank-to-bank over the shared data bus): read the
-  // source row, drive the bus, write the destination row — two array
-  // micro-ops' worth of cycles per row.  A cycle count, not a physical
-  // delay, so node projection leaves it alone (like every other cycle
-  // quantity in the model).
-  double move_cycles_per_row = 2.0;
 
   // Energy model, per micro-op.
   double e_wordline_pj = 0.010;        // per activated wordline
@@ -61,15 +54,5 @@ struct tech_params {
                                           unsigned rows_activated, bool writes_back);
 [[nodiscard]] double energy_shift_op_pj(const tech_params& t, unsigned cols);
 [[nodiscard]] double energy_check_op_pj(const tech_params& t, unsigned cols);
-
-// On-chip row move between banks: the cost of serving a warm operand
-// resident on a *different* bank than the one executing — strictly between
-// a same-bank hit (zero) and a cold re-transform.  Cycles are
-// move_cycles_per_row per row (minimum 1 for a non-empty move); energy is
-// one read plus one write-back per row, derived from the same per-op
-// constants as every other energy figure (so project_to_node scales it for
-// free).
-[[nodiscard]] std::uint64_t row_move_cycles(const tech_params& t, unsigned rows);
-[[nodiscard]] double energy_row_move_pj(const tech_params& t, unsigned cols, unsigned rows);
 
 }  // namespace bpntt::sram

@@ -25,7 +25,6 @@ const char* to_string(trace_op op) noexcept {
     case trace_op::queue_depth: return "queue_depth";
     case trace_op::resident_evict: return "resident_evict";
     case trace_op::resident_pin: return "resident_pin";
-    case trace_op::resident_move: return "resident_move";
     case trace_op::affinity_hit: return "affinity_hit";
     case trace_op::resident_rows: return "resident_rows";
   }

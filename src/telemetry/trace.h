@@ -70,7 +70,6 @@ enum class trace_op : std::uint8_t {
   // Residency lifecycle instants (track = kTrackCache; arg = bank).
   resident_evict,
   resident_pin,
-  resident_move,
   // Scheduler claimed a bank already holding the group's limb (track =
   // kTrackScheduler; a = group seq).
   affinity_hit,

@@ -1,6 +1,7 @@
 // Runtime cache tests: the residency_manager unit surface (the slot budget
-// and its exact split over the banks, exact keying, bank-local placement
-// and LRU eviction under capacity pressure, pinning, invalidation), the
+// and its exact split over the banks, exact keying, bank-local placement,
+// lookup and LRU eviction under capacity pressure, per-bank copies,
+// pinning, invalidation), the
 // LRU-bounded per-modulus retarget caches of all three
 // backends (eviction, rebuild-on-reuse, the probe), the one same-modulus
 // rule every backend's ring cache applies, and the sram backend's one
@@ -59,19 +60,19 @@ TEST(ResidencyManagerUnit, LookupInsertAndCounters) {
   const auto a = poly_of(1);
   const auto fa = poly_of(2);
 
-  EXPECT_FALSE(cache.lookup(97, core::transform_dir::forward, a).has_value());
+  EXPECT_FALSE(cache.lookup(97, core::transform_dir::forward, a, {0}).has_value());
   EXPECT_EQ(cache.misses(), 1u);
   cache.insert(97, core::transform_dir::forward, a, fa, 0);
-  const auto hit = cache.lookup(97, core::transform_dir::forward, a);
+  const auto hit = cache.lookup(97, core::transform_dir::forward, a, {0});
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->transformed, fa);
+  EXPECT_EQ(*hit, fa);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.resident_rows(), kOrder);
 
   // The key is (operand, ring, direction): same operand under another ring
   // or direction is a distinct entry.
-  EXPECT_FALSE(cache.lookup(193, core::transform_dir::forward, a).has_value());
-  EXPECT_FALSE(cache.lookup(97, core::transform_dir::inverse, a).has_value());
+  EXPECT_FALSE(cache.lookup(193, core::transform_dir::forward, a, {0}).has_value());
+  EXPECT_FALSE(cache.lookup(97, core::transform_dir::inverse, a, {0}).has_value());
   EXPECT_EQ(cache.size(), 1u);
 }
 
@@ -83,14 +84,14 @@ TEST(ResidencyManagerUnit, CapacityPressureEvictsTheColdestEntry) {
   cache.insert(97, core::transform_dir::forward, b, poly_of(12), 0);
   EXPECT_EQ(cache.resident_rows(), cache.capacity_rows());
   // Touch a so b becomes the LRU victim when c needs rows.
-  (void)cache.lookup(97, core::transform_dir::forward, a);
+  (void)cache.lookup(97, core::transform_dir::forward, a, {0});
   cache.insert(97, core::transform_dir::forward, c, poly_of(13), 0);
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_LE(cache.resident_rows(), cache.capacity_rows());
-  EXPECT_TRUE(cache.lookup(97, core::transform_dir::forward, a).has_value());
-  EXPECT_TRUE(cache.lookup(97, core::transform_dir::forward, c).has_value());
-  EXPECT_FALSE(cache.lookup(97, core::transform_dir::forward, b).has_value());
+  EXPECT_TRUE(cache.lookup(97, core::transform_dir::forward, a, {0}).has_value());
+  EXPECT_TRUE(cache.lookup(97, core::transform_dir::forward, c, {0}).has_value());
+  EXPECT_FALSE(cache.lookup(97, core::transform_dir::forward, b, {0}).has_value());
 }
 
 TEST(ResidencyManagerUnit, InvalidateAndClearReportDropCounts) {
@@ -108,7 +109,7 @@ TEST(ResidencyManagerUnit, InvalidateAndClearReportDropCounts) {
   EXPECT_EQ(cache.invalidate(a), 3u);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.resident_rows(), kOrder);
-  EXPECT_TRUE(cache.lookup(97, core::transform_dir::forward, b).has_value());
+  EXPECT_TRUE(cache.lookup(97, core::transform_dir::forward, b, {0}).has_value());
 }
 
 TEST(ResidencyManagerUnit, ZeroBudgetNeverStores) {
@@ -118,7 +119,7 @@ TEST(ResidencyManagerUnit, ZeroBudgetNeverStores) {
   cache.insert(97, core::transform_dir::forward, a, poly_of(11), 0);
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.resident_rows(), 0u);
-  EXPECT_FALSE(cache.lookup(97, core::transform_dir::forward, a).has_value());
+  EXPECT_FALSE(cache.lookup(97, core::transform_dir::forward, a, {0}).has_value());
 }
 
 TEST(ResidencyManagerUnit, PinnedEntriesSurviveCapacityPressure) {
@@ -130,9 +131,9 @@ TEST(ResidencyManagerUnit, PinnedEntriesSurviveCapacityPressure) {
   cache.insert(97, core::transform_dir::forward, b, poly_of(12), 0);
   // a is the LRU but pinned: pressure from c must take b instead.
   cache.insert(97, core::transform_dir::forward, c, poly_of(13), 0);
-  EXPECT_TRUE(cache.lookup(97, core::transform_dir::forward, a).has_value());
-  EXPECT_FALSE(cache.lookup(97, core::transform_dir::forward, b).has_value());
-  EXPECT_TRUE(cache.lookup(97, core::transform_dir::forward, c).has_value());
+  EXPECT_TRUE(cache.lookup(97, core::transform_dir::forward, a, {0}).has_value());
+  EXPECT_FALSE(cache.lookup(97, core::transform_dir::forward, b, {0}).has_value());
+  EXPECT_TRUE(cache.lookup(97, core::transform_dir::forward, c, {0}).has_value());
 }
 
 TEST(ResidencyManagerUnit, ExplicitInvalidationOverridesThePin) {
@@ -151,7 +152,7 @@ TEST(ResidencyManagerUnit, ExplicitInvalidationOverridesThePin) {
   cache.insert(97, core::transform_dir::forward, c, poly_of(13), 0);
   cache.insert(97, core::transform_dir::forward, d, poly_of(14), 0);
   cache.insert(97, core::transform_dir::forward, e, poly_of(15), 0);
-  EXPECT_FALSE(cache.lookup(97, core::transform_dir::forward, a).has_value());
+  EXPECT_FALSE(cache.lookup(97, core::transform_dir::forward, a, {0}).has_value());
 }
 
 TEST(ResidencyManagerUnit, InsertResidesOnTheExecutingBank) {
@@ -172,9 +173,8 @@ TEST(ResidencyManagerUnit, InsertResidesOnTheExecutingBank) {
   EXPECT_EQ(cache.banks_holding(193), std::vector<unsigned>{2u});
   cache.insert(97, core::transform_dir::forward, c, poly_of(13), 3);
   EXPECT_EQ(cache.banks_holding(97), (std::vector<unsigned>{0u, 3u}));
-  const auto h = cache.lookup(97, core::transform_dir::forward, c);
-  ASSERT_TRUE(h.has_value());
-  EXPECT_EQ(h->home_bank, 3u);
+  EXPECT_FALSE(cache.lookup(97, core::transform_dir::forward, c, {0, 1, 2}).has_value());
+  EXPECT_TRUE(cache.lookup(97, core::transform_dir::forward, c, {3}).has_value());
 
   // Out-of-range banks throw on the placing path and on the refresh of an
   // already-resident key alike.
@@ -232,13 +232,11 @@ TEST(ResidencyManagerUnit, AFullBankEvictsItsOwnColdestEntryAndNeverPlacesElsewh
   cache.insert(97, core::transform_dir::forward, d, poly_of(14), 0);
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_EQ(cache.size(), 3u);
-  EXPECT_FALSE(cache.lookup(97, core::transform_dir::forward, a).has_value());
-  const auto hc = cache.lookup(97, core::transform_dir::forward, c);
-  ASSERT_TRUE(hc.has_value());
-  EXPECT_EQ(hc->home_bank, 1u);
-  const auto hd = cache.lookup(97, core::transform_dir::forward, d);
-  ASSERT_TRUE(hd.has_value());
-  EXPECT_EQ(hd->home_bank, 0u);
+  EXPECT_FALSE(cache.lookup(97, core::transform_dir::forward, a, {0, 1, 2, 3}).has_value());
+  EXPECT_FALSE(cache.lookup(97, core::transform_dir::forward, c, {0}).has_value());
+  EXPECT_TRUE(cache.lookup(97, core::transform_dir::forward, c, {1}).has_value());
+  EXPECT_FALSE(cache.lookup(97, core::transform_dir::forward, d, {1, 2, 3}).has_value());
+  EXPECT_TRUE(cache.lookup(97, core::transform_dir::forward, d, {0}).has_value());
   EXPECT_EQ(cache.banks_holding(97), (std::vector<unsigned>{0u, 1u}));
 }
 
@@ -253,7 +251,7 @@ TEST(ResidencyManagerUnit, ABankWithAZeroShareDropsItsInserts) {
   cache.insert(97, core::transform_dir::forward, poly_of(2), poly_of(12), 3);
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.evictions(), 0u);
-  EXPECT_FALSE(cache.lookup(97, core::transform_dir::forward, a).has_value());
+  EXPECT_FALSE(cache.lookup(97, core::transform_dir::forward, a, {0, 1, 2, 3}).has_value());
   cache.insert(97, core::transform_dir::forward, a, poly_of(11), 0);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.banks_holding(97), std::vector<unsigned>{0u});
@@ -270,8 +268,48 @@ TEST(ResidencyManagerUnit, ABankFullOfPinnedEntriesDropsItsInserts) {
   cache.insert(97, core::transform_dir::forward, b, poly_of(12), 0);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.evictions(), 0u);
-  EXPECT_TRUE(cache.lookup(97, core::transform_dir::forward, a).has_value());
-  EXPECT_FALSE(cache.lookup(97, core::transform_dir::forward, b).has_value());
+  EXPECT_TRUE(cache.lookup(97, core::transform_dir::forward, a, {0}).has_value());
+  EXPECT_FALSE(cache.lookup(97, core::transform_dir::forward, b, {0, 1, 2, 3}).has_value());
+}
+
+TEST(ResidencyManagerUnit, EachBankHoldsItsOwnCopyAndNeverTouchesAnothers) {
+  // One slot per bank.  The same (ring, dir, coeffs) inserted on banks 0
+  // and 2 is two copies, each served only to a bank set holding it.
+  telemetry::metrics_registry reg;
+  residency_manager cache(four_banks(4), reg);
+  const auto a = poly_of(1), fa = poly_of(11);
+  cache.insert(97, core::transform_dir::forward, a, fa, 0);
+  cache.insert(97, core::transform_dir::forward, a, fa, 2);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.resident_rows(), 2 * kOrder);
+  EXPECT_EQ(cache.banks_holding(97), (std::vector<unsigned>{0u, 2u}));
+  EXPECT_FALSE(cache.lookup(97, core::transform_dir::forward, a, {1}).has_value());
+  const auto on2 = cache.lookup(97, core::transform_dir::forward, a, {2});
+  ASSERT_TRUE(on2.has_value());
+  EXPECT_EQ(*on2, fa);
+
+  // One lookup over four banks counts once, hit or miss.
+  const auto hits = cache.hits(), misses = cache.misses();
+  EXPECT_TRUE(cache.lookup(97, core::transform_dir::forward, a, {0, 1, 2, 3}).has_value());
+  EXPECT_EQ(cache.hits(), hits + 1);
+  EXPECT_FALSE(cache.lookup(193, core::transform_dir::forward, a, {0, 1, 2, 3}).has_value());
+  EXPECT_EQ(cache.misses(), misses + 1);
+
+  // Pressure on bank 0 evicts bank 0's copy alone.
+  cache.insert(97, core::transform_dir::forward, poly_of(2), poly_of(12), 0);
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_FALSE(cache.lookup(97, core::transform_dir::forward, a, {0}).has_value());
+  EXPECT_TRUE(cache.lookup(97, core::transform_dir::forward, a, {2}).has_value());
+
+  // Re-inserting on bank 0 is a new copy there, not a refresh of bank 2's.
+  cache.insert(97, core::transform_dir::forward, a, fa, 0);
+  EXPECT_EQ(cache.evictions(), 2u);
+  EXPECT_EQ(cache.banks_holding(97), (std::vector<unsigned>{0u, 2u}));
+
+  // Invalidation retires the operand everywhere.
+  EXPECT_EQ(cache.invalidate(a), 2u);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_TRUE(cache.banks_holding(97).empty());
 }
 
 // ---- retarget cache bound --------------------------------------------------
